@@ -23,7 +23,7 @@ from .fields import (
     read_snapshot,
     write_snapshot,
 )
-from .forcing import ConstantForcing, Forcing, GradientForcing, SampledForcing, TrigForcing, ZeroForcing
+from .forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import ScalingProbeReport, duhamel_forced_heat, heat_apply, holder_scaling_probe, lacunary_field
 from .norms import (
     HolderEstimate,

@@ -6,7 +6,8 @@ output directory.  No interactive steering; exit status reports the
 overall verdict.
 
 Exit codes: 0 all checks pass, 1 at least one check fails (reports are
-still written), 2 configuration error, 3 numerical divergence.
+still written), 2 configuration error (including requests outside a
+check's resolvable window), 3 numerical divergence.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DivergenceError, ResolutionError, WindowError
+from .errors import ConfigError, DivergenceError, OracleError, ResolutionError, WindowError
 from .fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field, write_snapshot
 from .forcing import GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply, holder_scaling_probe, lacunary_field
@@ -80,12 +81,31 @@ _TOP_KEYS = {"name", "grid", "scheme", "data", "forcing", "checks", "out_dir", "
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     missing = required - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
+
+
+def _require_numbers(section: dict, where: str) -> None:
+    for key, v in section.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+
+
+def _kind_params(raw: dict, name: str, kinds: dict, optional: set) -> dict:
+    """Validated parameters of the ``name`` section (default zero kind), without "kind"."""
+    section = raw.setdefault(name, {"kind": "zero"})
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if kind not in sorted(kinds):
+        raise ConfigError(f"{name} must be an object with kind one of {sorted(kinds)}")
+    params = {k: v for k, v in section.items() if k != "kind"}
+    _require_keys(params, kinds[kind], kinds[kind] - optional, f"{name}({kind})")
+    return params
 
 
 def load_config(path: str) -> dict:
@@ -99,22 +119,24 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(raw, _TOP_KEYS, {"name", "grid", "scheme", "checks"}, "config")
-    _require_keys(raw["grid"], _GRID_KEYS, _GRID_KEYS, "grid")
-    _require_keys(raw["scheme"], _SCHEME_KEYS, {"T", "dt"}, "scheme")
-    data = raw.get("data", {"kind": "zero"})
-    if "kind" not in data or data["kind"] not in _DATA_KINDS:
-        raise ConfigError(f"data.kind must be one of {sorted(_DATA_KINDS)}")
-    _require_keys({k: v for k, v in data.items() if k != "kind"}, _DATA_KINDS[data["kind"]], _DATA_KINDS[data["kind"]], f"data({data['kind']})")
-    forcing = raw.get("forcing", {"kind": "zero"})
-    if "kind" not in forcing or forcing["kind"] not in _FORCING_KINDS:
-        raise ConfigError(f"forcing.kind must be one of {sorted(_FORCING_KINDS)}")
-    allowed_f = _FORCING_KINDS[forcing["kind"]]
-    _require_keys({k: v for k, v in forcing.items() if k != "kind"}, allowed_f, allowed_f - {"omega", "mod"}, f"forcing({forcing['kind']})")
-    for chk in raw["checks"]:
+    for name, allowed, required in (("grid", _GRID_KEYS, _GRID_KEYS), ("scheme", _SCHEME_KEYS, {"T", "dt"})):
+        _require_keys(raw[name], allowed, required, name)
+        _require_numbers(raw[name], name)
+    data = _kind_params(raw, "data", _DATA_KINDS, set())
+    value = data.pop("value", None)
+    _require_numbers(data, "data")
+    if value is not None:
+        value = value if isinstance(value, list) else [value]
+        _require_numbers(dict(enumerate(value)), "data.value")
+        if len(value) != raw["grid"]["d"]:
+            raise ConfigError(f"data.value has {len(value)} entries, the grid has d={raw['grid']['d']}")
+    _require_numbers(_kind_params(raw, "forcing", _FORCING_KINDS, {"omega", "mod"}), "forcing")
+    checks = raw["checks"]
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError("checks must be a list of check names")
+    for chk in checks:
         if chk not in REGISTRY:
             raise ConfigError(f"unknown check {chk!r}; see the registry ('list' verb)")
-    raw.setdefault("data", data)
-    raw.setdefault("forcing", forcing)
     return raw
 
 
@@ -126,6 +148,9 @@ def _build_grid(section: dict) -> GridSpec:
 
 
 def _build_scheme(section: dict, grid: GridSpec) -> SchemeConfig:
+    # runs solve in the unit-viscosity frame; other nu go through scheme.rescale_viscosity
+    if section.get("nu", 1.0) != 1.0:
+        raise ConfigError(f"nu={section['nu']} is not supported by the runner: only nu = 1")
     try:
         return SchemeConfig(grid=grid, **{k: section[k] for k in _SCHEME_KEYS if k in section})
     except ValueError as e:
@@ -233,10 +258,7 @@ def _run_checks(cfg: dict, out_dir: str) -> bool:
                 _emit_report(out_dir, f"uniform_{key}", rep)
                 all_pass &= rep.passed
         elif chk == "short_time":
-            try:
-                reports = check_short_time(records, kfn, c=scheme_cfg.c, beta=scheme_cfg.beta)
-            except WindowError as e:
-                raise ConfigError(str(e))
+            reports = check_short_time(records, kfn, c=scheme_cfg.c, beta=scheme_cfg.beta)
             for key, rep in reports.items():
                 _emit_report(out_dir, f"short_time_{key}", rep)
                 all_pass &= rep.passed
@@ -351,7 +373,7 @@ def cmd_run(path: str) -> int:
         out_dir = os.environ.get("BURGERS_OUT_DIR") or cfg.get("out_dir") or "."
         os.makedirs(out_dir, exist_ok=True)
         ok = _run_checks(cfg, out_dir)
-    except ConfigError as e:
+    except (ConfigError, WindowError, OracleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivergenceError, ResolutionError) as e:

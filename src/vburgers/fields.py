@@ -106,11 +106,12 @@ def rfft_shape(spec: GridSpec) -> tuple:
 
 
 def rfft(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.fft.rfftn(values, s=spec.shape, axes=tuple(range(spec.d)))
+    """Real FFT over the trailing d (spatial) axes; leading axes are batch/channels."""
+    return np.fft.rfftn(values, s=spec.shape, axes=tuple(range(-spec.d, 0)))
 
 
 def irfft(spectrum: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.fft.irfftn(spectrum, s=spec.shape, axes=tuple(range(spec.d)))
+    return np.fft.irfftn(spectrum, s=spec.shape, axes=tuple(range(-spec.d, 0)))
 
 
 def dealias_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -236,18 +237,27 @@ class Trajectory:
     def frame(self, k: int) -> VectorField:
         return self.frames[k]
 
+    @classmethod
+    def from_array(cls, grid: GridSpec, t0: float, dt: float, arr: np.ndarray) -> "Trajectory":
+        """Frames from (d,) + grid.shape arrays, e.g. the stack ``as_array`` returns."""
+        return cls(grid, t0, dt, tuple(VectorField.from_arrays(grid, a) for a in arr))
+
+    def locate(self, t: float) -> tuple:
+        """(k, w) with t = (1 - w) t_k + w t_{k+1}; w = 0 at (and clamped beyond) frames."""
+        s = (t - self.t0) / self.dt
+        k = min(max(int(np.floor(s)), 0), len(self.frames) - 1)
+        w = s - k
+        if k == len(self.frames) - 1 or w <= 1e-12:
+            return k, 0.0
+        if w >= 1 - 1e-12:
+            return k + 1, 0.0
+        return k, w
+
     def at_time(self, t: float) -> VectorField:
         """Linear interpolation between frames (exact at frame times)."""
-        s = (t - self.t0) / self.dt
-        k = int(np.floor(s))
-        k = min(max(k, 0), len(self.frames) - 1)
-        if k == len(self.frames) - 1:
+        k, w = self.locate(t)
+        if w == 0.0:
             return self.frames[k]
-        w = s - k
-        if w <= 1e-12:
-            return self.frames[k]
-        if w >= 1 - 1e-12:
-            return self.frames[k + 1]
         return self.frames[k] * (1.0 - w) + self.frames[k + 1] * w
 
     def as_array(self) -> np.ndarray:
@@ -328,18 +338,23 @@ def curl_components(v: VectorField) -> list:
     ]
 
 
+def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """(b . grad) u on channels-first arrays (d,) + shape and (ch,) + shape.
+
+    ``b`` must already be dealiased; ``u`` is dealiased here and so is the
+    product (two-thirds rule on both factors and on the result).
+    """
+    u_hat = rfft(u, spec) * _dealias_mask(spec)
+    acc = np.zeros(u.shape)
+    for bi, ki in zip(b, _wavenumbers_half(spec)):
+        acc += bi * irfft(1j * ki * u_hat, spec)
+    return dealias_values(acc, spec)
+
+
 def advect(b: VectorField, u: VectorField) -> VectorField:
     """Dealiased transport nonlinearity (b . grad) u."""
     spec = u.grid
-    b_arr = [dealias_values(c.values, spec) for c in b.components]
-    out = []
-    for c in u.components:
-        grads = gradient_arrays(dealias_values(c.values, spec), spec)
-        acc = np.zeros(spec.shape)
-        for bi, gi in zip(b_arr, grads):
-            acc += bi * gi
-        out.append(dealias_values(acc, spec))
-    return VectorField.from_arrays(spec, out)
+    return VectorField.from_arrays(spec, advect_arrays(dealias_values(b.as_array(), spec), u.as_array(), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +381,6 @@ def evaluate_many(f: ScalarField, points: np.ndarray) -> np.ndarray:
     else:
         out = np.einsum("px,py,pz,xyz->p", phases[0], phases[1], phases[2], coeffs)
     return out.real
-
-
-def evaluate_at(f: ScalarField, x) -> float:
-    return float(evaluate_many(f, np.atleast_2d(x))[0])
 
 
 def evaluate_vector_many(v: VectorField, points: np.ndarray) -> np.ndarray:

@@ -110,14 +110,3 @@ class GradientForcing(Forcing):
 
     def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
         return self._grad * (self.mod * self.omega * np.cos(self.omega * t))
-
-
-class SampledForcing(Forcing):
-    """Forcing backed by a trajectory of sampled frames (linear in time)."""
-
-    def __init__(self, traj: Trajectory):
-        self.grid = traj.grid
-        self.traj = traj
-
-    def at(self, t: float) -> VectorField:
-        return self.traj.at_time(t)

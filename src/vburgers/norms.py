@@ -58,10 +58,10 @@ def hessian_sup(v: VectorField) -> float:
     return channel_sup(vector_hessian_arrays(v), 3)
 
 
-def opnorm_sup(m: np.ndarray, grid: GridSpec | None = None) -> float:
+def opnorm_sup(m: np.ndarray) -> float:
     """Sup over nodes of the spectral norm of a (d x d)-matrix field.
 
-    ``m`` has shape (d, d) or (d, d) + grid.shape.
+    ``m`` has shape (d, d) or (d, d) + grid shape.
     """
     m = np.asarray(m, dtype=np.float64)
     d = m.shape[0]

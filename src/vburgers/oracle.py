@@ -11,19 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, OracleError, ResolutionError
+from .errors import OracleError
 from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
     advect,
-    gradient,
+    advect_arrays,
+    dealias_values,
+    gradient_arrays,
     laplacian_arrays,
     time_derivative_frames,
 )
 from .forcing import Forcing, ZeroForcing
-from .heat import heat_apply, heat_apply_values
-from .transport import BLOCKING_GATE, _blocking_fraction
+from .heat import integrate
+from .transport import _blocking_guard
 
 COLE_HOPF_LAMBDA = -2.0
 
@@ -81,38 +83,19 @@ def cole_hopf(
     spec = phi0.grid
     if np.any(phi0.values <= 0):
         raise OracleError("initial phi must be positive node-wise")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, dt):
-        raise ValueError(f"dt={dt} does not divide T={T}")
 
-    def f_at(t: float):
-        if f is None:
-            return None
-        ft = f(t) if callable(f) else f
-        return ft.values
+    rhs = None
+    if f is not None:
+        def rhs(t: float, phi: np.ndarray) -> np.ndarray:
+            return (f(t) if callable(f) else f).values * phi
 
-    phi = phi0.values.copy()
-    frames = [_log_gradient(phi0, lam)]
-    for k in range(n_steps):
-        t = k * dt
-        if f is None:
-            phi = heat_apply_values(phi, spec, dt)
-        else:
-            rhs0 = f_at(t) * phi
-            phi_star = heat_apply_values(phi + 0.5 * dt * rhs0, spec, dt / 2.0)
-            rhs_mid = f_at(t + dt / 2.0) * phi_star
-            phi = heat_apply_values(phi, spec, dt) + dt * heat_apply_values(
-                rhs_mid, spec, dt / 2.0
-            )
+    def positive(t: float, phi: np.ndarray, phi_hat: np.ndarray) -> None:
         if np.any(phi <= 0):
-            raise OracleError(f"phi lost positivity at t={t + dt:g}")
-        frames.append(_log_gradient(ScalarField(spec, phi), lam))
-    return Trajectory(spec, 0.0, dt, tuple(frames))
+            raise OracleError(f"phi lost positivity at t={t:g}")
 
-
-def _log_gradient(phi: ScalarField, lam: float) -> VectorField:
-    log_phi = ScalarField(phi.grid, np.log(phi.values))
-    return gradient(log_phi) * lam
+    phis = integrate(phi0.values[None], spec, T, dt, rhs, positive)
+    # one frame at a time: a batched transform would hold several copies of the stack
+    return Trajectory.from_array(spec, 0.0, dt, (lam * gradient_arrays(np.log(phi[0]), spec) for phi in phis))
 
 
 def best_lambda(phi0: ScalarField, T: float, dt: float, candidates=(-2.0, -1.0, 1.0, 2.0)):
@@ -132,24 +115,12 @@ def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Tra
     and forcing advance with an explicit midpoint stage (second order).
     """
     spec = u0.grid
-    if g is None:
-        g = ZeroForcing(spec)
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, dt):
-        raise ValueError(f"dt={dt} does not divide T={T}")
 
-    def rhs(u: VectorField, t: float) -> VectorField:
-        return g.at(t) - advect(u, u)
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        out = -advect_arrays(dealias_values(u, spec), u, spec)
+        if g is not None and not g.is_zero:
+            out += g.at(t).as_array()
+        return out
 
-    u = u0
-    frames = [u]
-    for k in range(n_steps):
-        t = k * dt
-        u_star = heat_apply(u + rhs(u, t) * (dt / 2.0), dt / 2.0)
-        u = heat_apply(u, dt) + heat_apply(rhs(u_star, t + dt / 2.0), dt / 2.0) * dt
-        if not np.all(np.isfinite(u.as_array())):
-            raise DivergenceError(f"direct solve diverged at t={t + dt:g}")
-        if _blocking_fraction(u) > BLOCKING_GATE:
-            raise ResolutionError(f"spectral blocking in direct solve at t={t + dt:g}")
-        frames.append(u)
-    return Trajectory(spec, 0.0, dt, tuple(frames))
+    u = integrate(u0.as_array(), spec, T, dt, rhs, _blocking_guard(spec))
+    return Trajectory.from_array(spec, 0.0, dt, u)

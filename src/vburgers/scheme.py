@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import GridSpec, Trajectory, VectorField, time_derivative_frames, vector_hessian_arrays
 from .forcing import Forcing, ZeroForcing
-from .heat import duhamel_forced_heat
+from .heat import duhamel_forced_heat, n_steps
 from .norms import (
     KConstants,
     channel_sup,
@@ -57,9 +57,7 @@ class SchemeConfig:
             raise ValueError("T and dt must be positive")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
-        n = round(self.T / self.dt)
-        if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
-            raise ValueError("dt must divide T")
+        n_steps(self.T, self.dt)
 
 
 @dataclass(frozen=True)
@@ -326,13 +324,3 @@ def run_summary_json(t_init: float, converged: bool, residual: float, kc: KConst
             "k_constants": json.loads(kc.to_json()),
         }
     )
-
-
-def physical_frame_bounds(kc: KConstants, nu: float) -> dict:
-    """Derivative bounds in the physical frame given unit-frame constants."""
-    return {
-        "sup_u": kc.K0,
-        "grad_u": kc.K / nu,
-        "dt_u": kc.K**1.5 / nu,
-        "hess_u": kc.K**1.5 / nu**2,
-    }

@@ -293,7 +293,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
     lhs = np.empty(nt)
     for k, t in enumerate(times):
         cm = p_bar.matrix_at(t)
-        opn_bar[k] = opnorm_sup(cm, p.grid) if cm is not None else 0.0
+        opn_bar[k] = opnorm_sup(cm) if cm is not None else 0.0
         db = np.asarray(drift_arr(p_bar, t) - drift_arr(p, t))
         b_diff = np.sqrt((db**2).sum(axis=0)).max() if db.ndim else float(abs(db))
         c0 = p.matrix_at(t)
@@ -302,7 +302,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
         else:
             d = p.grid.d
             z = np.zeros((d, d))
-            c_diff = opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z), p.grid)
+            c_diff = opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
         f_diff = sup_norm(g_bar.at(t) - g.at(t))
         fk = phi.frame(k)
         integrand[k] = b_diff * grad_sup(fk) + c_diff * sup_norm(fk) + f_diff

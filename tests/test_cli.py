@@ -66,17 +66,34 @@ def test_run_config_error_exit_two(tmp_path, capsys):
 
 
 def test_run_divergence_exit_three(tmp_path, capsys):
-    # huge datum on a short grid blows past the transport magnitude ceiling
+    # a large rough datum on a coarse grid makes the Picard iterates blow past the ceiling
     path = base_config(
         tmp_path,
-        data={"kind": "constant", "value": 1e12},
+        grid={"d": 1, "n": 16, "L": 6.283185307179586},
+        data={"kind": "trig", "seed": 5, "kmax": 3, "amplitude": 100.0},
         scheme={"T": 0.125, "dt": 1 / 256, "m_max": 3},
-        checks=["oracle_compare"],
     )
     rc = main(["run", path])
-    assert rc in (2, 3)  # cole_hopf check requires potential data -> config error path also acceptable
-    if rc == 3:
-        assert "divergence" in capsys.readouterr().err
+    assert rc == 3
+    assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"grid": 5}, "grid"),
+        ({"scheme": {"T": "0.25", "dt": 1 / 256}}, "T"),
+        ({"scheme": {"T": 0.125, "dt": 1 / 256, "nu": 0.25}}, "nu"),
+        ({"data": {"kind": "constant", "value": [1, 2]}}, "value"),
+        ({"grid": {"d": 1, "n": 8, "L": 6.283185307179586}, "checks": ["heat_scaling"]}, "window"),
+        ({"scheme": {"T": 1.0, "dt": 0.25}, "checks": ["schauder"]}, "residual"),
+    ],
+    ids=["grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window", "schauder_residual"],
+)
+def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):
+    assert main(["run", base_config(tmp_path, **overrides)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
 
 
 def test_run_determinism(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vburgers.errors import WindowError
+from vburgers.errors import DivergenceError, WindowError
 from vburgers.fields import GridSpec, ScalarField, VectorField
 from vburgers.forcing import ConstantForcing, TrigForcing, ZeroForcing
 from vburgers.heat import (
@@ -62,6 +62,14 @@ def test_duhamel_quadrature_second_order(grid1d, random_field):
     e_c = np.abs(coarse.frame(-1 % len(coarse)).as_array() - ref.frame(-1 % len(ref)).as_array()).max()
     e_f = np.abs(fine.frame(-1 % len(fine)).as_array() - ref.frame(-1 % len(ref)).as_array()).max()
     assert e_f < e_c / 3.0  # ~4x for a second-order rule
+
+
+def test_duhamel_non_finite_raises_divergence():
+    # the forcing's mean mode overflows the FFT sum, so the state turns non-finite
+    g = GridSpec(1, 64, 2 * np.pi)
+    force = ConstantForcing(VectorField.constant(g, [1e307]))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        duhamel_forced_heat(VectorField.zero(g), force, 0.1, 1e-2)
 
 
 def test_lacunary_field_deterministic():

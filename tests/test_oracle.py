@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vburgers.errors import OracleError
+from vburgers.errors import OracleError, ResolutionError
 from vburgers.fields import GridSpec, ScalarField, VectorField, gradient, make_trig_field
 from vburgers.forcing import GradientForcing, ZeroForcing
 from vburgers.norms import sup_norm
@@ -68,6 +68,13 @@ def test_direct_solve_zero_data_stays_zero():
     g = GridSpec(1, 64, TWO_PI)
     traj = direct_solve(VectorField.zero(g), None, T=0.5, dt=1e-2)
     assert max(sup_norm(f) for f in traj.frames) == 0.0
+
+
+def test_direct_solve_blocking_gate_raises():
+    g = GridSpec(1, 32, TWO_PI)
+    u0 = VectorField.from_arrays(g, [np.sin(15 * g.axis_coords())])
+    with pytest.raises(ResolutionError):
+        direct_solve(u0, None, T=0.01, dt=1e-3)
 
 
 def test_residual_detects_wrong_solution(grid1d, random_field):

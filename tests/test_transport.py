@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vburgers.errors import DivergenceError
+from vburgers.errors import DivergenceError, ResolutionError
 from vburgers.fields import GridSpec, Trajectory, VectorField, make_trig_field
 from vburgers.forcing import ConstantForcing, TrigForcing
 from vburgers.heat import heat_apply
@@ -72,6 +72,14 @@ def test_divergence_detected():
     p = TransportProblem(u0=u0, b=None, C=-80.0 * np.eye(1), f=None, T=2.0, dt=1e-2)
     with pytest.raises(DivergenceError):
         solve_transport(p)
+
+
+def test_blocking_gate_raises():
+    # all the energy of sin(15x) sits above the two-thirds cut n/3 on n = 32
+    g = GridSpec(1, 32, TWO_PI)
+    u0 = VectorField.from_arrays(g, [np.sin(15 * g.axis_coords())])
+    with pytest.raises(ResolutionError):
+        solve_transport(TransportProblem(u0=u0, b=None, C=None, f=None, T=0.01, dt=1e-3))
 
 
 def test_max_principle_slack_no_lower_order(grid1d, random_field):
