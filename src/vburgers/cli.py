@@ -17,51 +17,20 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DivergenceError, OracleError, ResolutionError, WindowError
 from .fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field, write_snapshot
-from .forcing import GradientForcing, TrigForcing, ZeroForcing
+from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply, holder_scaling_probe, lacunary_field
-from .norms import compute_k_constants, interpolation_gap, sup_norm
+from .norms import compute_k_constants, frame_sups, interpolation_gap
 from .oracle import COLE_HOPF_LAMBDA, cole_hopf, residual
 from .scheme import SchemeConfig, compute_t_init, records_to_csv, run_picard, run_summary_json
 from .transport import TransportProblem
 from .verify import ParabolicBall, check_gronwall, check_schauder_instance, check_short_time, check_uniform
-
-# registry: check name -> (one-line description, implementing operation)
-REGISTRY = {
-    "uniform_estimates": (
-        "iterate-uniform sup bounds on u, its gradient and its second derivatives against the reference constants",
-        "verify.check_uniform",
-    ),
-    "short_time": (
-        "per-iterate contraction of the updates inside the short-time window, with fitted decay exponents",
-        "verify.check_short_time",
-    ),
-    "gronwall": (
-        "stability of transport solutions under coefficient perturbations via the exponential amplification bound",
-        "verify.check_gronwall",
-    ),
-    "schauder": (
-        "local gradient estimates on parabolic balls; implied constants probed across scales",
-        "verify.check_schauder_instance",
-    ),
-    "interpolation": (
-        "sup-gradient interpolation control of Hoelder seminorms on randomized fields",
-        "norms.interpolation_gap",
-    ),
-    "heat_scaling": (
-        "smoothing rate of the heat semigroup on a rough lacunary datum (log-log slope fit)",
-        "heat.holder_scaling_probe",
-    ),
-    "oracle_compare": (
-        "fixed point of the iteration against the exact logarithmic-gradient solution",
-        "oracle.cole_hopf",
-    ),
-}
 
 _GRID_KEYS = {"d", "n", "L"}
 _SCHEME_KEYS = {"nu", "c", "alpha", "beta", "T", "dt", "m_max", "tol_fp", "seed"}
@@ -78,6 +47,7 @@ _FORCING_KINDS = {
     "gradient": {"seed", "kmax", "amplitude", "omega", "mod"},
 }
 _TOP_KEYS = {"name", "grid", "scheme", "data", "forcing", "checks", "out_dir", "snapshots"}
+_INT_KEYS = {"d", "n", "m_max", "seed", "kmax"}
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
@@ -95,6 +65,8 @@ def _require_numbers(section: dict, where: str) -> None:
     for key, v in section.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+        if key in _INT_KEYS and not (float(v).is_integer() and v >= 0):
+            raise ConfigError(f"{where}.{key} must be a nonnegative integer, got {v!r}")
 
 
 def _kind_params(raw: dict, name: str, kinds: dict, optional: set) -> dict:
@@ -152,7 +124,7 @@ def _build_scheme(section: dict, grid: GridSpec) -> SchemeConfig:
     if section.get("nu", 1.0) != 1.0:
         raise ConfigError(f"nu={section['nu']} is not supported by the runner: only nu = 1")
     try:
-        return SchemeConfig(grid=grid, **{k: section[k] for k in _SCHEME_KEYS if k in section})
+        return SchemeConfig(grid=grid, **{k: int(v) if k in _INT_KEYS else v for k, v in section.items()})
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -216,100 +188,60 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_report(out_dir: str, stem: str, report) -> None:
+def _emit_report(out_dir: str, stem: str, report) -> bool:
     _atomic_write(os.path.join(out_dir, stem + ".json"), report.to_json())
     _atomic_write(os.path.join(out_dir, stem + ".csv"), report.to_csv())
+    return report.passed
 
 
 # ---------------------------------------------------------------------------
 # experiment execution
 
 
-def _run_checks(cfg: dict, out_dir: str) -> bool:
-    grid = _build_grid(cfg["grid"])
-    scheme_cfg = _build_scheme(cfg["scheme"], grid)
-    u0, phi0 = _build_data(cfg["data"], grid)
-    g = _build_forcing(cfg["forcing"], grid)
-    checks = list(cfg["checks"])
-    all_pass = True
+@dataclass(frozen=True)
+class _Run:
+    """What the check runners share: the built config and, when a check needs it, the Picard run."""
 
-    needs_picard = bool({"uniform_estimates", "short_time", "oracle_compare", "gronwall"} & set(checks))
-    records = fixed_point = None
-    if needs_picard:
-        holder = "uniform_estimates" in checks
-        records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder=holder)
-        _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
-        t_init = compute_t_init(u0, g, c=scheme_cfg.c, alpha=scheme_cfg.alpha)
-        kc = compute_k_constants(u0, g, scheme_cfg.T, c=scheme_cfg.c, alpha=scheme_cfg.alpha, nu=scheme_cfg.nu)
-        res = residual(fixed_point, g).max if len(fixed_point) >= 3 else math.nan
-        _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc))
-        _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())
-        if cfg.get("snapshots"):
-            write_snapshot(u0, os.path.join(out_dir, "u0.bfld"))
-            write_snapshot(fixed_point.frame(len(fixed_point) - 1), os.path.join(out_dir, "u_final.bfld"))
+    scheme: SchemeConfig
+    u0: VectorField
+    phi0: ScalarField | None
+    g: Forcing
+    records: list | None
+    fixed_point: Trajectory | None
 
-    def kfn(t):
-        return compute_k_constants(u0, g, t, c=1.0, alpha=scheme_cfg.alpha, seed=scheme_cfg.seed)
-
-    for chk in checks:
-        if chk == "uniform_estimates":
-            reports = check_uniform(records, kfn, c=scheme_cfg.c, alpha=scheme_cfg.alpha)
-            for key, rep in reports.items():
-                _emit_report(out_dir, f"uniform_{key}", rep)
-                all_pass &= rep.passed
-        elif chk == "short_time":
-            reports = check_short_time(records, kfn, c=scheme_cfg.c, beta=scheme_cfg.beta)
-            for key, rep in reports.items():
-                _emit_report(out_dir, f"short_time_{key}", rep)
-                all_pass &= rep.passed
-        elif chk == "gronwall":
-            rep = _gronwall_pair(scheme_cfg, u0, g)
-            _emit_report(out_dir, "gronwall", rep)
-            all_pass &= rep.passed
-        elif chk == "schauder":
-            ok = _schauder_sweep(scheme_cfg, u0, out_dir)
-            all_pass &= ok
-        elif chk == "interpolation":
-            ok = _interpolation_battery(scheme_cfg, grid, out_dir)
-            all_pass &= ok
-        elif chk == "heat_scaling":
-            ok = _heat_scaling(scheme_cfg, grid, out_dir)
-            all_pass &= ok
-        elif chk == "oracle_compare":
-            if phi0 is None:
-                raise ConfigError("oracle_compare requires the cole_hopf data scenario")
-            exact = cole_hopf(phi0, None, scheme_cfg.T, scheme_cfg.dt)
-            diff = max(sup_norm(a - b) for a, b in zip(fixed_point.frames, exact.frames))
-            passed = diff <= 1e-5
-            _atomic_write(
-                os.path.join(out_dir, "oracle_compare.json"),
-                json.dumps({"sup_difference": diff, "tolerance": 1e-5, "verdict": "pass" if passed else "fail"}),
-            )
-            all_pass &= passed
-    return all_pass
+    def kfn(self, t: float):
+        return compute_k_constants(self.u0, self.g, t, c=1.0, alpha=self.scheme.alpha, seed=self.scheme.seed)
 
 
-def _gronwall_pair(scheme_cfg: SchemeConfig, u0: VectorField, g):
+def _uniform_estimates(run: _Run, out_dir: str) -> bool:
+    reports = check_uniform(run.records, run.kfn, c=run.scheme.c, alpha=run.scheme.alpha)
+    return all([_emit_report(out_dir, f"uniform_{key}", rep) for key, rep in reports.items()])
+
+
+def _short_time(run: _Run, out_dir: str) -> bool:
+    reports = check_short_time(run.records, run.kfn, c=run.scheme.c, beta=run.scheme.beta)
+    return all([_emit_report(out_dir, f"short_time_{key}", rep) for key, rep in reports.items()])
+
+
+def _gronwall(run: _Run, out_dir: str) -> bool:
     """Deterministic perturbed coefficient pair derived from the config seed."""
-    grid = scheme_cfg.grid
-    rng = np.random.default_rng(scheme_cfg.seed)
+    cfg, u0 = run.scheme, run.u0
+    grid = cfg.grid
+    rng = np.random.default_rng(cfg.seed)
     eps = 0.05 * (1.0 + rng.random())
-    b = u0
     b_bar = u0 + VectorField.constant(grid, [eps] * grid.d)
-    C_bar = eps * np.eye(grid.d)
-    f_bar = TrigForcing(grid, scheme_cfg.seed + 1, 2, eps)
-    p = TransportProblem(u0=u0, b=b, C=None, f=g, T=scheme_cfg.T, dt=scheme_cfg.dt)
-    p_bar = TransportProblem(u0=u0, b=b_bar, C=C_bar, f=f_bar, T=scheme_cfg.T, dt=scheme_cfg.dt)
-    return check_gronwall(p, p_bar)
+    f_bar = TrigForcing(grid, cfg.seed + 1, 2, eps)
+    p = TransportProblem(u0=u0, b=u0, C=None, f=run.g, T=cfg.T, dt=cfg.dt)
+    p_bar = TransportProblem(u0=u0, b=b_bar, C=eps * np.eye(grid.d), f=f_bar, T=cfg.T, dt=cfg.dt)
+    return _emit_report(out_dir, "gronwall", check_gronwall(p, p_bar))
 
 
-def _schauder_sweep(scheme_cfg: SchemeConfig, u0: VectorField, out_dir: str) -> bool:
+def _schauder(run: _Run, out_dir: str) -> bool:
     """Implied constant of the gradient bound across ball scales on pure heat flow."""
-    grid = scheme_cfg.grid
-    T, dt = scheme_cfg.T, scheme_cfg.dt
+    cfg = run.scheme
+    grid, T, dt = cfg.grid, cfg.T, cfg.dt
     n_frames = int(round(T / dt)) + 1
-    frames = tuple(heat_apply(u0, k * dt) for k in range(n_frames))
-    traj = Trajectory(grid, 0.0, dt, frames)
+    traj = Trajectory(grid, 0.0, dt, [heat_apply(run.u0, k * dt) for k in range(n_frames)])
     M = 2.0
     js = [j for j in range(0, -5, -1) if M**j <= T and M ** (j / 2.0) <= grid.L / 2]
     if not js:
@@ -317,7 +249,7 @@ def _schauder_sweep(scheme_cfg: SchemeConfig, u0: VectorField, out_dir: str) -> 
     center = tuple(0.0 for _ in range(grid.d))
     constants = []
     for j in js:
-        rep = check_schauder_instance(traj, None, None, None, ParabolicBall(T, center, j, M), scheme_cfg.alpha, "grad_sup")
+        rep = check_schauder_instance(traj, None, None, None, ParabolicBall(T, center, j, M), cfg.alpha, "grad_sup")
         _emit_report(out_dir, f"schauder_j{abs(j)}", rep)
         constants.append(rep.c_star)
     pos = [c for c in constants if c > 0]
@@ -329,14 +261,15 @@ def _schauder_sweep(scheme_cfg: SchemeConfig, u0: VectorField, out_dir: str) -> 
     return passed
 
 
-def _interpolation_battery(scheme_cfg: SchemeConfig, grid: GridSpec, out_dir: str, n_fields: int = 50) -> bool:
+def _interpolation(run: _Run, out_dir: str) -> bool:
+    cfg = run.scheme
+    grid, n_fields = cfg.grid, 50
     gaps_space, gaps_time = [], []
     for i in range(n_fields):
-        u = make_trig_field(grid, scheme_cfg.seed + i, max(2, grid.n // 8), 1.0)
-        gaps_space.append(interpolation_gap(u, scheme_cfg.alpha, "space", seed=scheme_cfg.seed))
-        frames = tuple(heat_apply(u, 0.01 * k) for k in range(5))
-        traj = Trajectory(grid, 0.0, 0.01, frames)
-        gaps_time.append(interpolation_gap(traj, scheme_cfg.alpha, "spacetime", seed=scheme_cfg.seed))
+        u = make_trig_field(grid, cfg.seed + i, max(2, grid.n // 8), 1.0)
+        gaps_space.append(interpolation_gap(u, cfg.alpha, "space", seed=cfg.seed))
+        traj = Trajectory(grid, 0.0, 0.01, [heat_apply(u, 0.01 * k) for k in range(5)])
+        gaps_time.append(interpolation_gap(traj, cfg.alpha, "spacetime", seed=cfg.seed))
     worst = min(min(gaps_space), min(gaps_time))
     passed = worst >= -1e-10
     _atomic_write(
@@ -353,14 +286,89 @@ def _interpolation_battery(scheme_cfg: SchemeConfig, grid: GridSpec, out_dir: st
     return passed
 
 
-def _heat_scaling(scheme_cfg: SchemeConfig, grid: GridSpec, out_dir: str) -> bool:
+def _heat_scaling(run: _Run, out_dir: str) -> bool:
     t_list = np.geomspace(1e-4, 1e-2, 9)
     ok = True
     for kappa in (1, 2):
-        rep = holder_scaling_probe(scheme_cfg.alpha, kappa, t_list, grid, scheme_cfg.seed)
+        rep = holder_scaling_probe(run.scheme.alpha, kappa, t_list, run.scheme.grid, run.scheme.seed)
         _atomic_write(os.path.join(out_dir, f"heat_scaling_k{kappa}.json"), rep.to_json())
         ok &= abs(rep.slope - rep.predicted_slope) <= 0.05
     return ok
+
+
+def _oracle_compare(run: _Run, out_dir: str) -> bool:
+    if run.phi0 is None:
+        raise ConfigError("oracle_compare requires the cole_hopf data scenario")
+    exact = cole_hopf(run.phi0, None, run.scheme.T, run.scheme.dt)
+    diff = float(frame_sups(run.fixed_point.values - exact.values, 1).max())
+    passed = diff <= 1e-5
+    _atomic_write(
+        os.path.join(out_dir, "oracle_compare.json"),
+        json.dumps({"sup_difference": diff, "tolerance": 1e-5, "verdict": "pass" if passed else "fail"}),
+    )
+    return passed
+
+
+# check name -> (one-line description, runner(run, out_dir) -> passed)
+REGISTRY = {
+    "uniform_estimates": (
+        "iterate-uniform sup bounds on u, its gradient and its second derivatives against the reference constants",
+        _uniform_estimates,
+    ),
+    "short_time": (
+        "per-iterate contraction of the updates inside the short-time window, with fitted decay exponents",
+        _short_time,
+    ),
+    "gronwall": (
+        "stability of transport solutions under coefficient perturbations via the exponential amplification bound",
+        _gronwall,
+    ),
+    "schauder": (
+        "local gradient estimates on parabolic balls; implied constants probed across scales",
+        _schauder,
+    ),
+    "interpolation": (
+        "sup-gradient interpolation control of Hoelder seminorms on randomized fields",
+        _interpolation,
+    ),
+    "heat_scaling": (
+        "smoothing rate of the heat semigroup on a rough lacunary datum (log-log slope fit)",
+        _heat_scaling,
+    ),
+    "oracle_compare": (
+        "fixed point of the iteration against the exact logarithmic-gradient solution",
+        _oracle_compare,
+    ),
+}
+_PICARD_CHECKS = {"uniform_estimates", "short_time", "oracle_compare", "gronwall"}
+
+
+def _run_checks(cfg: dict, out_dir: str) -> bool:
+    grid = _build_grid(cfg["grid"])
+    scheme_cfg = _build_scheme(cfg["scheme"], grid)
+    u0, phi0 = _build_data(cfg["data"], grid)
+    g = _build_forcing(cfg["forcing"], grid)
+    checks = list(cfg["checks"])
+
+    records = fixed_point = None
+    if _PICARD_CHECKS & set(checks):
+        holder = "uniform_estimates" in checks
+        records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder=holder)
+        _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
+        t_init = compute_t_init(u0, g, c=scheme_cfg.c, alpha=scheme_cfg.alpha)
+        kc = compute_k_constants(u0, g, scheme_cfg.T, c=scheme_cfg.c, alpha=scheme_cfg.alpha, nu=scheme_cfg.nu)
+        res = residual(fixed_point, g).max if len(fixed_point) >= 3 else math.nan
+        _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc))
+        _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())
+        if cfg.get("snapshots"):
+            write_snapshot(u0, os.path.join(out_dir, "u0.bfld"))
+            write_snapshot(fixed_point.frame(len(fixed_point) - 1), os.path.join(out_dir, "u_final.bfld"))
+
+    run = _Run(scheme_cfg, u0, phi0, g, records, fixed_point)
+    all_pass = True
+    for chk in checks:
+        all_pass &= REGISTRY[chk][1](run, out_dir)
+    return all_pass
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +393,9 @@ def cmd_run(path: str) -> int:
 
 def cmd_list() -> int:
     for name in sorted(REGISTRY):
-        desc, op = REGISTRY[name]
-        print(f"{name}: {desc} [{op}]")
+        desc, runner = REGISTRY[name]
+        print(f"{name}: {desc} [{runner.__module__}.{runner.__name__}]")
     return 0
-
-
-def registry_targets_exist() -> bool:
-    """Every registry entry must name an importable operation (self-test hook)."""
-    import importlib
-
-    for _, (_, op) in REGISTRY.items():
-        mod_name, attr = op.rsplit(".", 1)
-        mod = importlib.import_module(f".{mod_name}", package=__package__)
-        if not hasattr(mod, attr):
-            return False
-    return True
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ new object.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,6 +19,8 @@ from .errors import ResolutionError
 
 _SNAPSHOT_MAGIC = b"BFLD"
 _SNAPSHOT_VERSION = 1
+_SNAPSHOT_HEADER = struct.Struct("<4sBIIdI")
+BLOCK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -208,46 +211,58 @@ class VectorField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed sequence of VectorFields on a uniform time grid."""
+    """Fields on a uniform time grid, held as one read-only (nt, d) + grid.shape array.
+
+    ``values`` may also be a sequence of VectorFields, stacked once.  An
+    array is wrapped without a copy; VectorFields are built only on request.
+    """
 
     grid: GridSpec
     t0: float
     dt: float
-    frames: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        frames = tuple(self.frames)
-        if any(f.grid != self.grid for f in frames):
-            raise ValueError("all frames must share the trajectory GridSpec")
-        object.__setattr__(self, "frames", frames)
+        v = self.values
+        if not isinstance(v, np.ndarray):
+            frames = tuple(v)
+            if any(f.grid != self.grid for f in frames):
+                raise ValueError("all frames must share the trajectory GridSpec")
+            v = np.stack([f.as_array() for f in frames])
+        v = np.asarray(v, dtype=np.float64).view()
+        if v.shape[1:] != (self.grid.d,) + self.grid.shape:
+            raise ValueError(f"trajectory shape {v.shape} != (nt, {self.grid.d}) + {self.grid.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("trajectory contains non-finite samples")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.values.shape[0]
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.frames))
+        return self.t0 + self.dt * np.arange(len(self))
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.dt * (len(self.frames) - 1)
+        return self.t0 + self.dt * (len(self) - 1)
 
     def frame(self, k: int) -> VectorField:
-        return self.frames[k]
+        return VectorField.from_arrays(self.grid, self.values[k])
 
-    @classmethod
-    def from_array(cls, grid: GridSpec, t0: float, dt: float, arr: np.ndarray) -> "Trajectory":
-        """Frames from (d,) + grid.shape arrays, e.g. the stack ``as_array`` returns."""
-        return cls(grid, t0, dt, tuple(VectorField.from_arrays(grid, a) for a in arr))
+    @property
+    def frames(self) -> tuple:
+        return tuple(self.frame(k) for k in range(len(self)))
 
     def locate(self, t: float) -> tuple:
         """(k, w) with t = (1 - w) t_k + w t_{k+1}; w = 0 at (and clamped beyond) frames."""
         s = (t - self.t0) / self.dt
-        k = min(max(int(np.floor(s)), 0), len(self.frames) - 1)
+        k = min(max(int(np.floor(s)), 0), len(self) - 1)
         w = s - k
-        if k == len(self.frames) - 1 or w <= 1e-12:
+        if k == len(self) - 1 or w <= 1e-12:
             return k, 0.0
         if w >= 1 - 1e-12:
             return k + 1, 0.0
@@ -257,12 +272,19 @@ class Trajectory:
         """Linear interpolation between frames (exact at frame times)."""
         k, w = self.locate(t)
         if w == 0.0:
-            return self.frames[k]
-        return self.frames[k] * (1.0 - w) + self.frames[k + 1] * w
+            return self.frame(k)
+        return VectorField.from_arrays(self.grid, self.values[k] * (1.0 - w) + self.values[k + 1] * w)
 
-    def as_array(self) -> np.ndarray:
-        """Shape (frames, d) + grid.shape."""
-        return np.stack([f.as_array() for f in self.frames])
+
+def frame_blocks(nt: int, spec: GridSpec) -> list:
+    """Slices of consecutive frames, BLOCK_SAMPLES grid nodes per block (at least one frame).
+
+    Per-frame work over a trajectory runs one batched transform per block:
+    a few Python calls per stack, and temporaries of bounded size (a
+    transform of the whole stack holds several copies of it).
+    """
+    step = max(1, BLOCK_SAMPLES // spec.num_nodes)
+    return [slice(k, min(k + step, nt)) for k in range(0, nt, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +292,22 @@ class Trajectory:
 
 
 def gradient(f: ScalarField) -> VectorField:
-    spec = f.grid
-    fh = f.spectrum()
-    ks = _wavenumbers_half(spec)
-    comps = [irfft(1j * k * fh, spec) for k in ks]
-    return VectorField.from_arrays(spec, comps)
+    return VectorField.from_arrays(f.grid, gradient_arrays(f.values, f.grid))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    spec = f.grid
-    return ScalarField(spec, irfft(-_ksq_half(spec) * f.spectrum(), spec))
+    return ScalarField(f.grid, laplacian_arrays(f.values, f.grid))
+
+
+# The array helpers below take sample arrays lead + grid.shape with any
+# leading (batch, channel) axes and put new derivative axes just before the
+# spatial ones.
 
 
 def gradient_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Gradient of a scalar sample array, shape (d,) + shape."""
+    """Gradient, shape lead + (d,) + grid.shape."""
     fh = rfft(values, spec)
-    ks = _wavenumbers_half(spec)
-    return np.stack([irfft(1j * k * fh, spec) for k in ks])
+    return np.stack([irfft(1j * k * fh, spec) for k in _wavenumbers_half(spec)], axis=-spec.d - 1)
 
 
 def laplacian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -295,23 +316,15 @@ def laplacian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def jacobian_arrays(v: VectorField) -> np.ndarray:
     """Jacobian (d_i u_j -> [j, i]) of a vector field, shape (d, d) + shape."""
-    return np.stack([gradient_arrays(c.values, v.grid) for c in v.components])
+    return gradient_arrays(v.as_array(), v.grid)
 
 
-def hessian_arrays(f: ScalarField) -> np.ndarray:
-    """All second derivatives, shape (d, d) + shape."""
-    spec = f.grid
-    fh = f.spectrum()
+def hessian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """All second derivatives, shape lead + (d, d) + grid.shape."""
+    fh = rfft(values, spec)
     ks = _wavenumbers_half(spec)
-    rows = []
-    for ka in ks:
-        rows.append(np.stack([irfft(-ka * kb * fh, spec) for kb in ks]))
-    return np.stack(rows)
-
-
-def vector_hessian_arrays(v: VectorField) -> np.ndarray:
-    """Shape (d_comp, d, d) + shape."""
-    return np.stack([hessian_arrays(c) for c in v.components])
+    rows = [np.stack([irfft(-ka * kb * fh, spec) for kb in ks], axis=-spec.d - 1) for ka in ks]
+    return np.stack(rows, axis=-spec.d - 2)
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -339,15 +352,17 @@ def curl_components(v: VectorField) -> list:
 
 
 def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(b . grad) u on channels-first arrays (d,) + shape and (ch,) + shape.
+    """(b . grad) u on arrays lead + (d,) + shape and lead + (ch,) + shape.
 
     ``b`` must already be dealiased; ``u`` is dealiased here and so is the
     product (two-thirds rule on both factors and on the result).
     """
     u_hat = rfft(u, spec) * _dealias_mask(spec)
     acc = np.zeros(u.shape)
-    for bi, ki in zip(b, _wavenumbers_half(spec)):
-        acc += bi * irfft(1j * ki * u_hat, spec)
+    spatial = (slice(None),) * spec.d
+    for i, ki in enumerate(_wavenumbers_half(spec)):
+        # component i of b with a unit channel axis: lead + (1,) + shape
+        acc += b[(Ellipsis, i, None) + spatial] * irfft(1j * ki * u_hat, spec)
     return dealias_values(acc, spec)
 
 
@@ -438,21 +453,20 @@ def make_trig_field(spec: GridSpec, seed: int, kmax: int, amplitude: float) -> V
     return VectorField.from_arrays(spec, comps)
 
 
-def time_derivative_frames(traj: Trajectory) -> list:
+def time_derivative_frames(traj: Trajectory) -> np.ndarray:
     """Centered time differences per frame (one-sided second order at ends).
 
-    Returns a list of arrays with shape (d,) + grid.shape.
+    Returns an array shaped like ``traj.values``.
     """
-    u = traj.as_array()
-    nt = u.shape[0]
-    if nt < 3:
+    u = traj.values
+    if len(u) < 3:
         raise ValueError("need at least 3 frames for time differences")
     dt = traj.dt
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - u[:-2]) / (2 * dt)
     out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
     out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
-    return [out[k] for k in range(nt)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +477,25 @@ def write_snapshot(v: VectorField, path) -> None:
     """Binary field snapshot: magic 'BFLD', version, d, n, L, ncomp, samples."""
     spec = v.grid
     with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<B", _SNAPSHOT_VERSION))
-        fh.write(struct.pack("<IIdI", spec.d, spec.n, spec.L, len(v.components)))
-        for c in v.components:
-            fh.write(np.ascontiguousarray(c.values, dtype="<f8").tobytes())
+        fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, spec.d, spec.n, spec.L, len(v.components)))
+        fh.write(np.ascontiguousarray(v.as_array(), dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> VectorField:
+    """Inverse of ``write_snapshot``; any malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_SNAPSHOT_HEADER.size)
+        if len(header) < _SNAPSHOT_HEADER.size:
+            raise ValueError(f"snapshot of {size} bytes is shorter than its header")
+        magic, version, d, n, L, ncomp = _SNAPSHOT_HEADER.unpack(header)
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        (version,) = struct.unpack("<B", fh.read(1))
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        d, n, L, ncomp = struct.unpack("<IIdI", fh.read(20))
         spec = GridSpec(d, n, L)
-        comps = []
-        for _ in range(ncomp):
-            raw = fh.read(8 * spec.num_nodes)
-            comps.append(np.frombuffer(raw, dtype="<f8").reshape(spec.shape))
-    return VectorField.from_arrays(spec, comps)
+        payload = 8 * ncomp * spec.num_nodes
+        if size - _SNAPSHOT_HEADER.size != payload:
+            raise ValueError(f"snapshot payload is {size - _SNAPSHOT_HEADER.size} bytes, its header implies {payload}")
+        values = np.frombuffer(fh.read(payload), dtype="<f8")
+    return VectorField.from_arrays(spec, values.reshape((ncomp,) + spec.shape))

@@ -30,8 +30,7 @@ class Forcing:
         return False
 
     def sample(self, t0: float, dt: float, n_frames: int) -> Trajectory:
-        frames = [self.at(t0 + k * dt) for k in range(n_frames)]
-        return Trajectory(self.grid, t0, dt, tuple(frames))
+        return Trajectory(self.grid, t0, dt, [self.at(t0 + k * dt) for k in range(n_frames)])
 
 
 class ZeroForcing(Forcing):

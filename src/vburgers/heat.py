@@ -98,7 +98,7 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
     propagator, step by step: second order in dt, exact for a space-time constant g.
     """
     rhs = None if g.is_zero else (lambda t, u: g.at(t).as_array())
-    return Trajectory.from_array(u0.grid, 0.0, dt, integrate(u0.as_array(), u0.grid, T, dt, rhs, None))
+    return Trajectory(u0.grid, 0.0, dt, integrate(u0.as_array(), u0.grid, T, dt, rhs, None))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def _derivative_sup(f: ScalarField, kappa: int) -> float:
         g = gradient_arrays(f.values, f.grid)
         return float(np.sqrt((g**2).sum(axis=0)).max())
     if kappa == 2:
-        h = hessian_arrays(f)
+        h = hessian_arrays(f.values, f.grid)
         return float(np.sqrt((h**2).sum(axis=(0, 1))).max())
     raise ValueError("kappa must be 1 or 2")
 

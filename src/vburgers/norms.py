@@ -18,10 +18,11 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
+    frame_blocks,
     gradient_arrays,
+    hessian_arrays,
     jacobian_arrays,
     time_derivative_frames,
-    vector_hessian_arrays,
 )
 from .forcing import Forcing
 
@@ -41,12 +42,17 @@ def sup_norm(f) -> float:
     raise TypeError(f"cannot take sup norm of {type(f).__name__}")
 
 
-def channel_sup(arr: np.ndarray, n_channel_axes: int = 1) -> float:
-    """Max over nodes of the Euclidean magnitude over leading channel axes."""
+def frame_sups(arr: np.ndarray, n_channel_axes: int = 1) -> np.ndarray:
+    """Per-frame ``channel_sup`` of a stack (nt,) + channel axes + grid shape."""
     sq = arr**2
     for _ in range(n_channel_axes):
-        sq = sq.sum(axis=0)
-    return float(np.sqrt(sq).max())
+        sq = sq.sum(axis=1)
+    return np.sqrt(sq.reshape(len(arr), -1).max(axis=1))
+
+
+def channel_sup(arr: np.ndarray, n_channel_axes: int = 1) -> float:
+    """Max over nodes of the Euclidean magnitude over leading channel axes."""
+    return float(frame_sups(arr[None], n_channel_axes)[0])
 
 
 def grad_sup(v: VectorField) -> float:
@@ -55,7 +61,7 @@ def grad_sup(v: VectorField) -> float:
 
 
 def hessian_sup(v: VectorField) -> float:
-    return channel_sup(vector_hessian_arrays(v), 3)
+    return channel_sup(hessian_arrays(v.as_array(), v.grid), 3)
 
 
 def opnorm_sup(m: np.ndarray) -> float:
@@ -227,8 +233,7 @@ def holder_seminorm(samples, alpha: float, mode: str | None = None, seed: int = 
     if isinstance(samples, Trajectory):
         if mode not in (None, "parabolic"):
             raise ValueError("trajectories take the parabolic seminorm")
-        u = np.stack([f.as_array() for f in samples.frames])
-        return parabolic_seminorm_array(u, samples.grid, samples.dt, alpha, seed)
+        return parabolic_seminorm_array(samples.values, samples.grid, samples.dt, alpha, seed)
     if mode not in (None, "isotropic"):
         raise ValueError("spatial fields take the isotropic seminorm")
     values, grid = _field_channels(samples)
@@ -326,8 +331,8 @@ def compute_k_constants(
         raise ValueError("t must be nonnegative")
     sup_u0 = sup_norm(u0)
     grad_u0 = grad_sup(u0)
-    hess_u0 = hessian_sup(u0)
-    hess = vector_hessian_arrays(u0)
+    hess = hessian_arrays(u0.as_array(), u0.grid)
+    hess_u0 = channel_sup(hess, 3)
     d = u0.grid.d
     hess_ch = hess.reshape((d * d * d,) + u0.grid.shape)
     hess_seminorm = iso_seminorm_array(hess_ch, u0.grid, alpha, seed).value
@@ -387,18 +392,19 @@ def interpolation_gap(u, alpha: float, variant: str = "space", seed: int = 0) ->
         values, grid = _field_channels(u)
         lhs = iso_seminorm_array(values, grid, alpha, seed).value
         s = channel_sup(values, 1)
-        grads = np.stack([gradient_arrays(ch, grid) for ch in values])
-        gsup = channel_sup(grads, 2)
+        gsup = channel_sup(gradient_arrays(values, grid), 2)
         rhs = 2.0 ** (1.0 - alpha) * s ** (1.0 - alpha) * gsup**alpha
         return rhs - lhs
     if variant == "spacetime":
         if not isinstance(u, Trajectory):
             raise TypeError("spacetime variant needs a trajectory")
         lhs = holder_seminorm(u, alpha, "parabolic", seed).value
-        s = max(sup_norm(f) for f in u.frames)
-        gsup = max(grad_sup(f) for f in u.frames)
         dts = time_derivative_frames(u)
-        tsup = max(channel_sup(a, 1) for a in dts)
+        sups = []
+        for sl in frame_blocks(len(u), u.grid):
+            ub = u.values[sl]
+            sups.append([frame_sups(ub, 1), frame_sups(gradient_arrays(ub, u.grid), 2), frame_sups(dts[sl], 1)])
+        s, gsup, tsup = (float(np.max(col)) for col in zip(*sups))
         rhs = 2.0 * (s ** (1.0 - alpha) * gsup**alpha + s ** (1.0 - alpha / 2.0) * tsup ** (alpha / 2.0))
         return rhs - lhs
     raise ValueError(f"unknown variant {variant!r}")

@@ -16,15 +16,16 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
-    advect,
     advect_arrays,
     dealias_values,
+    frame_blocks,
     gradient_arrays,
     laplacian_arrays,
     time_derivative_frames,
 )
-from .forcing import Forcing, ZeroForcing
+from .forcing import Forcing
 from .heat import integrate
+from .norms import frame_sups
 from .transport import _blocking_guard
 
 COLE_HOPF_LAMBDA = -2.0
@@ -51,19 +52,16 @@ class ResidualSeries:
 
 def residual(u: Trajectory, g: Forcing | None = None) -> ResidualSeries:
     """Burgers residual with spectral space derivatives and dealiased u.grad u."""
-    if len(u.frames) < 3:
-        raise ValueError("need at least 3 frames for time differences")
-    if g is None:
-        g = ZeroForcing(u.grid)
-    dt_frames = time_derivative_frames(u)
+    spec, times = u.grid, u.times
+    dt_u = time_derivative_frames(u)
     out = []
-    for k, frame in enumerate(u.frames):
-        t = float(u.times[k])
-        lap = np.stack([laplacian_arrays(c.values, u.grid) for c in frame.components])
-        nonlin = advect(frame, frame).as_array()
-        res = dt_frames[k] - lap + nonlin - g.at(t).as_array()
-        out.append(float(np.sqrt((res**2).sum(axis=0)).max()))
-    return ResidualSeries(tuple(float(t) for t in u.times), tuple(out), u.dt)
+    for sl in frame_blocks(len(u), spec):
+        ub = u.values[sl]
+        res = dt_u[sl] - laplacian_arrays(ub, spec) + advect_arrays(dealias_values(ub, spec), ub, spec)
+        if g is not None and not g.is_zero:
+            res -= np.stack([g.at(float(t)).as_array() for t in times[sl]])
+        out.append(frame_sups(res, 1))
+    return ResidualSeries(tuple(float(t) for t in times), tuple(float(r) for r in np.concatenate(out)), u.dt)
 
 
 def cole_hopf(
@@ -94,8 +92,10 @@ def cole_hopf(
             raise OracleError(f"phi lost positivity at t={t:g}")
 
     phis = integrate(phi0.values[None], spec, T, dt, rhs, positive)
-    # one frame at a time: a batched transform would hold several copies of the stack
-    return Trajectory.from_array(spec, 0.0, dt, (lam * gradient_arrays(np.log(phi[0]), spec) for phi in phis))
+    u = np.empty((len(phis), spec.d) + spec.shape)
+    for sl in frame_blocks(len(phis), spec):
+        u[sl] = lam * gradient_arrays(np.log(phis[sl, 0]), spec)
+    return Trajectory(spec, 0.0, dt, u)
 
 
 def best_lambda(phi0: ScalarField, T: float, dt: float, candidates=(-2.0, -1.0, 1.0, 2.0)):
@@ -122,5 +122,4 @@ def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Tra
             out += g.at(t).as_array()
         return out
 
-    u = integrate(u0.as_array(), spec, T, dt, rhs, _blocking_guard(spec))
-    return Trajectory.from_array(spec, 0.0, dt, u)
+    return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, _blocking_guard(spec)))

@@ -15,17 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, Trajectory, VectorField, time_derivative_frames, vector_hessian_arrays
+from .fields import GridSpec, Trajectory, VectorField, frame_blocks, gradient_arrays, hessian_arrays, time_derivative_frames
 from .forcing import Forcing, ZeroForcing
 from .heat import duhamel_forced_heat, n_steps
-from .norms import (
-    KConstants,
-    channel_sup,
-    compute_k_constants,
-    grad_sup,
-    parabolic_seminorm_array,
-    sup_norm,
-)
+from .norms import KConstants, compute_k_constants, frame_sups, parabolic_seminorm_array
 from .transport import TransportProblem, solve_transport
 
 T_INIT_INFINITE = math.inf
@@ -90,45 +83,37 @@ def _diagnose(
     seed: int,
     record_holder: bool,
 ) -> IterationRecord:
-    times = traj.times
-    sup_u, sup_grad, sup_hess = [], [], []
-    hess_frames = []
-    for f in traj.frames:
-        sup_u.append(sup_norm(f))
-        sup_grad.append(grad_sup(f))
-        hess = vector_hessian_arrays(f)
-        hess_frames.append(hess)
-        sup_hess.append(channel_sup(hess, 3))
-    dt_frames = time_derivative_frames(traj)
-    sup_dt = [channel_sup(a, 1) for a in dt_frames]
-
-    if prev is None:
-        sup_v = list(sup_u)
-        sup_grad_v = list(sup_grad)
-    else:
-        sup_v, sup_grad_v = [], []
-        for f, fp in zip(traj.frames, prev.frames):
-            diff = f - fp
-            sup_v.append(sup_norm(diff))
-            sup_grad_v.append(grad_sup(diff))
+    spec, u = traj.grid, traj.values
+    dt_u = time_derivative_frames(traj)
+    hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
+    cols = []
+    for sl in frame_blocks(len(u), spec):
+        ub = u[sl]
+        hess = hessian_arrays(ub, spec)
+        if record_holder:
+            hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
+        sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)]
+        if prev is not None:
+            v = ub - prev.values[sl]
+            sups += [frame_sups(v, 1), frame_sups(gradient_arrays(v, spec), 2)]
+        cols.append(sups)
+    sup_u, sup_grad, sup_hess, sup_dt, *update = map(np.concatenate, zip(*cols))
+    sup_v, sup_grad_v = update or (sup_u, sup_grad)
 
     holder_hess = holder_dt = 0.0
     if record_holder:
-        d = traj.grid.d
-        hess_arr = np.stack(hess_frames).reshape((len(traj.frames), d**3) + traj.grid.shape)
-        holder_hess = parabolic_seminorm_array(hess_arr, traj.grid, traj.dt, alpha, seed).value
-        dt_arr = np.stack(dt_frames)
-        holder_dt = parabolic_seminorm_array(dt_arr, traj.grid, traj.dt, alpha, seed).value
+        holder_hess = parabolic_seminorm_array(hess_u, spec, traj.dt, alpha, seed).value
+        holder_dt = parabolic_seminorm_array(dt_u, spec, traj.dt, alpha, seed).value
 
     return IterationRecord(
         m=m,
-        times=times,
-        sup_u=np.asarray(sup_u),
-        sup_grad_u=np.asarray(sup_grad),
-        sup_hess_u=np.asarray(sup_hess),
-        sup_dt_u=np.asarray(sup_dt),
-        sup_v=np.asarray(sup_v),
-        sup_grad_v=np.asarray(sup_grad_v),
+        times=traj.times,
+        sup_u=sup_u,
+        sup_grad_u=sup_grad,
+        sup_hess_u=sup_hess,
+        sup_dt_u=sup_dt,
+        sup_v=sup_v,
+        sup_grad_v=sup_grad_v,
         holder_hess=holder_hess,
         holder_dt=holder_dt,
     )
@@ -286,8 +271,7 @@ def unrescale(fixed_point: Trajectory, nu: float):
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    frames = tuple(f * nu for f in fixed_point.frames)
-    phys = Trajectory(fixed_point.grid, fixed_point.t0 / nu, fixed_point.dt / nu, frames)
+    phys = Trajectory(fixed_point.grid, fixed_point.t0 / nu, fixed_point.dt / nu, fixed_point.values * nu)
     weights = {
         "sup": 1.0,
         "grad": 1.0 / nu,

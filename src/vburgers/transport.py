@@ -19,10 +19,11 @@ from .fields import (
     _dealias_mask,
     advect_arrays,
     dealias_values,
+    frame_blocks,
 )
 from .forcing import Forcing, ZeroForcing
 from .heat import integrate, n_steps
-from .norms import opnorm_sup, sup_norm
+from .norms import frame_sups, opnorm_sup, sup_norm
 
 BLOCKING_GATE = 1e-6
 MP_DT2_FACTOR = 25.0
@@ -82,14 +83,15 @@ def _apply_matrix(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _dealiased_drift(p: TransportProblem):
-    """t -> dealiased drift array (d,) + shape; a Trajectory is stacked once."""
+    """t -> dealiased drift array (d,) + shape; a Trajectory is dealiased once."""
     if p.b is None:
         return None
     if isinstance(p.b, VectorField):
         b = dealias_values(p.b.as_array(), p.grid)
         return lambda t: b
-    # frame by frame: a batched transform would hold several copies of the stack
-    b = [dealias_values(f.as_array(), p.grid) for f in p.b.frames]
+    b = np.empty_like(p.b.values)
+    for sl in frame_blocks(len(b), p.grid):
+        b[sl] = dealias_values(p.b.values[sl], p.grid)
 
     def at(t: float) -> np.ndarray:
         k, w = p.b.locate(t)
@@ -136,7 +138,7 @@ def solve_transport(p: TransportProblem) -> Trajectory:
         return out
 
     u = integrate(p.u0.as_array(), spec, p.T, p.dt, rhs, _blocking_guard(spec))
-    return Trajectory.from_array(spec, 0.0, p.dt, u)
+    return Trajectory(spec, 0.0, p.dt, u)
 
 
 def amplification_factors(p: TransportProblem, times: np.ndarray) -> np.ndarray:
@@ -168,14 +170,8 @@ def max_principle_slack(traj: Trajectory, p: TransportProblem) -> np.ndarray:
     g = p.forcing()
     f_sup = np.array([sup_norm(g.at(float(t))) for t in times])
     u0_sup = sup_norm(p.u0)
-    slack = np.zeros(times.size)
+    rhs = np.empty(times.size)
     for k in range(times.size):
-        amp0 = np.exp(cumint[k] - cumint[0])
         weights = np.exp(cumint[k] - cumint[: k + 1])
-        if k == 0:
-            integral = 0.0
-        else:
-            integral = float(np.trapezoid(weights * f_sup[: k + 1], times[: k + 1]))
-        rhs = amp0 * u0_sup + integral
-        slack[k] = rhs - sup_norm(traj.frame(k))
-    return slack
+        rhs[k] = np.exp(cumint[k] - cumint[0]) * u0_sup + np.trapezoid(weights * f_sup[: k + 1], times[: k + 1])
+    return rhs - frame_sups(traj.values, 1)

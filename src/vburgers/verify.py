@@ -21,16 +21,17 @@ from .fields import (
     GridSpec,
     ScalarField,
     Trajectory,
-    VectorField,
     evaluate_many,
+    frame_blocks,
     gradient_arrays,
     laplacian_arrays,
     time_derivative_frames,
 )
-from .norms import grad_sup, opnorm_sup, sup_norm
+from .norms import frame_sups, opnorm_sup, sup_norm
 from .transport import TransportProblem, solve_transport
 
 SCHAUDER_FORMS = ("grad_sup", "grad_holder", "second_sup", "second_holder")
+ROUNDING_FLOOR = 1e3 * np.finfo(float).eps  # relative to the largest iterate norm
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,8 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25, tol: floa
     For iterate m the window is t <= min(T, m / (c K(T))) with K evaluated
     at the supplied c.  Two sub-reports (update sup norm, update gradient)
     plus fitted decay exponents from regressing log of the update norm
-    against m log(c K t / m).
+    against m log(c K t / m); updates at or below ROUNDING_FLOOR times the
+    largest iterate norm stay in the reports but not in the fits.
     """
     if not 0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
@@ -240,13 +242,16 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25, tol: floa
         return cc * kcc.K * x ** (beta * rows_m)
 
     x_reg = rows_m * np.log(np.maximum(cK * rows_t / rows_m, 1e-300))
-    exp_v = exp_gv = math.nan
-    sel = (lhs_v > 0) & (x_reg < 0)
-    if sel.sum() >= 2 and np.ptp(x_reg[sel]) > 0:
-        exp_v = float(np.polyfit(x_reg[sel], np.log(lhs_v[sel]), 1)[0])
-    sel_g = (lhs_gv > 0) & (x_reg < 0)
-    if sel_g.sum() >= 2 and np.ptp(x_reg[sel_g]) > 0:
-        exp_gv = float(np.polyfit(x_reg[sel_g], np.log(lhs_gv[sel_g]), 1)[0])
+
+    def fit_exponent(lhs, floor):
+        sel = (lhs > floor) & (x_reg < 0)
+        if sel.sum() >= 2 and np.ptp(x_reg[sel]) > 0:
+            return float(np.polyfit(x_reg[sel], np.log(lhs[sel]), 1)[0])
+        return math.nan
+
+    # updates at the rounding floor of the iterates carry no rate: leave them out of the fits
+    exp_v = fit_exponent(lhs_v, ROUNDING_FLOOR * max(float(r.sup_u.max()) for r in records))
+    exp_gv = fit_exponent(lhs_gv, ROUNDING_FLOOR * max(float(r.sup_grad_u.max()) for r in records))
 
     params = {"c": c, "beta": beta, "T": T, "m_list": sorted(set(int(m) for m in rows_m))}
     rep_v = _make_report(
@@ -288,9 +293,14 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
         b = q.drift_at(t)
         return b.as_array() if b is not None else 0.0
 
+    u, u_bar = phi.values, phi_bar.values
+    sups = [
+        [frame_sups(u[sl], 1), frame_sups(gradient_arrays(u[sl], p.grid), 2), frame_sups(u_bar[sl] - u[sl], 1)]
+        for sl in frame_blocks(nt, p.grid)
+    ]
+    sup_phi, grad_phi, lhs = map(np.concatenate, zip(*sups))
     opn_bar = np.empty(nt)
     integrand = np.empty(nt)
-    lhs = np.empty(nt)
     for k, t in enumerate(times):
         cm = p_bar.matrix_at(t)
         opn_bar[k] = opnorm_sup(cm) if cm is not None else 0.0
@@ -304,9 +314,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
             z = np.zeros((d, d))
             c_diff = opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
         f_diff = sup_norm(g_bar.at(t) - g.at(t))
-        fk = phi.frame(k)
-        integrand[k] = b_diff * grad_sup(fk) + c_diff * sup_norm(fk) + f_diff
-        lhs[k] = sup_norm(phi_bar.frame(k) - fk)
+        integrand[k] = b_diff * grad_phi[k] + c_diff * sup_phi[k] + f_diff
 
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (opn_bar[1:] + opn_bar[:-1]) * np.diff(times))])
     rhs = np.empty(nt)
@@ -394,7 +402,7 @@ def _eval_channels(values: np.ndarray, grid: GridSpec, pts: np.ndarray) -> np.nd
     return np.stack(cols, axis=1)
 
 
-def _interp_frames(arrs: list, times: np.ndarray, t: float) -> np.ndarray:
+def _interp_frames(arrs: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
     if t <= times[0]:
         return arrs[0]
     if t >= times[-1]:
@@ -470,7 +478,7 @@ def check_schauder_instance(
         raise ValueError("alpha_prime must exceed alpha")
     ball.validate_against(u)
     grid = u.grid
-    d, ncomp = grid.d, len(u.frame(0).components)
+    d, ncomp = grid.d, u.values.shape[1]
     M, j = ball.M, ball.j
     inner = ball.shrunk()
 
@@ -479,18 +487,14 @@ def check_schauder_instance(
     ts_in, pts_in = _ball_points(inner, taus, offs)
 
     times = u.times
-    u_arr = u.as_array()
-    grad_arr = np.stack(
-        [np.stack([gradient_arrays(c, grid) for c in fr]).reshape((ncomp * d,) + grid.shape) for fr in u_arr]
-    )
-    lap_arr = np.stack([np.stack([laplacian_arrays(c, grid) for c in fr]) for fr in u_arr])
-    hess_arr = np.stack(
-        [np.stack([gradient_arrays(gc, grid) for gc in fr]).reshape((ncomp * d * d,) + grid.shape) for fr in grad_arr]
-    )
-    dt_arr = np.stack(time_derivative_frames(u))
+    u_arr = u.values
+    grad_arr = gradient_arrays(u_arr, grid).reshape((len(u), ncomp * d) + grid.shape)
+    lap_arr = laplacian_arrays(u_arr, grid)
+    hess_arr = gradient_arrays(grad_arr, grid).reshape((len(u), ncomp * d * d) + grid.shape)
+    dt_arr = time_derivative_frames(u)
 
     def sample(arrs, ts, pts):
-        return np.stack([_eval_channels(_interp_frames(list(arrs), times, t), grid, pts) for t in ts])
+        return np.stack([_eval_channels(_interp_frames(arrs, times, t), grid, pts) for t in ts])
 
     # hypothesis checks: nonnegative zeroth-order coefficient, u solves the PDE
     a_out = np.stack([_coeff_at(a, t, pts_out, 1)[:, 0] for t in ts_out])
@@ -577,8 +581,7 @@ def parabolic_rescale(u: Trajectory, coefficients: dict, j: int, M: float, ball:
     sj = float(M) ** j
     sx = float(M) ** (j / 2.0)
     g2 = GridSpec(u.grid.d, u.grid.n, u.grid.L / sx)
-    frames = tuple(VectorField.from_arrays(g2, [c.values for c in fr.components]) for fr in u.frames)
-    u2 = Trajectory(g2, u.t0 / sj, u.dt / sj, frames)
+    u2 = Trajectory(g2, u.t0 / sj, u.dt / sj, u.values)
 
     def scale_coef(coef, amp, t_fac, x_fac):
         if coef is None:

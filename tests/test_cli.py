@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from vburgers.cli import REGISTRY, cmd_list, load_config, main, registry_targets_exist
+from vburgers.cli import REGISTRY, cmd_list, load_config, main
 from vburgers.errors import ConfigError
 
 
@@ -87,8 +87,15 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         ({"data": {"kind": "constant", "value": [1, 2]}}, "value"),
         ({"grid": {"d": 1, "n": 8, "L": 6.283185307179586}, "checks": ["heat_scaling"]}, "window"),
         ({"scheme": {"T": 1.0, "dt": 0.25}, "checks": ["schauder"]}, "residual"),
+        ({"grid": {"d": 1.5, "n": 64, "L": 6.283185307179586}}, "grid.d"),
+        ({"data": {"kind": "trig", "seed": 5.9, "kmax": 3, "amplitude": 0.3}}, "data.seed"),
+        ({"data": {"kind": "trig", "seed": 5, "kmax": 3.5, "amplitude": 0.3}}, "data.kmax"),
+        ({"scheme": {"T": 0.125, "dt": 1 / 256, "seed": -1}}, "scheme.seed"),
     ],
-    ids=["grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window", "schauder_residual"],
+    ids=[
+        "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
+        "schauder_residual", "d_not_integer", "seed_not_integer", "kmax_not_integer", "seed_negative",
+    ],
 )
 def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):
     assert main(["run", base_config(tmp_path, **overrides)]) == 2
@@ -121,10 +128,6 @@ def test_out_dir_env_override(tmp_path):
         del os.environ["BURGERS_OUT_DIR"]
     assert (target / "summary.json").exists()
     assert not (tmp_path / "out").exists()
-
-
-def test_registry_targets_exist():
-    assert registry_targets_exist()
 
 
 def test_list_output_sorted(capsys):

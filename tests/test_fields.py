@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vburgers.errors import ResolutionError
 from vburgers.fields import (
@@ -85,7 +89,7 @@ def test_jacobian_shape_and_values(grid2d):
 def test_hessian_symmetry(grid2d):
     xx, yy = grid2d.mesh()
     f = ScalarField(grid2d, np.sin(xx) * np.sin(2 * yy))
-    h = hessian_arrays(f)
+    h = hessian_arrays(f.values, grid2d)
     assert np.allclose(h[0, 1], h[1, 0], atol=1e-12)
 
 
@@ -157,6 +161,63 @@ def test_snapshot_roundtrip(tmp_path, grid2d):
     w = read_snapshot(p)
     assert w.grid == grid2d
     assert np.array_equal(w.as_array(), v.as_array())
+
+
+def _valid_snapshot(tmp_path) -> bytes:
+    p = tmp_path / "valid.bfld"
+    write_snapshot(make_trig_field(GridSpec(1, 8, TWO_PI), seed=1, kmax=2, amplitude=1.0), p)
+    return p.read_bytes()
+
+
+def test_snapshot_rejects_malformed_headers(tmp_path):
+    valid = _valid_snapshot(tmp_path)
+    huge = valid[:9] + struct.pack("<I", 2**31) + valid[13:]  # n = 2**31: a 16 GB payload
+    p = tmp_path / "bad.bfld"
+    for raw in (valid[:24], valid + b"\0", valid[:-1], huge):
+        p.write_bytes(raw)
+        with pytest.raises(ValueError):
+            read_snapshot(p)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.one_of(
+        st.binary(max_size=200),
+        st.tuples(st.integers(0, 88), st.binary(max_size=12), st.integers(0, 89), st.binary(max_size=4)),
+    )
+)
+def test_snapshot_reader_valid_or_value_error(tmp_path, data):
+    # arbitrary bytes, or a valid snapshot with a span overwritten, cut short or extended
+    raw = data
+    if isinstance(data, tuple):
+        valid = _valid_snapshot(tmp_path)
+        at, patch, cut, tail = data
+        raw = (valid[:at] + patch + valid[at + len(patch):])[:cut] + tail
+    p = tmp_path / "fuzz.bfld"
+    p.write_bytes(raw)
+    try:
+        v = read_snapshot(p)
+    except ValueError:
+        return
+    write_snapshot(v, p)
+    assert p.read_bytes() == raw
+
+
+def test_trajectory_wraps_array_read_only(grid1d, sin_field):
+    arr = np.stack([sin_field.as_array() * k for k in range(3)])
+    traj = Trajectory(grid1d, 0.0, 0.1, arr)
+    assert np.shares_memory(traj.values, arr)
+    assert not traj.values.flags.writeable and arr.flags.writeable
+    with pytest.raises(ValueError):
+        traj.values[0, 0, 0] = 1.0
+    again = Trajectory(grid1d, 0.0, 0.1, traj.frames)
+    assert np.array_equal(again.values, arr)
+    assert np.array_equal(traj.frame(2).as_array(), arr[2])
+    arr[1, 0, 3] = np.nan
+    with pytest.raises(ValueError):
+        Trajectory(grid1d, 0.0, 0.1, arr)
+    with pytest.raises(ValueError):
+        Trajectory(grid1d, 0.0, 0.1, arr[:, :, :32])
 
 
 def test_snapshot_magic(tmp_path, random_field):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vburgers.fields import GridSpec, VectorField, make_trig_field
+from vburgers.fields import GridSpec, VectorField, hessian_arrays, make_trig_field, time_derivative_frames
 from vburgers.forcing import TrigForcing, ZeroForcing
-from vburgers.norms import compute_k_constants, sup_norm
+from vburgers.norms import compute_k_constants, grad_sup, hessian_sup, parabolic_seminorm_array, sup_norm
 from vburgers.oracle import residual
 from vburgers.scheme import (
     SchemeConfig,
@@ -212,3 +212,29 @@ def test_summary_json_fields(grid1d, sin_field):
     assert s["t_init"] == "inf"
     assert s["converged"] is True
     assert set(s["k_constants"]) == {"t", "c", "alpha", "nu", "K0", "K1", "K2", "K2alpha", "K"}
+
+
+@pytest.mark.parametrize("d, n, T", [(2, 32, 1 / 16), (3, 16, 1 / 32)])
+def test_records_match_per_frame_reference(d, n, T):
+    # blocked diagnostics against norms applied one frame at a time; n and T give several blocks
+    g = GridSpec(d, n, TWO_PI)
+    u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
+    forcing = TrigForcing(g, seed=9, kmax=1, amplitude=0.2)
+    cfg = small_cfg(g, T=T, m_max=2, tol_fp=0.0)
+    recs, fp, _ = run_picard(cfg, u0, forcing, record_holder=True)
+    _, prev, _ = run_picard(small_cfg(g, T=T, m_max=1, tol_fp=0.0), u0, forcing)
+    frames, prev_frames = fp.frames, prev.frames
+    dts = time_derivative_frames(fp)
+    ref = {
+        "sup_u": [sup_norm(f) for f in frames],
+        "sup_grad_u": [grad_sup(f) for f in frames],
+        "sup_hess_u": [hessian_sup(f) for f in frames],
+        "sup_dt_u": [sup_norm(VectorField.from_arrays(g, a)) for a in dts],
+        "sup_v": [sup_norm(f - p) for f, p in zip(frames, prev_frames)],
+        "sup_grad_v": [grad_sup(f - p) for f, p in zip(frames, prev_frames)],
+    }
+    hess = np.stack([hessian_arrays(f.as_array(), g).reshape((d**3,) + g.shape) for f in frames])
+    ref["holder_hess"] = parabolic_seminorm_array(hess, g, cfg.dt, cfg.alpha, cfg.seed).value
+    ref["holder_dt"] = parabolic_seminorm_array(dts, g, cfg.dt, cfg.alpha, cfg.seed).value
+    for name, expect in ref.items():
+        assert np.allclose(getattr(recs[-1], name), expect, rtol=1e-13, atol=0.0), name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from vburgers.norms import compute_k_constants
 from vburgers.scheme import SchemeConfig, run_picard
 from vburgers.transport import TransportProblem
 from vburgers.verify import (
+    ROUNDING_FLOOR,
     BoundReport,
     ParabolicBall,
     check_gronwall,
@@ -101,6 +103,24 @@ def test_check_short_time(picard_run):
     assert reports["sup"].passed and reports["grad"].passed
     assert reports["sup"].params["fitted_exponent"] >= 0.85
     assert reports["grad"].params["fitted_exponent"] >= 0.25 * 0.85
+
+
+def test_short_time_exponents_ignore_rounding_floor(picard_run):
+    # update norms at the rounding floor carry no rate: nudging them must not move the fits
+    g, u0, recs, fp, kfn = picard_run
+    floor_v = ROUNDING_FLOOR * max(r.sup_u.max() for r in recs)
+    floor_g = ROUNDING_FLOOR * max(r.sup_grad_u.max() for r in recs)
+
+    def nudge(a, floor):
+        return np.where(a + 1e-16 <= floor, a + 1e-16, a)
+
+    nudged = [dataclasses.replace(r, sup_v=nudge(r.sup_v, floor_v), sup_grad_v=nudge(r.sup_grad_v, floor_g)) for r in recs]
+    assert sum(int((r.sup_v + 1e-16 <= floor_v).sum()) for r in recs[1:]) > 10
+    before = check_short_time(recs, kfn, beta=0.25)
+    after = check_short_time(nudged, kfn, beta=0.25)
+    for key in ("sup", "grad"):
+        assert after[key].params["fitted_exponent"] == before[key].params["fitted_exponent"]
+        assert not np.array_equal(after[key].lhs, before[key].lhs)
 
 
 def test_check_short_time_rejects_bad_beta(picard_run):
