@@ -28,6 +28,7 @@ from .heat import ScalingProbeReport, duhamel_forced_heat, heat_apply, holder_sc
 from .norms import (
     HolderEstimate,
     KConstants,
+    KProfile,
     compute_k_constants,
     grad_sup,
     hessian_sup,

@@ -26,7 +26,7 @@ from .errors import ConfigError, DivergenceError, OracleError, ResolutionError, 
 from .fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field, write_snapshot
 from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply, holder_scaling_probe, lacunary_field
-from .norms import compute_k_constants, frame_sups, interpolation_gap
+from .norms import KProfile, frame_sups, interpolation_gap
 from .oracle import COLE_HOPF_LAMBDA, cole_hopf, residual
 from .scheme import SchemeConfig, compute_t_init, records_to_csv, run_picard, run_summary_json
 from .transport import TransportProblem
@@ -47,7 +47,9 @@ _FORCING_KINDS = {
     "gradient": {"seed", "kmax", "amplitude", "omega", "mod"},
 }
 _TOP_KEYS = {"name", "grid", "scheme", "data", "forcing", "checks", "out_dir", "snapshots"}
+_TOP_TYPES = {"name": str, "out_dir": str, "snapshots": bool}
 _INT_KEYS = {"d", "n", "m_max", "seed", "kmax"}
+MAX_GRID_NODES = 2**20
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
@@ -65,6 +67,8 @@ def _require_numbers(section: dict, where: str) -> None:
     for key, v in section.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+        if not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"{where}.{key} must be a finite number, got {v!r}")
         if key in _INT_KEYS and not (float(v).is_integer() and v >= 0):
             raise ConfigError(f"{where}.{key} must be a nonnegative integer, got {v!r}")
 
@@ -86,11 +90,14 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(raw, _TOP_KEYS, {"name", "grid", "scheme", "checks"}, "config")
+    for key, kind in _TOP_TYPES.items():
+        if key in raw and not isinstance(raw[key], kind):
+            raise ConfigError(f"config.{key} must be of type {kind.__name__}, got {raw[key]!r}")
     for name, allowed, required in (("grid", _GRID_KEYS, _GRID_KEYS), ("scheme", _SCHEME_KEYS, {"T", "dt"})):
         _require_keys(raw[name], allowed, required, name)
         _require_numbers(raw[name], name)
@@ -112,21 +119,28 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _build_grid(section: dict) -> GridSpec:
+def _build(cfg: dict):
+    """(scheme, u0, phi0, forcing) of a loaded config; a config they cannot be built from is a ConfigError."""
     try:
-        return GridSpec(int(section["d"]), int(section["n"]), float(section["L"]))
-    except ValueError as e:
-        raise ConfigError(str(e))
+        grid = _build_grid(cfg["grid"])
+        u0, phi0 = _build_data(cfg["data"], grid)
+        return _build_scheme(cfg["scheme"], grid), u0, phi0, _build_forcing(cfg["forcing"], grid)
+    except (ValueError, OverflowError) as e:  # the constructors' own checks; ResolutionError is a ValueError
+        raise ConfigError(str(e)) from e
+
+
+def _build_grid(section: dict) -> GridSpec:
+    grid = GridSpec(int(section["d"]), int(section["n"]), float(section["L"]))
+    if grid.num_nodes > MAX_GRID_NODES:
+        raise ConfigError(f"grid has {grid.num_nodes} nodes, above the limit of {MAX_GRID_NODES}")
+    return grid
 
 
 def _build_scheme(section: dict, grid: GridSpec) -> SchemeConfig:
     # runs solve in the unit-viscosity frame; other nu go through scheme.rescale_viscosity
     if section.get("nu", 1.0) != 1.0:
         raise ConfigError(f"nu={section['nu']} is not supported by the runner: only nu = 1")
-    try:
-        return SchemeConfig(grid=grid, **{k: int(v) if k in _INT_KEYS else v for k, v in section.items()})
-    except ValueError as e:
-        raise ConfigError(str(e))
+    return SchemeConfig(grid=grid, **{k: int(v) if k in _INT_KEYS else v for k, v in section.items()})
 
 
 def _cole_hopf_potential(grid: GridSpec, epsilon: float) -> ScalarField:
@@ -147,10 +161,7 @@ def _build_data(section: dict, grid: GridSpec):
     if kind == "constant":
         return VectorField.constant(grid, section["value"]), None
     if kind == "trig":
-        try:
-            return make_trig_field(grid, int(section["seed"]), int(section["kmax"]), float(section["amplitude"])), None
-        except ResolutionError as e:
-            raise ConfigError(str(e))
+        return make_trig_field(grid, int(section["seed"]), int(section["kmax"]), float(section["amplitude"])), None
     if kind == "cole_hopf":
         phi0 = _cole_hopf_potential(grid, float(section["epsilon"]))
         return gradient(ScalarField(grid, np.log(phi0.values))) * COLE_HOPF_LAMBDA, phi0
@@ -200,7 +211,7 @@ def _emit_report(out_dir: str, stem: str, report) -> bool:
 
 @dataclass(frozen=True)
 class _Run:
-    """What the check runners share: the built config and, when a check needs it, the Picard run."""
+    """What the check runners share: the built config and, when a check needs them, the Picard run and K(t)."""
 
     scheme: SchemeConfig
     u0: VectorField
@@ -208,9 +219,7 @@ class _Run:
     g: Forcing
     records: list | None
     fixed_point: Trajectory | None
-
-    def kfn(self, t: float):
-        return compute_k_constants(self.u0, self.g, t, c=1.0, alpha=self.scheme.alpha, seed=self.scheme.seed)
+    kfn: KProfile | None
 
 
 def _uniform_estimates(run: _Run, out_dir: str) -> bool:
@@ -344,19 +353,19 @@ _PICARD_CHECKS = {"uniform_estimates", "short_time", "oracle_compare", "gronwall
 
 
 def _run_checks(cfg: dict, out_dir: str) -> bool:
-    grid = _build_grid(cfg["grid"])
-    scheme_cfg = _build_scheme(cfg["scheme"], grid)
-    u0, phi0 = _build_data(cfg["data"], grid)
-    g = _build_forcing(cfg["forcing"], grid)
+    scheme_cfg, u0, phi0, g = _build(cfg)
     checks = list(cfg["checks"])
 
-    records = fixed_point = None
+    records = fixed_point = kfn = None
     if _PICARD_CHECKS & set(checks):
         holder = "uniform_estimates" in checks
         records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder=holder)
         _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
-        t_init = compute_t_init(u0, g, c=scheme_cfg.c, alpha=scheme_cfg.alpha)
-        kc = compute_k_constants(u0, g, scheme_cfg.T, c=scheme_cfg.c, alpha=scheme_cfg.alpha, nu=scheme_cfg.nu)
+        # t_init and the summary sample seminorms with seed 0, the checks with the scheme seed
+        profiles = {s: KProfile(u0, g, scheme_cfg.alpha, s, scheme_cfg.nu) for s in {0, scheme_cfg.seed}}
+        t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=profiles[0])
+        kc = profiles[0](scheme_cfg.T, scheme_cfg.c)
+        kfn = profiles[scheme_cfg.seed]
         res = residual(fixed_point, g).max if len(fixed_point) >= 3 else math.nan
         _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc))
         _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())
@@ -364,7 +373,7 @@ def _run_checks(cfg: dict, out_dir: str) -> bool:
             write_snapshot(u0, os.path.join(out_dir, "u0.bfld"))
             write_snapshot(fixed_point.frame(len(fixed_point) - 1), os.path.join(out_dir, "u_final.bfld"))
 
-    run = _Run(scheme_cfg, u0, phi0, g, records, fixed_point)
+    run = _Run(scheme_cfg, u0, phi0, g, records, fixed_point, kfn)
     all_pass = True
     for chk in checks:
         all_pass &= REGISTRY[chk][1](run, out_dir)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -299,72 +300,76 @@ class KConstants:
 
 
 def _forcing_sup_series(g: Forcing, times: np.ndarray):
-    """Per-time sup norms of g, grad g, hess g, d_t g."""
-    sup_g, sup_dg, sup_hg, sup_tg = [], [], [], []
-    for t in times:
-        gt = g.at(float(t))
-        sup_g.append(sup_norm(gt))
-        sup_dg.append(grad_sup(gt))
-        sup_hg.append(hessian_sup(gt))
-        sup_tg.append(sup_norm(g.dt_at(float(t))))
-    return map(np.asarray, (sup_g, sup_dg, sup_hg, sup_tg))
+    """Per-time sup norms of g, grad g, hess g, d_t g, one batched transform per block of frames."""
+    cols = []
+    for sl in frame_blocks(len(times), g.grid):
+        gb = np.stack([g.at(float(t)).as_array() for t in times[sl]])
+        tb = np.stack([g.dt_at(float(t)).as_array() for t in times[sl]])
+        cols.append([
+            frame_sups(gb, 1), frame_sups(gradient_arrays(gb, g.grid), 2),
+            frame_sups(hessian_arrays(gb, g.grid), 3), frame_sups(tb, 1),
+        ])
+    return map(np.concatenate, zip(*cols))
+
+
+class KProfile:
+    """K(t) of one datum and forcing: the datum scales once, each distinct t once.
+
+    ``profile(t, c)`` gives the KConstants at time t and constant c.  The
+    values are memoized by t at c = 1 and rescaled by ``KConstants.at_c``.
+    """
+
+    def __init__(self, u0: VectorField, g: Forcing, alpha: float = 0.5, seed: int = 0, nu: float = 1.0):
+        self.u0, self.g, self.alpha, self.seed, self.nu = u0, g, alpha, seed, nu
+        self._memo: dict = {}
+
+    @cached_property
+    def _datum(self) -> tuple:
+        """The t-independent terms: sup u0, sup grad u0, sup hess u0, the Hessian's isotropic seminorm, sup g(0)."""
+        u0, spec = self.u0, self.u0.grid
+        hess = hessian_arrays(u0.as_array(), spec)
+        seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, self.alpha, self.seed).value
+        return sup_norm(u0), grad_sup(u0), channel_sup(hess, 3), seminorm, sup_norm(self.g.at(0.0))
+
+    def __call__(self, t: float, c: float = 1.0) -> KConstants:
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        if t not in self._memo:
+            self._memo[t] = self._at(t)
+        # the memo is keyed by value; the returned t is the caller's own
+        return replace(self._memo[t], t=t).at_c(c)
+
+    def _at(self, t: float) -> KConstants:
+        """The constants at c = 1 by trapezoid quadrature on 64 steps of [0, t]."""
+        sup_u0, grad_u0, hess_u0, hess_seminorm, sup_g0 = self._datum
+        g, alpha = self.g, self.alpha
+        if g.is_zero or t == 0:
+            int_g = int_dg = int_hess_dt = g_seminorm = 0.0
+        else:
+            times = np.linspace(0.0, t, 65)
+            sup_g, sup_dg, sup_hg, sup_tg = _forcing_sup_series(g, times)
+            if not np.all(np.isfinite(sup_g)):
+                raise ValueError("non-integrable forcing samples")
+            int_g = float(np.trapezoid(sup_g, times))
+            int_dg = float(np.trapezoid(sup_dg, times))
+            int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
+            # the sampled seminorm is a lower bound either way, so it does not
+            # need the quadrature resolution: 17 frames
+            g_seminorm = holder_seminorm(g.sample(0.0, t / 16, 17), alpha, "parabolic", self.seed).value
+
+        K0 = sup_u0 + int_g
+        K1 = grad_u0 + int_dg
+        K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt
+        K2a = hess_seminorm + g_seminorm
+        base = K0**2 + K1 + K2 ** (2.0 / 3.0) + K2a ** (2.0 / (3.0 + alpha))
+        return KConstants(t, 1.0, alpha, self.nu, K0, K1, K2, K2a, base)
 
 
 def compute_k_constants(
-    u0: VectorField,
-    g: Forcing,
-    t: float,
-    c: float = 1.0,
-    alpha: float = 0.5,
-    dt_quad: float | None = None,
-    nu: float = 1.0,
-    seed: int = 0,
-    seminorm_inflation: float = 1.0,
+    u0: VectorField, g: Forcing, t: float, c: float = 1.0, alpha: float = 0.5, nu: float = 1.0, seed: int = 0
 ) -> KConstants:
-    """Assemble the five reference constants by trapezoid quadrature.
-
-    ``seminorm_inflation`` optionally inflates the sampled (lower-bound)
-    seminorm feeding K_{2+alpha} when it sits on the right-hand side of a
-    checked inequality.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    sup_u0 = sup_norm(u0)
-    grad_u0 = grad_sup(u0)
-    hess = hessian_arrays(u0.as_array(), u0.grid)
-    hess_u0 = channel_sup(hess, 3)
-    d = u0.grid.d
-    hess_ch = hess.reshape((d * d * d,) + u0.grid.shape)
-    hess_seminorm = iso_seminorm_array(hess_ch, u0.grid, alpha, seed).value
-
-    if g.is_zero or t == 0:
-        int_g = int_dg = int_hess_dt = 0.0
-        sup_g0 = sup_norm(g.at(0.0))
-        g_seminorm = 0.0
-    else:
-        if dt_quad is None:
-            dt_quad = t / 64.0
-        n_steps = max(int(round(t / dt_quad)), 1)
-        times = np.linspace(0.0, t, n_steps + 1)
-        sup_g, sup_dg, sup_hg, sup_tg = _forcing_sup_series(g, times)
-        if not np.all(np.isfinite(sup_g)):
-            raise ValueError("non-integrable forcing samples")
-        int_g = float(np.trapezoid(sup_g, times))
-        int_dg = float(np.trapezoid(sup_dg, times))
-        int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
-        sup_g0 = float(sup_g[0])
-        # the sampled seminorm is a lower bound either way, so it does not
-        # need the quadrature resolution; cap the trajectory at 17 frames
-        n_sem = min(len(times), 17)
-        g_traj = g.sample(0.0, t / (n_sem - 1), n_sem)
-        g_seminorm = holder_seminorm(g_traj, alpha, "parabolic", seed).value
-
-    K0 = sup_u0 + int_g
-    K1 = grad_u0 + int_dg
-    K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt
-    K2a = seminorm_inflation * (hess_seminorm + g_seminorm)
-    base = K0**2 + K1 + K2 ** (2.0 / 3.0) + K2a ** (2.0 / (3.0 + alpha))
-    return KConstants(t, c, alpha, nu, K0, K1, K2, K2a, c**2 * base)
+    """The five reference constants at one (t, c); callers needing many t build one KProfile."""
+    return KProfile(u0, g, alpha, seed, nu)(t, c)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .fields import GridSpec, Trajectory, VectorField, frame_blocks, gradient_arrays, hessian_arrays, time_derivative_frames
 from .forcing import Forcing, ZeroForcing
 from .heat import duhamel_forced_heat, n_steps
-from .norms import KConstants, compute_k_constants, frame_sups, parabolic_seminorm_array
+from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
 from .transport import TransportProblem, solve_transport
 
 T_INIT_INFINITE = math.inf
@@ -167,23 +167,24 @@ def compute_t_init(
 ) -> float:
     """Root of t * c * K(t) = 1 (bisection on the nondecreasing map).
 
-    Returns the infinite sentinel when the product never reaches 1 up to the
-    horizon; a constant K (zero forcing) is resolved in closed form.
+    kfn maps a time to the KConstants computed at c = 1 (default: a KProfile
+    of u0 and g).  Returns the infinite sentinel when the product never
+    reaches 1 up to the horizon; a constant K (zero forcing) is resolved in
+    closed form.
     """
     if g is None:
         g = ZeroForcing(u0.grid)
     if kfn is None:
-        def kfn(t: float) -> KConstants:
-            return compute_k_constants(u0, g, t, c=c, alpha=alpha)
+        kfn = KProfile(u0, g, alpha)
 
     if g.is_zero:
-        k = kfn(0.0).K
+        k = kfn(0.0).at_c(c).K
         if k == 0.0:
             return T_INIT_INFINITE
         return 1.0 / (c * k)
 
     def f(t: float) -> float:
-        return t * c * kfn(t).K - 1.0
+        return t * c * kfn(t).at_c(c).K - 1.0
 
     lo, hi = 0.0, 1.0
     while f(hi) < 0:

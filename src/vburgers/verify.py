@@ -209,7 +209,8 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25, tol: floa
         raise ValueError("beta must lie in (0, 1/2)")
     times = records[0].times
     T = float(times[-1])
-    kc = kfn(T).at_c(c)
+    kT = kfn(T)
+    kc = kT.at_c(c)
     K0, K = kc.K0, kc.K
     cK = c * K
 
@@ -232,12 +233,12 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25, tol: floa
     lhs_gv = np.asarray(lhs_gv)
 
     def rhs_v(cc):
-        kcc = kfn(T).at_c(cc)
+        kcc = kT.at_c(cc)
         x = cc * kcc.K * rows_t / rows_m
         return cc * kcc.K0 * x**rows_m
 
     def rhs_gv(cc):
-        kcc = kfn(T).at_c(cc)
+        kcc = kT.at_c(cc)
         x = cc * kcc.K * rows_t / rows_m
         return cc * kcc.K * x ** (beta * rows_m)
 

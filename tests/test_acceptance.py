@@ -14,7 +14,7 @@ import pytest
 from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, make_trig_field
 from vburgers.forcing import ConstantForcing, GradientForcing, TrigForcing, ZeroForcing
 from vburgers.heat import heat_apply, holder_scaling_probe
-from vburgers.norms import compute_k_constants, interpolation_gap, sup_norm
+from vburgers.norms import KProfile, compute_k_constants, interpolation_gap, sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, residual as burgers_residual
 from vburgers.scheme import SchemeConfig, compute_t_init, run_picard, series_majorant
 from vburgers.transport import TransportProblem, amplification_factors
@@ -99,8 +99,8 @@ def test_criterion_03_heat_iterate_gradient_bound(battery_runs):
             else:
                 cfg = SchemeConfig(grid=g, T=0.25, dt=1 / 128, m_max=1, tol_fp=1e-10)
                 rec0 = run_picard(cfg, u0, g=forcing)[0][0]
-            geff = forcing if forcing is not None else ZeroForcing(g)
-            k1 = np.array([compute_k_constants(u0, geff, float(t)).K1 for t in rec0.times])
+            kfn = KProfile(u0, forcing if forcing is not None else ZeroForcing(g))
+            k1 = np.array([kfn(float(t)).K1 for t in rec0.times])
             worst = min(worst, float((k1 - rec0.sup_grad_u).min()))
     ok = worst >= -1e-8
     _verdict(3, ok, f"zeroth-iterate gradient slack {worst:.3e} >= -1e-8, forcing on and off")
@@ -143,8 +143,7 @@ def test_criterion_05_minimal_constants_stable():
         u0 = make_trig_field(g, seed=seed, kmax=3, amplitude=0.3)
         cfg = SchemeConfig(grid=g, T=0.25, dt=dt, m_max=8, tol_fp=1e-12)
         recs, fp, conv = run_picard(cfg, u0, record_holder=True)
-        kfn = lambda t: compute_k_constants(u0, ZeroForcing(g), t)
-        return {k: r.c_star for k, r in check_uniform(recs, kfn).items()}
+        return {k: r.c_star for k, r in check_uniform(recs, KProfile(u0, ZeroForcing(g))).items()}
 
     worst_drift = 1.0
     for seed in (3, 11, 27):

@@ -2,8 +2,10 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vburgers.cli import REGISTRY, cmd_list, load_config, main
+from vburgers.cli import REGISTRY, _build, cmd_list, load_config, main
 from vburgers.errors import ConfigError
 
 
@@ -49,6 +51,60 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_VALID = {
+    "name": "fuzz",
+    "grid": {"d": 2, "n": 8, "L": 6.283185307179586},
+    "scheme": {"T": 0.125, "dt": 1 / 64, "m_max": 2, "seed": 1, "c": 1.5},
+    "data": {"kind": "trig", "seed": 5, "kmax": 2, "amplitude": 0.3},
+    "forcing": {"kind": "gradient", "seed": 3, "kmax": 2, "amplitude": 0.2, "omega": 1.0},
+    "checks": ["uniform_estimates", "short_time"],
+}
+_EDGES = st.sampled_from(
+    [0, -1, 0.5, 3, 16, 2**21, 2**70, 10**400, 1e-320, 1e308, -1e308, float("inf"), float("nan"), [0.5, 0.5],
+     "zero", "constant", "trig", "cole_hopf", "lacunary", "gradient"]
+)
+_KEYS = ["name", "grid", "scheme", "data", "forcing", "checks", "out_dir", "snapshots", "d", "n", "L", "nu", "c",
+         "alpha", "beta", "T", "dt", "m_max", "tol_fp", "seed", "kind", "kmax", "amplitude", "value", "epsilon",
+         "omega", "mod", "extra"]
+
+
+@st.composite
+def _mutated_configs(draw):
+    """The valid config with a few entries replaced, deleted or added, at the top or one section down."""
+    cfg = json.loads(json.dumps(_VALID))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from([None, "grid", "scheme", "data", "forcing"]))
+        target = cfg if section is None or not isinstance(cfg.get(section), dict) else cfg[section]
+        key = draw(st.sampled_from(sorted(target)) | st.sampled_from(_KEYS))
+        if draw(st.booleans()) and key in target:
+            del target[key]
+        else:
+            target[key] = draw(_EDGES | _JSON)
+    return json.dumps(cfg)
+
+
+@given(raw=st.binary(max_size=40) | (st.text(max_size=40) | _JSON.map(json.dumps) | _mutated_configs()).map(str.encode))
+@example(raw=b"\xff{}")
+@example(raw=json.dumps({**_VALID, "scheme": {"T": 1e300, "dt": 1e-300}}).encode())
+@example(raw=json.dumps({**_VALID, "forcing": {"kind": "trig", "seed": 1, "kmax": 2, "amplitude": -1}}).encode())
+@settings(max_examples=500, deadline=None)
+def test_load_config_valid_or_config_error(tmp_path_factory, raw):
+    # the runner's contract: a config it can build, or one ConfigError (exit 2)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(raw)
+    try:
+        cfg = load_config(str(path))
+        _build(cfg)
+    except ConfigError:
+        return
+    assert isinstance(cfg.get("out_dir", ""), str)
+
+
 def test_run_pass_exit_zero(tmp_path, capsys):
     rc = main(["run", base_config(tmp_path)])
     assert rc == 0
@@ -91,10 +147,17 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         ({"data": {"kind": "trig", "seed": 5.9, "kmax": 3, "amplitude": 0.3}}, "data.seed"),
         ({"data": {"kind": "trig", "seed": 5, "kmax": 3.5, "amplitude": 0.3}}, "data.kmax"),
         ({"scheme": {"T": 0.125, "dt": 1 / 256, "seed": -1}}, "scheme.seed"),
+        ({"scheme": {"T": 0.125, "dt": 1 / 256, "c": float("inf")}}, "finite"),
+        ({"grid": {"d": 3, "n": 128, "L": 6.283185307179586}}, "nodes"),
+        ({"data": {"kind": "lacunary", "alpha": 1.5, "seed": 1}}, "alpha"),
+        ({"forcing": {"kind": "trig", "seed": 1, "kmax": 40, "amplitude": 0.1}}, "alias"),
+        ({"out_dir": 7}, "out_dir"),
     ],
     ids=[
         "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
         "schauder_residual", "d_not_integer", "seed_not_integer", "kmax_not_integer", "seed_negative",
+        "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "forcing_kmax_aliases",
+        "out_dir_not_string",
     ],
 )
 def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, make_trig_field
-from vburgers.forcing import TrigForcing, ZeroForcing
+from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, hessian_arrays, make_trig_field
+from vburgers.forcing import ConstantForcing, GradientForcing, TrigForcing, ZeroForcing
 from vburgers.heat import heat_apply
 from vburgers.norms import (
     KConstants,
+    KProfile,
+    channel_sup,
     compute_k_constants,
     grad_sup,
+    hessian_sup,
     holder_seminorm,
     interpolation_gap,
     iso_seminorm_array,
@@ -173,3 +176,79 @@ def test_sin_seminorm_feeds_k2alpha(grid1d, sin_field):
     kc = compute_k_constants(sin_field, ZeroForcing(grid1d), t=0.25, alpha=0.5)
     direct = holder_seminorm(sin_field, 0.5).value
     assert kc.K2plusAlpha == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
+    """K(t) one frame at a time: per-frame sups of g.at(t) and a trapezoid on 64 steps."""
+    spec = u0.grid
+    hess = hessian_arrays(u0.as_array(), spec)
+    hess_seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, alpha, seed).value
+    sup_u0, grad_u0, hess_u0 = sup_norm(u0), grad_sup(u0), channel_sup(hess, 3)
+    int_g = int_dg = int_hess_dt = g_seminorm = 0.0
+    sup_g0 = sup_norm(g.at(0.0))
+    if not g.is_zero and t > 0:
+        times = np.linspace(0.0, t, 65)
+        frames = [g.at(float(s)) for s in times]
+        sup_g = np.array([sup_norm(f) for f in frames])
+        sup_hg = np.array([hessian_sup(f) for f in frames])
+        sup_tg = np.array([sup_norm(g.dt_at(float(s))) for s in times])
+        int_g = float(np.trapezoid(sup_g, times))
+        int_dg = float(np.trapezoid([grad_sup(f) for f in frames], times))
+        int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
+        sup_g0 = float(sup_g[0])
+        g_seminorm = holder_seminorm(g.sample(0.0, t / 16, 17), alpha, "parabolic", seed).value
+    K0, K1 = sup_u0 + int_g, grad_u0 + int_dg
+    K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt
+    K2a = hess_seminorm + g_seminorm
+    base = K0**2 + K1 + K2 ** (2.0 / 3.0) + K2a ** (2.0 / (3.0 + alpha))
+    return KConstants(t, c, alpha, 1.0, K0, K1, K2, K2a, c**2 * base)
+
+
+def _forcing(kind, grid):
+    if kind == "zero":
+        return ZeroForcing(grid)
+    if kind == "constant":
+        return ConstantForcing(make_trig_field(grid, seed=4, kmax=2, amplitude=0.3))
+    if kind == "trig":
+        return TrigForcing(grid, seed=9, kmax=2, amplitude=0.5)
+    return GradientForcing(make_trig_field(grid, seed=6, kmax=2, amplitude=0.4).components[0], omega=1.0, mod=0.5)
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "trig", "gradient"])
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+def test_k_profile_matches_per_frame_reference(d, n, kind):
+    # d = 2 and 3 split the 65 quadrature frames into several blocks
+    grid = GridSpec(d, n, TWO_PI)
+    u0 = make_trig_field(grid, seed=7, kmax=2, amplitude=0.5)
+    g = _forcing(kind, grid)
+    profile = KProfile(u0, g, alpha=0.5, seed=1)
+    T = 0.25
+    for t in (0.0, T / 3, T):
+        for c in (1.0, 2.0):
+            assert profile(t, c) == _reference_k(u0, g, t, c, seed=1)
+
+
+class CountingForcing(TrigForcing):
+    at_calls = 0
+
+    def at(self, t):
+        self.at_calls += 1
+        return super().at(t)
+
+
+def test_k_profile_repeated_t_makes_no_forcing_calls(grid1d, random_field):
+    g = CountingForcing(grid1d, seed=9, kmax=2, amplitude=0.5)
+    profile = KProfile(random_field, g)
+    first = profile(1.0)
+    calls = g.at_calls
+    assert calls > 0
+    assert profile(1.0) == first
+    assert profile(1.0, 2.0) == first.at_c(2.0)
+    # an equal t of another type is the same entry, labelled with the caller's t
+    assert profile(1).to_json() == compute_k_constants(random_field, g, 1).to_json()
+    assert g.at_calls > calls  # the fresh profile inside compute_k_constants
+    calls = g.at_calls
+    profile(1)
+    assert g.at_calls == calls
+    profile(0.5)
+    assert g.at_calls > calls

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vburgers.fields import GridSpec, VectorField, hessian_arrays, make_trig_field, time_derivative_frames
 from vburgers.forcing import TrigForcing, ZeroForcing
-from vburgers.norms import compute_k_constants, grad_sup, hessian_sup, parabolic_seminorm_array, sup_norm
+from vburgers.norms import KProfile, compute_k_constants, grad_sup, hessian_sup, parabolic_seminorm_array, sup_norm
 from vburgers.oracle import residual
 from vburgers.scheme import (
     SchemeConfig,
@@ -131,6 +131,15 @@ def test_t_init_root_property_with_forcing(grid1d, sin_field):
     t = compute_t_init(sin_field, g, c=c, alpha=0.5)
     kc = compute_k_constants(sin_field, g, t, c=c, alpha=0.5)
     assert abs(t * c * kc.K - 1.0) < 1e-6  # root of a monotone map, bisected
+
+
+def test_t_init_at_c_two_with_forcing():
+    # kfn gives K at c = 1 and compute_t_init applies c; the value predates KProfile
+    g = GridSpec(1, 64, TWO_PI)
+    u0 = make_trig_field(g, seed=3, kmax=3, amplitude=0.3)
+    forcing = TrigForcing(g, seed=11, kmax=2, amplitude=0.2)
+    assert compute_t_init(u0, forcing, c=2.0) == 0.017955326449737186
+    assert compute_t_init(u0, forcing, c=2.0, kfn=KProfile(u0, forcing)) == 0.017955326449737186
 
 
 def test_series_majorant_holds():

@@ -8,7 +8,7 @@ import pytest
 from vburgers.errors import OracleError, WindowError
 from vburgers.fields import GridSpec, Trajectory, VectorField, make_trig_field
 from vburgers.forcing import ConstantForcing, TrigForcing, ZeroForcing
-from vburgers.norms import compute_k_constants
+from vburgers.norms import KProfile, compute_k_constants
 from vburgers.scheme import SchemeConfig, run_picard
 from vburgers.transport import TransportProblem
 from vburgers.verify import (
@@ -38,11 +38,7 @@ def picard_run():
     u0 = make_trig_field(g, seed=3, kmax=3, amplitude=0.3)
     cfg = SchemeConfig(grid=g, T=0.25, dt=1 / 256, m_max=8, tol_fp=1e-12, alpha=0.5)
     recs, fp, conv = run_picard(cfg, u0, record_holder=True)
-
-    def kfn(t):
-        return compute_k_constants(u0, ZeroForcing(g), t, c=1.0, alpha=0.5)
-
-    return g, u0, recs, fp, kfn
+    return g, u0, recs, fp, KProfile(u0, ZeroForcing(g), alpha=0.5)
 
 
 def test_fit_c_star_behaviour():
