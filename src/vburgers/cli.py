@@ -361,11 +361,9 @@ def _run_checks(cfg: dict, out_dir: str) -> bool:
         holder = "uniform_estimates" in checks
         records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder=holder)
         _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
-        # t_init and the summary sample seminorms with seed 0, the checks with the scheme seed
-        profiles = {s: KProfile(u0, g, scheme_cfg.alpha, s, scheme_cfg.nu) for s in {0, scheme_cfg.seed}}
-        t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=profiles[0])
-        kc = profiles[0](scheme_cfg.T, scheme_cfg.c)
-        kfn = profiles[scheme_cfg.seed]
+        kfn = KProfile(u0, g, scheme_cfg.alpha, scheme_cfg.seed, scheme_cfg.nu)
+        t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=kfn)
+        kc = kfn(scheme_cfg.T, scheme_cfg.c)
         res = residual(fixed_point, g).max if len(fixed_point) >= 3 else math.nan
         _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc))
         _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())

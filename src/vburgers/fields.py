@@ -351,19 +351,26 @@ def curl_components(v: VectorField) -> list:
     ]
 
 
-def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(b . grad) u on arrays lead + (d,) + shape and lead + (ch,) + shape.
+def advect_hat(b: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Half-spectrum of (b . grad) u from the half-spectrum of u.
 
-    ``b`` must already be dealiased; ``u`` is dealiased here and so is the
-    product (two-thirds rule on both factors and on the result).
+    ``b`` (physical, lead + (d,) + shape) must already be dealiased; ``u_hat``
+    (lead + (ch,) + half-spectrum) is masked here and so is the product
+    (two-thirds rule on both factors and on the result).
     """
-    u_hat = rfft(u, spec) * _dealias_mask(spec)
-    acc = np.zeros(u.shape)
+    mask = _dealias_mask(spec)
+    u_hat = u_hat * mask
+    acc = np.zeros(u_hat.shape[: -spec.d] + spec.shape)
     spatial = (slice(None),) * spec.d
     for i, ki in enumerate(_wavenumbers_half(spec)):
         # component i of b with a unit channel axis: lead + (1,) + shape
         acc += b[(Ellipsis, i, None) + spatial] * irfft(1j * ki * u_hat, spec)
-    return dealias_values(acc, spec)
+    return rfft(acc, spec) * mask
+
+
+def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """(b . grad) u on physical arrays lead + (d,) + shape and lead + (ch,) + shape (see ``advect_hat``)."""
+    return irfft(advect_hat(b, rfft(u, spec), spec), spec)
 
 
 def advect(b: VectorField, u: VectorField) -> VectorField:

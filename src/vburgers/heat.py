@@ -58,15 +58,17 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard) -
 
     Maps a channels-first array (ch,) + grid shape to the stack of states on
     t = k dt, shape (n_steps + 1, ch) + grid shape.  Diffusion is exact via
-    E = e^{dt Lap}; ``rhs`` (physical arrays) takes one explicit midpoint
-    stage, second order in dt:
+    E = e^{dt Lap}.  The state is stepped as its half-spectrum u_hat, and
+    ``rhs(t, u_hat)`` takes and returns half-spectra: one explicit midpoint
+    stage, second order in dt, with no transform of its own:
 
-        u*    = irfft(E_half (u_hat + dt/2 rfft(rhs(t, u))))
-        u_hat = E u_hat + dt E_half rfft(rhs(t + dt/2, u*))
+        s_hat = E_half (u_hat + dt/2 rhs(t, u_hat))
+        u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
-    ``rhs`` None is pure heat flow.  A non-finite state or one above 1e10
-    times the data scale raises DivergenceError; then ``guard(t, u, u_hat)``,
-    unless None, checks each new state.
+    Only the stored states are inverse-transformed.  ``rhs`` None is pure
+    heat flow.  A non-finite state or one above 1e10 times the data scale
+    raises DivergenceError; then ``guard(t, u, u_hat)``, unless None, checks
+    each new state.
     """
     steps = n_steps(T, dt)
     e_full = heat_multiplier(spec, dt)
@@ -80,8 +82,8 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard) -
         if rhs is None:
             u_hat = e_full * u_hat
         else:
-            u_star = irfft(e_half * (u_hat + (dt / 2.0) * rfft(rhs(t, out[k]), spec)), spec)
-            u_hat = e_full * u_hat + dt * e_half * rfft(rhs(t + dt / 2.0, u_star), spec)
+            s_hat = e_half * (u_hat + (dt / 2.0) * rhs(t, u_hat))
+            u_hat = e_full * u_hat + dt * e_half * rhs(t + dt / 2.0, s_hat)
         u = out[k + 1] = irfft(u_hat, spec)
         peak = np.abs(u).max()
         if not peak <= ceiling:
@@ -97,8 +99,9 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
     The Duhamel integral uses the midpoint rule composed with the exact
     propagator, step by step: second order in dt, exact for a space-time constant g.
     """
-    rhs = None if g.is_zero else (lambda t, u: g.at(t).as_array())
-    return Trajectory(u0.grid, 0.0, dt, integrate(u0.as_array(), u0.grid, T, dt, rhs, None))
+    spec = u0.grid
+    rhs = None if g.is_zero else (lambda t, u_hat: rfft(g.at(t).as_array(), spec))
+    return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, None))
 
 
 # ---------------------------------------------------------------------------

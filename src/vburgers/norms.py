@@ -101,7 +101,8 @@ def _offset_distance(spec: GridSpec, offset) -> float:
 
 def _diff_max(v: np.ndarray, offset, spatial_axes) -> float:
     w = np.roll(v, shift=offset, axis=spatial_axes)
-    return float(np.sqrt(((v - w) ** 2).sum(axis=0)).max())
+    # sqrt is monotone, so one root of the largest squared distance is the same value
+    return float(np.sqrt(((v - w) ** 2).sum(axis=0).max()))
 
 
 def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: bool = False):
@@ -210,7 +211,7 @@ def parabolic_seminorm_array(
                     diff = u - np.roll(u, shift=o, axis=spatial_axes)
             else:
                 diff = a
-            mag = np.sqrt((diff**2).sum(axis=1)).max()
+            mag = np.sqrt((diff**2).sum(axis=1).max())
             denom = dists.get(o, 0.0) ** alpha + tdenom if any(o) else tdenom
             best = max(best, float(mag) / denom)
             pair_count += (nt - q) * spec.num_nodes

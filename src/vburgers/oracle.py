@@ -16,11 +16,15 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
+    _dealias_mask,
     advect_arrays,
+    advect_hat,
     dealias_values,
     frame_blocks,
     gradient_arrays,
+    irfft,
     laplacian_arrays,
+    rfft,
     time_derivative_frames,
 )
 from .forcing import Forcing
@@ -84,8 +88,8 @@ def cole_hopf(
 
     rhs = None
     if f is not None:
-        def rhs(t: float, phi: np.ndarray) -> np.ndarray:
-            return (f(t) if callable(f) else f).values * phi
+        def rhs(t: float, phi_hat: np.ndarray) -> np.ndarray:
+            return rfft((f(t) if callable(f) else f).values * irfft(phi_hat, spec), spec)
 
     def positive(t: float, phi: np.ndarray, phi_hat: np.ndarray) -> None:
         if np.any(phi <= 0):
@@ -116,10 +120,10 @@ def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Tra
     """
     spec = u0.grid
 
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        out = -advect_arrays(dealias_values(u, spec), u, spec)
+    def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
+        out = -advect_hat(irfft(u_hat * _dealias_mask(spec), spec), u_hat, spec)
         if g is not None and not g.is_zero:
-            out += g.at(t).as_array()
+            out += rfft(g.at(t).as_array(), spec)
         return out
 
     return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, _blocking_guard(spec)))

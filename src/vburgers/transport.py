@@ -17,9 +17,11 @@ from .fields import (
     Trajectory,
     VectorField,
     _dealias_mask,
-    advect_arrays,
+    advect_hat,
     dealias_values,
     frame_blocks,
+    irfft,
+    rfft,
 )
 from .forcing import Forcing, ZeroForcing
 from .heat import integrate, n_steps
@@ -76,10 +78,11 @@ class TransportProblem:
         return self.f if self.f is not None else ZeroForcing(self.grid)
 
 
-def _apply_matrix(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Half-spectrum of C u: a constant matrix acts on the spectrum, a field of matrices node-wise."""
     if m.ndim == 2:
-        return np.tensordot(m, u, axes=(1, 0))
-    return np.einsum("ij...,j...->i...", m, u)
+        return np.tensordot(m, u_hat, axes=(1, 0))
+    return rfft(np.einsum("ij...,j...->i...", m, irfft(u_hat, spec)), spec)
 
 
 def _dealiased_drift(p: TransportProblem):
@@ -128,13 +131,13 @@ def solve_transport(p: TransportProblem) -> Trajectory:
     g = p.forcing()
     drift = _dealiased_drift(p)
 
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u) if g.is_zero else g.at(t).as_array()
+    def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u_hat) if g.is_zero else rfft(g.at(t).as_array(), spec)
         if drift is not None:
-            out -= advect_arrays(drift(t), u, spec)
+            out -= advect_hat(drift(t), u_hat, spec)
         m = p.matrix_at(t)
         if m is not None:
-            out -= _apply_matrix(m, u)
+            out -= _apply_matrix_hat(m, u_hat, spec)
         return out
 
     u = integrate(p.u0.as_array(), spec, p.T, p.dt, rhs, _blocking_guard(spec))

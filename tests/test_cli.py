@@ -80,7 +80,8 @@ def _mutated_configs(draw):
     for _ in range(draw(st.integers(1, 3))):
         section = draw(st.sampled_from([None, "grid", "scheme", "data", "forcing"]))
         target = cfg if section is None or not isinstance(cfg.get(section), dict) else cfg[section]
-        key = draw(st.sampled_from(sorted(target)) | st.sampled_from(_KEYS))
+        # an earlier draw may have replaced the section by an empty object, which has no key to pick
+        key = draw(st.sampled_from(sorted(target)) | st.sampled_from(_KEYS) if target else st.sampled_from(_KEYS))
         if draw(st.booleans()) and key in target:
             del target[key]
         else:
@@ -180,6 +181,23 @@ def test_run_determinism(tmp_path):
     assert names == sorted(os.listdir(out_b))
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_summary_k_is_the_k_the_checks_use(tmp_path):
+    # on 2-D n=32 the forcing's parabolic seminorm inside K is sampled, so K depends on the seed
+    path = base_config(
+        tmp_path,
+        grid={"d": 2, "n": 32, "L": 6.283185307179586},
+        scheme={"T": 1 / 16, "dt": 1 / 128, "seed": 3},
+        data={"kind": "trig", "seed": 5, "kmax": 3, "amplitude": 0.3},
+        forcing={"kind": "trig", "seed": 11, "kmax": 2, "amplitude": 0.2},
+    )
+    assert main(["run", path]) == 0
+    out = tmp_path / "out"
+    kc = json.loads((out / "summary.json").read_text())["k_constants"]
+    assert json.loads((out / "kconstants.json").read_text()) == kc
+    holder = json.loads((out / "uniform_holder.json").read_text())
+    assert holder["rhs"] == [(kc["c"] * kc["K"]) ** ((3.0 + kc["alpha"]) / 2.0)]
 
 
 def test_out_dir_env_override(tmp_path):
