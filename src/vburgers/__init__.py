@@ -16,9 +16,7 @@ from .fields import (
     Trajectory,
     VectorField,
     advect,
-    divergence,
     gradient,
-    laplacian,
     make_trig_field,
     read_snapshot,
     write_snapshot,
@@ -37,7 +35,7 @@ from .norms import (
     opnorm_sup,
     sup_norm,
 )
-from .oracle import ResidualSeries, best_lambda, cole_hopf, direct_solve, residual
+from .oracle import ResidualSeries, cole_hopf, direct_solve, residual
 from .scheme import (
     IterationRecord,
     SchemeConfig,

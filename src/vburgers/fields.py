@@ -140,9 +140,6 @@ class ScalarField:
             raise ValueError("field contains non-finite samples")
         object.__setattr__(self, "values", _as_immutable(v))
 
-    def spectrum(self) -> np.ndarray:
-        return rfft(self.values, self.grid)
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return ScalarField(self.grid, self.values + other.values)
 
@@ -295,10 +292,6 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField.from_arrays(f.grid, gradient_arrays(f.values, f.grid))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, laplacian_arrays(f.values, f.grid))
-
-
 # The array helpers below take sample arrays lead + grid.shape with any
 # leading (batch, channel) axes and put new derivative axes just before the
 # spatial ones.
@@ -325,30 +318,6 @@ def hessian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     ks = _wavenumbers_half(spec)
     rows = [np.stack([irfft(-ka * kb * fh, spec) for kb in ks], axis=-spec.d - 1) for ka in ks]
     return np.stack(rows, axis=-spec.d - 2)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    spec = v.grid
-    ks = _wavenumbers_half(spec)
-    out = np.zeros(rfft_shape(spec), dtype=complex)
-    for k, c in zip(ks, v.components):
-        out += 1j * k * c.spectrum()
-    return ScalarField(spec, irfft(out, spec))
-
-
-def curl_components(v: VectorField) -> list:
-    """Independent curl components: 1 for d=2, 3 for d=3, none for d=1."""
-    spec = v.grid
-    if spec.d == 1:
-        return []
-    jac = jacobian_arrays(v)  # jac[j, i] = d_i u_j
-    if spec.d == 2:
-        return [ScalarField(spec, jac[1, 0] - jac[0, 1])]
-    return [
-        ScalarField(spec, jac[2, 1] - jac[1, 2]),
-        ScalarField(spec, jac[0, 2] - jac[2, 0]),
-        ScalarField(spec, jac[1, 0] - jac[0, 1]),
-    ]
 
 
 def advect_hat(b: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -403,11 +372,6 @@ def evaluate_many(f: ScalarField, points: np.ndarray) -> np.ndarray:
     else:
         out = np.einsum("px,py,pz,xyz->p", phases[0], phases[1], phases[2], coeffs)
     return out.real
-
-
-def evaluate_vector_many(v: VectorField, points: np.ndarray) -> np.ndarray:
-    """Shape (p, d_comp)."""
-    return np.stack([evaluate_many(c, points) for c in v.components], axis=1)
 
 
 # ---------------------------------------------------------------------------

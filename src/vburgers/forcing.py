@@ -101,9 +101,6 @@ class GradientForcing(Forcing):
     def _envelope(self, t: float) -> float:
         return 1.0 + self.mod * np.sin(self.omega * t)
 
-    def potential_at(self, t: float) -> ScalarField:
-        return self.potential * self._envelope(t)
-
     def at(self, t: float) -> VectorField:
         return self._grad * self._envelope(t)
 

@@ -4,6 +4,19 @@ Discrete Hoelder seminorms are lower bounds of the continuum value: the sup
 runs over sampled pairs only.  Pair evaluation is exhaustive (all cyclic
 shifts) when the pair count fits the budget, otherwise stratified random
 offsets grouped by dyadic distance.
+
+Offsets are visited in order of increasing denominator, and the loop over
+the spatial offsets of one differenced array ``a`` (``u``, or a time
+difference ``u[q:] - u[:-q]``) stops at the first offset with
+``cap / denom <= best``, where ``cap = 2 max|a| (1 + 1e-12)``.  By the
+triangle inequality every pair difference of ``a`` is at most
+``2 max|a|``; the relative margin covers the rounding of the computed
+differences, so no skipped quotient can exceed the running maximum ``best``
+and the result is the same float the full loop gives.  The skipped pairs
+still count in ``pairs``: they were sampled, their quotients are only
+known not to matter, so the estimate stays a lower bound over the same
+pair set.  Where squares of ``a`` could overflow or go subnormal (and lose
+their relative accuracy), nothing is skipped.
 """
 from __future__ import annotations
 
@@ -99,10 +112,45 @@ def _offset_distance(spec: GridSpec, offset) -> float:
     return math.sqrt(sum((min(o % n, n - o % n) * h) ** 2 for o in offset))
 
 
-def _diff_max(v: np.ndarray, offset, spatial_axes) -> float:
-    w = np.roll(v, shift=offset, axis=spatial_axes)
+def _diff_max(a: np.ndarray, offset, spatial_axes) -> float:
+    """Largest channel norm of ``a - roll(a, offset)``; of ``a`` itself for the zero offset.
+
+    The channel axis is the one just before the spatial axes.
+    """
+    diff = a - np.roll(a, shift=offset, axis=spatial_axes) if any(offset) else a
     # sqrt is monotone, so one root of the largest squared distance is the same value
-    return float(np.sqrt(((v - w) ** 2).sum(axis=0).max()))
+    return float(np.sqrt((diff**2).sum(axis=spatial_axes[0] - 1).max()))
+
+
+def _pair_cap(a: np.ndarray, peak: float) -> float:
+    """Bound on every computed pair difference of ``a``, from ``peak = max|a|``.
+
+    ``2 peak`` by the triangle inequality, widened by 1e-12 for rounding.
+    Outside [1e-150, 1e150] the squares may overflow or go subnormal, so the
+    bound is inf (nothing is skipped) unless ``a`` is all zeros.
+    """
+    if 1e-150 <= peak <= 1e150:
+        return 2.0 * peak * (1 + 1e-12)
+    return math.inf if a.any() else 0.0
+
+
+def _by_distance(spec: GridSpec, offsets, alpha: float):
+    """The offsets and their ``dist**alpha``, in order of increasing ``dist**alpha``."""
+    powered = sorted((_offset_distance(spec, o) ** alpha, o) for o in offsets)
+    return [o for _, o in powered], [p for p, _ in powered]
+
+
+def _pruned_max(a, offsets, denoms, cap: float, best: float, spatial_axes) -> float:
+    """``best`` raised by the quotients of ``a`` over ``offsets`` (denominators ascending).
+
+    Stops at the first ``cap / denom <= best``: that quotient and every
+    later one are at most ``best``.
+    """
+    for o, denom in zip(offsets, denoms):
+        if cap / denom <= best:
+            break
+        best = max(best, _diff_max(a, o, spatial_axes) / denom)
+    return best
 
 
 def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: bool = False):
@@ -147,13 +195,10 @@ def iso_seminorm_array(
         raise ValueError("sample shape mismatch")
     spatial_axes = tuple(range(1, spec.d + 1))
     offsets, exhaustive = _iso_offsets(spec, seed, per_stratum)
-    best = 0.0
-    pair_count = 0
-    for o in offsets:
-        dist = _offset_distance(spec, o)
-        best = max(best, _diff_max(v, o, spatial_axes) / dist**alpha)
-        pair_count += spec.num_nodes
-    return HolderEstimate(alpha, "isotropic", best, pair_count, exhaustive)
+    ordered, dpows = _by_distance(spec, offsets, alpha)
+    cap = _pair_cap(v, _diff_max(v, (0,) * spec.d, spatial_axes))
+    best = _pruned_max(v, ordered, dpows, cap, 0.0, spatial_axes)
+    return HolderEstimate(alpha, "isotropic", best, len(offsets) * spec.num_nodes, exhaustive)
 
 
 def parabolic_seminorm_array(
@@ -193,28 +238,20 @@ def parabolic_seminorm_array(
             s *= 2
         time_offsets = [0] + sorted(q for q in qs if q < nt)
 
-    dists = {o: _offset_distance(spec, o) for o in space_offsets}
+    ordered, dpows = _by_distance(spec, space_offsets, alpha)
     best = 0.0
     pair_count = 0
     for q in time_offsets:
         tdenom = (q * dt) ** (alpha / 2.0)
-        if q == 0:
-            a = u
-        else:
-            a = u[q:] - u[:-q]
-        for o in ([tuple([0] * spec.d)] if q > 0 else []) + list(space_offsets):
-            if q == 0 and not any(o):
-                continue
-            if any(o):
-                diff = a - np.roll(a, shift=o, axis=spatial_axes) if q > 0 else None
-                if q == 0:
-                    diff = u - np.roll(u, shift=o, axis=spatial_axes)
-            else:
-                diff = a
-            mag = np.sqrt((diff**2).sum(axis=1).max())
-            denom = dists.get(o, 0.0) ** alpha + tdenom if any(o) else tdenom
-            best = max(best, float(mag) / denom)
-            pair_count += (nt - q) * spec.num_nodes
+        a = u[q:] - u[:-q] if q else u
+        peak = _diff_max(a, (0,) * spec.d, spatial_axes)
+        if q:
+            # the zero spatial offset: the time difference alone, denominator tdenom
+            best = max(best, peak / tdenom)
+        # adding tdenom keeps the ascending order of dpows
+        denoms = [p + tdenom for p in dpows]
+        best = _pruned_max(a, ordered, denoms, _pair_cap(a, peak), best, spatial_axes)
+        pair_count += (len(ordered) + (q > 0)) * (nt - q) * spec.num_nodes
     return HolderEstimate(alpha, "parabolic", best, pair_count, exhaustive)
 
 

@@ -102,16 +102,6 @@ def cole_hopf(
     return Trajectory(spec, 0.0, dt, u)
 
 
-def best_lambda(phi0: ScalarField, T: float, dt: float, candidates=(-2.0, -1.0, 1.0, 2.0)):
-    """Residual-minimizing transform constant over candidate values."""
-    scores = {}
-    for lam in candidates:
-        traj = cole_hopf(phi0, None, T, dt, lam)
-        scores[lam] = residual(traj).max
-    best = min(scores, key=scores.get)
-    return best, scores
-
-
 def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Trajectory:
     """Semi-implicit pseudo-spectral Burgers solve (no fixed-point iteration).
 

@@ -131,9 +131,15 @@ def run_picard(
     Returns (records, fixed_point, converged).  The zeroth iterate is the
     forced heat trajectory; iterate m solves transport with the previous
     iterate as drift.  Non-convergence at m_max is reported, not raised.
+    The solve is in the unit-viscosity frame, so ``cfg.nu`` must be 1.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configuration")
+    if cfg.nu != 1:
+        raise ValueError(
+            f"run_picard solves in the unit-viscosity frame, got nu={cfg.nu}: map the data with "
+            "scheme.rescale_viscosity, solve with nu = 1 and map back with scheme.unrescale"
+        )
     if g is None:
         g = ZeroForcing(cfg.grid)
     records = []

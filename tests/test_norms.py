@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, hessian_arrays, make_trig_field
 from vburgers.forcing import ConstantForcing, GradientForcing, TrigForcing, ZeroForcing
-from vburgers.heat import heat_apply
+from vburgers.heat import heat_apply, lacunary_field
 from vburgers.norms import (
+    EXHAUSTIVE_PAIR_LIMIT,
     KConstants,
     KProfile,
     channel_sup,
@@ -19,7 +20,10 @@ from vburgers.norms import (
     interpolation_gap,
     iso_seminorm_array,
     opnorm_sup,
+    parabolic_seminorm_array,
     sup_norm,
+    _iso_offsets,
+    _offset_distance,
 )
 
 TWO_PI = 2 * np.pi
@@ -91,6 +95,116 @@ def test_parabolic_equals_iso_for_static_trajectory(grid1d, random_field):
     vals = np.stack([c.values for c in random_field.components])
     iso = iso_seminorm_array(vals, grid1d, 0.5, seed=0).value
     assert par == pytest.approx(iso, rel=1e-12)
+
+
+# The unpruned loops: every offset's quotient, in the offset order of the
+# sets.  The pruned seminorms must give the same floats and pair counts.
+
+
+def _iso_unpruned(v, spec, alpha, seed=0, per_stratum=8):
+    spatial_axes = tuple(range(1, spec.d + 1))
+    offsets, exhaustive = _iso_offsets(spec, seed, per_stratum)
+    best = 0.0
+    pair_count = 0
+    for o in offsets:
+        w = np.roll(v, shift=o, axis=spatial_axes)
+        mag = float(np.sqrt(((v - w) ** 2).sum(axis=0).max()))
+        best = max(best, mag / _offset_distance(spec, o) ** alpha)
+        pair_count += spec.num_nodes
+    return best, pair_count, exhaustive
+
+
+def _parabolic_unpruned(u, spec, dt, alpha, seed=0, per_stratum=8, time_per_stratum=4):
+    nt = u.shape[0]
+    spatial_axes = tuple(range(2, spec.d + 2))
+    exhaustive = (nt * spec.num_nodes) ** 2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
+    space_offsets, space_exh = _iso_offsets(spec, seed, per_stratum, force_sampled=not exhaustive)
+    if exhaustive and space_exh:
+        time_offsets = list(range(nt))
+    else:
+        exhaustive = False
+        rng = np.random.default_rng(seed + 1)
+        qs = {1, 2} if nt > 2 else {1}
+        s = 2
+        while s < nt:
+            for _ in range(time_per_stratum):
+                qs.add(int(rng.integers(s, min(2 * s, nt))))
+            s *= 2
+        time_offsets = [0] + sorted(q for q in qs if q < nt)
+    best = 0.0
+    pair_count = 0
+    for q in time_offsets:
+        tdenom = (q * dt) ** (alpha / 2.0)
+        a = u[q:] - u[:-q] if q else u
+        for o in ([(0,) * spec.d] if q else []) + list(space_offsets):
+            diff = a - np.roll(a, shift=o, axis=spatial_axes) if any(o) else a
+            mag = float(np.sqrt((diff**2).sum(axis=1).max()))
+            best = max(best, mag / (_offset_distance(spec, o) ** alpha + tdenom if any(o) else tdenom))
+            pair_count += (nt - q) * spec.num_nodes
+    return best, pair_count, exhaustive
+
+
+def _pruning_data(kind, spec):
+    """A (2,) + shape array of the named kind."""
+    rng = np.random.default_rng(3)
+    if kind == "trig":
+        return np.stack([make_trig_field(spec, seed=4 + k, kmax=3, amplitude=1.0).components[0].values for k in (0, 1)])
+    if kind == "lacunary":
+        return np.stack([lacunary_field(spec, 0.5, seed=k).values for k in (0, 1)])
+    if kind == "constant":
+        return np.full((2,) + spec.shape, 1.5)
+    if kind == "zero":
+        return np.zeros((2,) + spec.shape)
+    if kind == "nan":
+        v = rng.standard_normal((2,) + spec.shape)
+        v.flat[5] = np.nan
+        return v
+    # max|a|^2 underflows to zero while the squared differences stay subnormal
+    sign = (-1.0) ** np.indices(spec.shape).sum(axis=0)
+    return np.stack([1e-162 * sign, np.zeros(spec.shape)])
+
+
+PRUNING_KINDS = ["trig", "lacunary", "constant", "zero", "nan", "subnormal"]
+
+
+@pytest.mark.parametrize("kind", PRUNING_KINDS)
+@pytest.mark.parametrize(
+    "d, n, exhaustive", [(1, 64, True), (2, 16, True), (3, 8, True), (1, 8192, False), (2, 128, False), (3, 32, False)]
+)
+def test_iso_pruning_matches_unpruned_loop(kind, d, n, exhaustive):
+    spec = GridSpec(d, n, TWO_PI)
+    v = _pruning_data(kind, spec)
+    for alpha in (0.5, 0.999):
+        est = iso_seminorm_array(v, spec, alpha, seed=2, per_stratum=4)
+        assert (est.value, est.pairs, est.exhaustive) == _iso_unpruned(v, spec, alpha, seed=2, per_stratum=4)
+        assert est.exhaustive == exhaustive
+
+
+@pytest.mark.parametrize("kind", PRUNING_KINDS)
+@pytest.mark.parametrize(
+    "d, n, nt, exhaustive",
+    [(1, 64, 9, True), (2, 16, 5, True), (3, 8, 5, True), (1, 512, 17, False), (2, 32, 9, False), (3, 16, 5, False)],
+)
+def test_parabolic_pruning_matches_unpruned_loop(kind, d, n, nt, exhaustive):
+    spec = GridSpec(d, n, TWO_PI)
+    v = _pruning_data(kind, spec)
+    t = np.arange(nt).reshape((nt,) + (1,) * v.ndim) / nt
+    # time-varying amplitude plus a drift that is constant in space
+    u = v[None] * (1 + 0.5 * np.sin(3 * t)) + (0.0 if kind in ("zero", "subnormal") else t)
+    if kind == "nan":
+        # one NaN, in the middle frame: the longest time differences miss it
+        u = np.nan_to_num(u)
+        u[nt // 2].flat[5] = np.nan
+    for alpha in (0.5, 0.999):
+        est = parabolic_seminorm_array(u, spec, 1 / 64, alpha, seed=2, per_stratum=4)
+        assert (est.value, est.pairs, est.exhaustive) == _parabolic_unpruned(u, spec, 1 / 64, alpha, 2, 4)
+        assert est.exhaustive == exhaustive
+
+
+def test_pruning_subnormal_data_is_not_skipped():
+    # the seminorm of the subnormal checkerboard is positive although max|a| squares to zero
+    spec = GridSpec(1, 64, TWO_PI)
+    assert iso_seminorm_array(_pruning_data("subnormal", spec), spec, 0.5).value > 0
 
 
 def test_k_constants_sin_closed_form(grid1d, sin_field):

@@ -46,6 +46,12 @@ def test_config_validation(grid1d):
         small_cfg(grid1d, m_max=0)
 
 
+def test_run_picard_rejects_nu_other_than_one(grid1d, random_field):
+    # the solve is in the unit-viscosity frame; other viscosities go through the exact rescaling
+    with pytest.raises(ValueError, match="rescale_viscosity"):
+        run_picard(small_cfg(grid1d, nu=0.25), random_field)
+
+
 def test_zero_data_converges_immediately(grid1d):
     recs, fp, conv = run_picard(small_cfg(grid1d), VectorField.zero(grid1d))
     assert conv
