@@ -349,7 +349,7 @@ REGISTRY = {
         _oracle_compare,
     ),
 }
-_PICARD_CHECKS = {"uniform_estimates", "short_time", "oracle_compare", "gronwall"}
+_PICARD_CHECKS = {"uniform_estimates", "short_time", "oracle_compare"}
 
 
 def _run_checks(cfg: dict, out_dir: str) -> bool:

@@ -1,108 +1,71 @@
-"""Time-indexed forcing terms g(t, x).
+"""Separable forcing terms g(t, x) = env(t) base(x).
 
-A forcing exposes sampled values on the grid at any time, a time derivative,
-and enough structure for the data-dependent reference constants (spatial
-derivatives come from the spectral operators, the time derivative either in
-closed form or by central differences).
+Every forcing of the package is one fixed field scaled by a scalar time
+envelope, so consumers read the base once: its samples, its half-spectrum
+and, in ``norms.KProfile``, its sup norms and those of its spatial
+derivatives.  The time derivative is ``env_dt(t) base`` in closed form.
+The named forcings are constructors of the one ``Forcing`` class.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field
+from .fields import GridSpec, ScalarField, VectorField, gradient, make_trig_field, rfft
 
 
 class Forcing:
-    """Base class; subclasses must set ``grid`` and implement ``at``."""
+    """g(t, x) = env(t) base(x); ``env`` and ``env_dt`` are callables t -> float or constants."""
 
-    grid: GridSpec
+    def __init__(self, base: VectorField, env=1.0, env_dt=0.0):
+        self.grid = base.grid
+        self.base = base
+        self.values = base.as_array()
+        self.values.flags.writeable = False
+        self.env = env if callable(env) else (lambda t: env)
+        self.env_dt = env_dt if callable(env_dt) else (lambda t: env_dt)
+        # read by the transport right-hand side at every stage
+        self.is_zero = not self.values.any()
 
-    def at(self, t: float) -> VectorField:
-        raise NotImplementedError
-
-    def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
-        lo = max(t - eps, 0.0)
-        hi = t + eps
-        return (self.at(hi) - self.at(lo)) * (1.0 / (hi - lo))
-
-    @property
-    def is_zero(self) -> bool:
-        return False
-
-    def sample(self, t0: float, dt: float, n_frames: int) -> Trajectory:
-        return Trajectory(self.grid, t0, dt, [self.at(t0 + k * dt) for k in range(n_frames)])
-
-
-class ZeroForcing(Forcing):
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self._zero = VectorField.zero(grid)
+    @cached_property
+    def base_hat(self) -> np.ndarray:
+        """Half-spectrum of the base, transformed once."""
+        return rfft(self.values, self.grid)
 
     def at(self, t: float) -> VectorField:
-        return self._zero
+        return self.base * self.env(t)
 
-    def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
-        return self._zero
-
-    @property
-    def is_zero(self) -> bool:
-        return True
+    def frames(self, times) -> np.ndarray:
+        """Samples on ``times``, shape (nt, d) + grid shape."""
+        env = np.array([self.env(float(t)) for t in times])
+        return env.reshape((-1,) + (1,) * self.values.ndim) * self.values
 
 
-class ConstantForcing(Forcing):
-    def __init__(self, field: VectorField):
-        self.grid = field.grid
-        self._field = field
-
-    def at(self, t: float) -> VectorField:
-        return self._field
-
-    def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
-        return VectorField.zero(self.grid)
+def ZeroForcing(grid: GridSpec) -> Forcing:
+    return Forcing(VectorField.zero(grid))
 
 
-class TrigForcing(Forcing):
+def ConstantForcing(field: VectorField) -> Forcing:
+    return Forcing(field)
+
+
+def _modulated(base: VectorField, omega: float, mod: float) -> Forcing:
+    """env(t) = 1 + mod sin(omega t)."""
+    omega, mod = float(omega), float(mod)
+    return Forcing(base, lambda t: 1.0 + mod * np.sin(omega * t), lambda t: mod * omega * np.cos(omega * t))
+
+
+def TrigForcing(
+    grid: GridSpec, seed: int, kmax: int, amplitude: float, omega: float = 1.0, mod: float = 0.5
+) -> Forcing:
     """Seeded band-limited field modulated by a smooth time envelope.
 
     g(t, x) = (1 + mod * sin(omega t)) * base(x)
     """
-
-    def __init__(self, grid: GridSpec, seed: int, kmax: int, amplitude: float,
-                 omega: float = 1.0, mod: float = 0.5):
-        self.grid = grid
-        self.omega = float(omega)
-        self.mod = float(mod)
-        self._base = make_trig_field(grid, seed, kmax, amplitude)
-
-    def _envelope(self, t: float) -> float:
-        return 1.0 + self.mod * np.sin(self.omega * t)
-
-    def at(self, t: float) -> VectorField:
-        return self._base * self._envelope(t)
-
-    def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
-        return self._base * (self.mod * self.omega * np.cos(self.omega * t))
+    return _modulated(make_trig_field(grid, seed, kmax, amplitude), omega, mod)
 
 
-class GradientForcing(Forcing):
-    """Gradient-type forcing g = env(t) * grad(potential).
-
-    Keeps the scalar potential accessible so the exact-solution transform can
-    consume it directly.
-    """
-
-    def __init__(self, potential: ScalarField, omega: float = 0.0, mod: float = 0.0):
-        self.grid = potential.grid
-        self.potential = potential
-        self.omega = float(omega)
-        self.mod = float(mod)
-        self._grad = gradient(potential)
-
-    def _envelope(self, t: float) -> float:
-        return 1.0 + self.mod * np.sin(self.omega * t)
-
-    def at(self, t: float) -> VectorField:
-        return self._grad * self._envelope(t)
-
-    def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
-        return self._grad * (self.mod * self.omega * np.cos(self.omega * t))
+def GradientForcing(potential: ScalarField, omega: float = 0.0, mod: float = 0.0) -> Forcing:
+    """Gradient-type forcing g = (1 + mod sin(omega t)) * grad(potential)."""
+    return _modulated(gradient(potential), omega, mod)

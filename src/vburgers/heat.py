@@ -98,9 +98,10 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
 
     The Duhamel integral uses the midpoint rule composed with the exact
     propagator, step by step: second order in dt, exact for a space-time constant g.
+    The forcing spectrum is env(t) times the base's, transformed once.
     """
     spec = u0.grid
-    rhs = None if g.is_zero else (lambda t, u_hat: rfft(g.at(t).as_array(), spec))
+    rhs = None if g.is_zero else (lambda t, u_hat: g.env(t) * g.base_hat)
     return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, None))
 
 

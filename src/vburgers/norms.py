@@ -337,19 +337,6 @@ class KConstants:
         )
 
 
-def _forcing_sup_series(g: Forcing, times: np.ndarray):
-    """Per-time sup norms of g, grad g, hess g, d_t g, one batched transform per block of frames."""
-    cols = []
-    for sl in frame_blocks(len(times), g.grid):
-        gb = np.stack([g.at(float(t)).as_array() for t in times[sl]])
-        tb = np.stack([g.dt_at(float(t)).as_array() for t in times[sl]])
-        cols.append([
-            frame_sups(gb, 1), frame_sups(gradient_arrays(gb, g.grid), 2),
-            frame_sups(hessian_arrays(gb, g.grid), 3), frame_sups(tb, 1),
-        ])
-    return map(np.concatenate, zip(*cols))
-
-
 class KProfile:
     """K(t) of one datum and forcing: the datum scales once, each distinct t once.
 
@@ -363,11 +350,13 @@ class KProfile:
 
     @cached_property
     def _datum(self) -> tuple:
-        """The t-independent terms: sup u0, sup grad u0, sup hess u0, the Hessian's isotropic seminorm, sup g(0)."""
+        """The t-independent terms: sup, sup grad, sup hess and Hessian seminorm of u0; the three sups of g.base."""
         u0, spec = self.u0, self.u0.grid
         hess = hessian_arrays(u0.as_array(), spec)
         seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, self.alpha, self.seed).value
-        return sup_norm(u0), grad_sup(u0), channel_sup(hess, 3), seminorm, sup_norm(self.g.at(0.0))
+        b = self.g.values
+        base_sups = channel_sup(b, 1), channel_sup(gradient_arrays(b, spec), 2), channel_sup(hessian_arrays(b, spec), 3)
+        return (sup_norm(u0), grad_sup(u0), channel_sup(hess, 3), seminorm) + base_sups
 
     def __call__(self, t: float, c: float = 1.0) -> KConstants:
         if t < 0:
@@ -378,22 +367,29 @@ class KProfile:
         return replace(self._memo[t], t=t).at_c(c)
 
     def _at(self, t: float) -> KConstants:
-        """The constants at c = 1 by trapezoid quadrature on 64 steps of [0, t]."""
-        sup_u0, grad_u0, hess_u0, hess_seminorm, sup_g0 = self._datum
+        """The constants at c = 1 by trapezoid quadrature on 64 steps of [0, t].
+
+        The sups of g = env(t) base and its derivatives are |env(t)| or
+        |env_dt(t)| times the sups of the base.
+        """
+        sup_u0, grad_u0, hess_u0, hess_seminorm, sup_b, grad_b, hess_b = self._datum
         g, alpha = self.g, self.alpha
+        sup_g0 = abs(g.env(0.0)) * sup_b
         if g.is_zero or t == 0:
             int_g = int_dg = int_hess_dt = g_seminorm = 0.0
         else:
             times = np.linspace(0.0, t, 65)
-            sup_g, sup_dg, sup_hg, sup_tg = _forcing_sup_series(g, times)
-            if not np.all(np.isfinite(sup_g)):
+            env = np.abs([g.env(float(s)) for s in times])
+            if not np.all(np.isfinite(env)):
                 raise ValueError("non-integrable forcing samples")
-            int_g = float(np.trapezoid(sup_g, times))
-            int_dg = float(np.trapezoid(sup_dg, times))
-            int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
+            env_dt = np.abs([g.env_dt(float(s)) for s in times])
+            int_g = float(np.trapezoid(env * sup_b, times))
+            int_dg = float(np.trapezoid(env * grad_b, times))
+            int_hess_dt = float(np.trapezoid(env * hess_b + env_dt * sup_b, times))
             # the sampled seminorm is a lower bound either way, so it does not
             # need the quadrature resolution: 17 frames
-            g_seminorm = holder_seminorm(g.sample(0.0, t / 16, 17), alpha, "parabolic", self.seed).value
+            dt = t / 16
+            g_seminorm = parabolic_seminorm_array(g.frames(np.arange(17) * dt), g.grid, dt, alpha, self.seed).value
 
         K0 = sup_u0 + int_g
         K1 = grad_u0 + int_dg

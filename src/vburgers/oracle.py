@@ -63,7 +63,7 @@ def residual(u: Trajectory, g: Forcing | None = None) -> ResidualSeries:
         ub = u.values[sl]
         res = dt_u[sl] - laplacian_arrays(ub, spec) + advect_arrays(dealias_values(ub, spec), ub, spec)
         if g is not None and not g.is_zero:
-            res -= np.stack([g.at(float(t)).as_array() for t in times[sl]])
+            res -= g.frames(times[sl])
         out.append(frame_sups(res, 1))
     return ResidualSeries(tuple(float(t) for t in times), tuple(float(r) for r in np.concatenate(out)), u.dt)
 
@@ -113,7 +113,7 @@ def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Tra
     def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
         out = -advect_hat(irfft(u_hat * _dealias_mask(spec), spec), u_hat, spec)
         if g is not None and not g.is_zero:
-            out += rfft(g.at(t).as_array(), spec)
+            out += g.env(t) * g.base_hat
         return out
 
     return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, _blocking_guard(spec)))

@@ -241,21 +241,6 @@ def series_majorant(m0: int, gamma: float, cK: float, t: float):
 # viscosity rescaling
 
 
-class _RescaledForcing(Forcing):
-    """Forcing seen from the unit-viscosity frame: g(t/nu) / nu^2."""
-
-    def __init__(self, g: Forcing, nu: float):
-        self.grid = g.grid
-        self._g = g
-        self._nu = nu
-
-    def at(self, t: float) -> VectorField:
-        return self._g.at(t / self._nu) * (1.0 / self._nu**2)
-
-    def dt_at(self, t: float, eps: float = 1e-6) -> VectorField:
-        return self._g.dt_at(t / self._nu) * (1.0 / self._nu**3)
-
-
 def rescale_viscosity(u0: VectorField, g: Forcing | None, nu: float):
     """Map data into the unit-viscosity frame: u/nu and g/nu^2 at time nu t."""
     if nu <= 0:
@@ -267,7 +252,7 @@ def rescale_viscosity(u0: VectorField, g: Forcing | None, nu: float):
         return u0_tilde, ZeroForcing(u0.grid)
     if nu == 1.0:
         return u0_tilde, g
-    return u0_tilde, _RescaledForcing(g, nu)
+    return u0_tilde, Forcing(g.base * (1.0 / nu**2), lambda t: g.env(t / nu), lambda t: g.env_dt(t / nu) / nu)
 
 
 def unrescale(fixed_point: Trajectory, nu: float):

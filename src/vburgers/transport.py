@@ -25,7 +25,7 @@ from .fields import (
 )
 from .forcing import Forcing, ZeroForcing
 from .heat import integrate, n_steps
-from .norms import frame_sups, opnorm_sup, sup_norm
+from .norms import channel_sup, frame_sups, opnorm_sup, sup_norm
 
 BLOCKING_GATE = 1e-6
 MP_DT2_FACTOR = 25.0
@@ -132,7 +132,7 @@ def solve_transport(p: TransportProblem) -> Trajectory:
     drift = _dealiased_drift(p)
 
     def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u_hat) if g.is_zero else rfft(g.at(t).as_array(), spec)
+        out = np.zeros_like(u_hat) if g.is_zero else g.env(t) * g.base_hat
         if drift is not None:
             out -= advect_hat(drift(t), u_hat, spec)
         m = p.matrix_at(t)
@@ -159,8 +159,8 @@ def mp_tolerance(p: TransportProblem, scale: float | None = None) -> float:
     if scale is None:
         g = p.forcing()
         times = np.arange(p.n_steps + 1) * p.dt
-        fs = np.array([sup_norm(g.at(float(t))) for t in times[:: max(1, p.n_steps // 8)]])
-        scale = sup_norm(p.u0) + p.T * float(fs.max(initial=0.0))
+        env = max(abs(g.env(float(t))) for t in times[:: max(1, p.n_steps // 8)])
+        scale = sup_norm(p.u0) + p.T * env * channel_sup(g.values)
     return MP_DT2_FACTOR * scale * p.dt**2 + 1e-10
 
 
@@ -171,7 +171,7 @@ def max_principle_slack(traj: Trajectory, p: TransportProblem) -> np.ndarray:
     times = traj.times
     cumint = np.log(amplification_factors(p, times))
     g = p.forcing()
-    f_sup = np.array([sup_norm(g.at(float(t))) for t in times])
+    f_sup = np.abs([g.env(float(t)) for t in times]) * channel_sup(g.values)
     u0_sup = sup_norm(p.u0)
     rhs = np.empty(times.size)
     for k in range(times.size):

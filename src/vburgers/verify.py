@@ -27,7 +27,7 @@ from .fields import (
     laplacian_arrays,
     time_derivative_frames,
 )
-from .norms import frame_sups, opnorm_sup, sup_norm
+from .norms import channel_sup, frame_sups, opnorm_sup
 from .transport import TransportProblem, solve_transport
 
 SCHAUDER_FORMS = ("grad_sup", "grad_holder", "second_sup", "second_holder")
@@ -314,7 +314,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
             d = p.grid.d
             z = np.zeros((d, d))
             c_diff = opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
-        f_diff = sup_norm(g_bar.at(t) - g.at(t))
+        f_diff = channel_sup(g_bar.env(t) * g_bar.values - g.env(t) * g.values)
         integrand[k] = b_diff * grad_phi[k] + c_diff * sup_phi[k] + f_diff
 
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (opn_bar[1:] + opn_bar[:-1]) * np.diff(times))])

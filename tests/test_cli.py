@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vburgers import cli
 from vburgers.cli import REGISTRY, _build, cmd_list, load_config, main
 from vburgers.errors import ConfigError
 
@@ -113,6 +114,17 @@ def test_run_pass_exit_zero(tmp_path, capsys):
     out = tmp_path / "out"
     for name in ("records.csv", "summary.json", "kconstants.json", "uniform_sup.json", "uniform_sup.csv"):
         assert (out / name).exists(), name
+
+
+def test_gronwall_only_skips_picard(tmp_path, monkeypatch):
+    # the Gronwall check solves its own transport pair from u0, g and the scheme
+    def no_picard(*args, **kwargs):
+        raise AssertionError("run_picard called")
+
+    monkeypatch.setattr(cli, "run_picard", no_picard)
+    path = base_config(tmp_path, checks=["gronwall"], forcing={"kind": "trig", "seed": 2, "kmax": 2, "amplitude": 0.2})
+    assert main(["run", path]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["gronwall.csv", "gronwall.json"]
 
 
 def test_run_config_error_exit_two(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, hessian_arrays, make_trig_field
-from vburgers.forcing import ConstantForcing, GradientForcing, TrigForcing, ZeroForcing
+from vburgers.forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
 from vburgers.heat import heat_apply, lacunary_field
 from vburgers.norms import (
     EXHAUSTIVE_PAIR_LIMIT,
@@ -293,7 +293,7 @@ def test_sin_seminorm_feeds_k2alpha(grid1d, sin_field):
 
 
 def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
-    """K(t) one frame at a time: per-frame sups of g.at(t) and a trapezoid on 64 steps."""
+    """K(t) one frame at a time: per-frame sups of g.at(s) and g.base * env_dt(s), and a trapezoid on 64 steps."""
     spec = u0.grid
     hess = hessian_arrays(u0.as_array(), spec)
     hess_seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, alpha, seed).value
@@ -305,12 +305,13 @@ def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
         frames = [g.at(float(s)) for s in times]
         sup_g = np.array([sup_norm(f) for f in frames])
         sup_hg = np.array([hessian_sup(f) for f in frames])
-        sup_tg = np.array([sup_norm(g.dt_at(float(s))) for s in times])
+        sup_tg = np.array([sup_norm(g.base * g.env_dt(float(s))) for s in times])
         int_g = float(np.trapezoid(sup_g, times))
         int_dg = float(np.trapezoid([grad_sup(f) for f in frames], times))
         int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
         sup_g0 = float(sup_g[0])
-        g_seminorm = holder_seminorm(g.sample(0.0, t / 16, 17), alpha, "parabolic", seed).value
+        samples = Trajectory(g.grid, 0.0, t / 16, [g.at(k * (t / 16)) for k in range(17)])
+        g_seminorm = holder_seminorm(samples, alpha, "parabolic", seed).value
     K0, K1 = sup_u0 + int_g, grad_u0 + int_dg
     K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt
     K2a = hess_seminorm + g_seminorm
@@ -339,30 +340,55 @@ def test_k_profile_matches_per_frame_reference(d, n, kind):
     T = 0.25
     for t in (0.0, T / 3, T):
         for c in (1.0, 2.0):
-            assert profile(t, c) == _reference_k(u0, g, t, c, seed=1)
+            # |env| sup(base) is not bitwise sup(env base): the sups agree to rounding,
+            # the seminorm sees the same samples
+            got, ref = profile(t, c), _reference_k(u0, g, t, c, seed=1)
+            assert (got.t, got.c, got.alpha, got.nu) == (ref.t, ref.c, ref.alpha, ref.nu)
+            for name in ("K0", "K1", "K2", "K"):
+                assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=4e-15, abs=0.0)
+            assert got.K2plusAlpha == ref.K2plusAlpha
 
 
-class CountingForcing(TrigForcing):
-    at_calls = 0
+def counting_forcing(grid):
+    """A TrigForcing whose envelope counts its calls in the returned list."""
+    g = TrigForcing(grid, seed=9, kmax=2, amplitude=0.5)
+    calls = []
 
-    def at(self, t):
-        self.at_calls += 1
-        return super().at(t)
+    def env(t):
+        calls.append(t)
+        return g.env(t)
+
+    return Forcing(g.base, env, g.env_dt), calls
 
 
 def test_k_profile_repeated_t_makes_no_forcing_calls(grid1d, random_field):
-    g = CountingForcing(grid1d, seed=9, kmax=2, amplitude=0.5)
+    g, env_calls = counting_forcing(grid1d)
     profile = KProfile(random_field, g)
     first = profile(1.0)
-    calls = g.at_calls
+    calls = len(env_calls)
     assert calls > 0
     assert profile(1.0) == first
     assert profile(1.0, 2.0) == first.at_c(2.0)
     # an equal t of another type is the same entry, labelled with the caller's t
     assert profile(1).to_json() == compute_k_constants(random_field, g, 1).to_json()
-    assert g.at_calls > calls  # the fresh profile inside compute_k_constants
-    calls = g.at_calls
+    assert len(env_calls) > calls  # the fresh profile inside compute_k_constants
+    calls = len(env_calls)
     profile(1)
-    assert g.at_calls == calls
+    assert len(env_calls) == calls
     profile(0.5)
-    assert g.at_calls > calls
+    assert len(env_calls) > calls
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
+def test_k_profile_new_t_makes_no_transforms(d, n, monkeypatch):
+    # the forcing's derivative sups come from its base, once per profile
+    grid = GridSpec(d, n, TWO_PI)
+    u0 = make_trig_field(grid, seed=7, kmax=2, amplitude=0.5)
+    profile = KProfile(u0, TrigForcing(grid, seed=9, kmax=2, amplitude=0.5))
+    profile(0.25)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    profile(0.5)
+    assert calls == []

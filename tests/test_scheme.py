@@ -186,8 +186,29 @@ def test_viscosity_roundtrip(grid1d, random_field):
 
 
 def test_viscosity_one_is_identity(grid1d, random_field):
-    u0t, gt = rescale_viscosity(random_field, None, 1.0)
+    g = TrigForcing(grid1d, seed=2, kmax=2, amplitude=0.3)
+    u0t, gt = rescale_viscosity(random_field, g, 1.0)
     assert np.array_equal(u0t.as_array(), random_field.as_array())
+    assert gt is g
+
+
+@pytest.mark.parametrize("nu", [0.25, 4.0])
+def test_rescale_viscosity_forcing(grid1d, random_field, nu):
+    # the unit-frame forcing is g(t / nu) / nu^2, with its time derivative in closed form
+    g = TrigForcing(grid1d, seed=2, kmax=2, amplitude=0.3, omega=1.5)
+    _, gt = rescale_viscosity(random_field, g, nu)
+    for t in (0.0, 0.3 * nu, 1.1 * nu, 2.5 * nu):
+        expect = g.at(t / nu).as_array() / nu**2
+        assert np.allclose(gt.at(t).as_array(), expect, rtol=1e-15, atol=0.0)
+        eps = 1e-5 * nu
+        central = (gt.env(t + eps) - gt.env(t - eps)) / (2 * eps)
+        assert gt.env_dt(t) == pytest.approx(central, rel=1e-8)
+
+
+def test_rescale_viscosity_keeps_zero_forcing_zero(grid1d, random_field):
+    for zero in (None, ZeroForcing(grid1d)):
+        _, gt = rescale_viscosity(random_field, zero, 0.25)
+        assert gt.is_zero and not gt.at(0.7).as_array().any()
 
 
 def test_rescaled_solution_solves_physical_equation():

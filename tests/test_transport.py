@@ -13,7 +13,7 @@ from vburgers.fields import (
     make_trig_field,
     rfft,
 )
-from vburgers.forcing import ConstantForcing, TrigForcing
+from vburgers.forcing import Forcing, TrigForcing
 from vburgers.heat import duhamel_forced_heat, heat_apply, heat_multiplier, n_steps
 from vburgers.norms import sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve
@@ -130,19 +130,10 @@ def test_forced_solution_reproduces_manufactured():
     g = GridSpec(1, 128, TWO_PI)
     x = g.axis_coords()
     u0 = VectorField.from_arrays(g, [np.sin(x)])
-
-    class Manufactured(ConstantForcing):
-        def __init__(self, grid):
-            self.grid = grid
-
-        def at(self, t):
-            return VectorField.from_arrays(self.grid, [np.exp(-t) * np.cos(x)])
-
-        def dt_at(self, t, eps=1e-6):
-            return VectorField.from_arrays(self.grid, [-np.exp(-t) * np.cos(x)])
+    manufactured = Forcing(VectorField.from_arrays(g, [np.cos(x)]), lambda t: np.exp(-t), lambda t: -np.exp(-t))
 
     T, dt = 0.5, 1e-3
-    p = TransportProblem(u0=u0, b=VectorField.constant(g, [1.0]), C=None, f=Manufactured(g), T=T, dt=dt)
+    p = TransportProblem(u0=u0, b=VectorField.constant(g, [1.0]), C=None, f=manufactured, T=T, dt=dt)
     traj = solve_transport(p)
     expect = np.exp(-T) * np.sin(x)
     err = np.abs(traj.frame(len(traj) - 1).components[0].values - expect).max()
@@ -256,9 +247,8 @@ def test_forced_cole_hopf_matches_physical_midpoint(spec):
     _assert_rel_close(traj.values, COLE_HOPF_LAMBDA * gradient_arrays(np.log(phis[:, 0]), spec))
 
 
-@pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
-def test_transport_step_transform_count(spec, monkeypatch):
-    # a step transforms each drift axis and the product at both stages, and the new state once
+def _count_transforms(monkeypatch) -> list:
+    """Record every numpy real transform; fields.rfft / fields.irfft look them up on every call."""
     calls = []
 
     def counted(fn):
@@ -268,11 +258,31 @@ def test_transport_step_transform_count(spec, monkeypatch):
 
         return wrapper
 
-    # fields.rfft / fields.irfft look these up on every call
     for name in ("rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return calls
+
+
+@pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
+def test_transport_step_transform_count(spec, monkeypatch):
+    # a step transforms each drift axis and the product at both stages, and the new state once;
+    # a forcing adds one transform per solve, of its base
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
     b = make_trig_field(spec, seed=4, kmax=2, amplitude=0.4)
+    calls = _count_transforms(monkeypatch)
     steps = 16
-    solve_transport(TransportProblem(u0=u0, b=b, C=None, f=None, T=steps * _REF_DT, dt=_REF_DT))
-    assert len(calls) <= (2 * spec.d + 3) * steps + 4
+    for f in (None, TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)):
+        calls.clear()
+        solve_transport(TransportProblem(u0=u0, b=b, C=None, f=f, T=steps * _REF_DT, dt=_REF_DT))
+        assert len(calls) <= (2 * spec.d + 3) * steps + 4
+
+
+@pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
+def test_forced_duhamel_transform_count(spec, monkeypatch):
+    # the data and the forcing base once each, then one inverse transform per stored state
+    u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
+    f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
+    calls = _count_transforms(monkeypatch)
+    steps = 16
+    duhamel_forced_heat(u0, f, steps * _REF_DT, _REF_DT)
+    assert len(calls) <= steps + 2
