@@ -25,7 +25,7 @@ from . import __version__
 from .errors import ConfigError, DivergenceError, OracleError, ResolutionError, WindowError
 from .fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field, write_snapshot
 from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
-from .heat import heat_apply, holder_scaling_probe, lacunary_field
+from .heat import heat_apply_values, holder_scaling_probe, lacunary_field, n_steps
 from .norms import KProfile, frame_sups, interpolation_gap
 from .oracle import COLE_HOPF_LAMBDA, cole_hopf, residual
 from .scheme import SchemeConfig, compute_t_init, records_to_csv, run_picard, run_summary_json
@@ -249,8 +249,8 @@ def _schauder(run: _Run, out_dir: str) -> bool:
     """Implied constant of the gradient bound across ball scales on pure heat flow."""
     cfg = run.scheme
     grid, T, dt = cfg.grid, cfg.T, cfg.dt
-    n_frames = int(round(T / dt)) + 1
-    traj = Trajectory(grid, 0.0, dt, [heat_apply(run.u0, k * dt) for k in range(n_frames)])
+    u0 = run.u0.values
+    traj = Trajectory(grid, 0.0, dt, np.stack([heat_apply_values(u0, grid, k * dt) for k in range(n_steps(T, dt) + 1)]))
     M = 2.0
     js = [j for j in range(0, -5, -1) if M**j <= T and M ** (j / 2.0) <= grid.L / 2]
     if not js:
@@ -277,7 +277,7 @@ def _interpolation(run: _Run, out_dir: str) -> bool:
     for i in range(n_fields):
         u = make_trig_field(grid, cfg.seed + i, max(2, grid.n // 8), 1.0)
         gaps_space.append(interpolation_gap(u, cfg.alpha, "space", seed=cfg.seed))
-        traj = Trajectory(grid, 0.0, 0.01, [heat_apply(u, 0.01 * k) for k in range(5)])
+        traj = Trajectory(grid, 0.0, 0.01, np.stack([heat_apply_values(u.values, grid, 0.01 * k) for k in range(5)]))
         gaps_time.append(interpolation_gap(traj, cfg.alpha, "spacetime", seed=cfg.seed))
     worst = min(min(gaps_space), min(gaps_time))
     passed = worst >= -1e-10

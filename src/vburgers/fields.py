@@ -3,8 +3,12 @@
 All fields live on a uniform periodic grid with ``n`` points per axis on a
 box of side ``L``.  Derivatives are exact derivatives of the trigonometric
 interpolant, computed with real FFTs (conjugate-symmetric half-spectrum).
-Field values are immutable after construction; every operation returns a
-new object.
+
+A scalar field, a vector field and a trajectory each hold one read-only
+float64 array: ``grid.shape``, ``(d,) + grid.shape`` and
+``(nt, d) + grid.shape``.  The field classes are the API's edges; the
+solvers and checks work on the arrays (the ``*_arrays`` helpers take any
+leading frame and channel axes).  Every operation returns a new object.
 """
 from __future__ import annotations
 
@@ -121,10 +125,15 @@ def dealias_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return irfft(rfft(values, spec) * _dealias_mask(spec), spec)
 
 
-def _as_immutable(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, copy=True)
-    a.flags.writeable = False
-    return a
+def _frozen_samples(values, shape: tuple) -> np.ndarray:
+    """A read-only float64 copy of ``values``, checked for its shape and for finite samples."""
+    v = np.array(values, dtype=np.float64)
+    if v.shape != shape:
+        raise ValueError(f"sample shape {v.shape} != {shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("field contains non-finite samples")
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -133,12 +142,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"sample shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite samples")
-        object.__setattr__(self, "values", _as_immutable(v))
+        object.__setattr__(self, "values", _frozen_samples(self.values, self.grid.shape))
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return ScalarField(self.grid, self.values + other.values)
@@ -154,54 +158,43 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    components: tuple
+    """d components on one grid, held as one read-only (d,) + grid.shape array."""
+
+    grid: GridSpec
+    values: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("vector field needs at least one component")
-        grid = comps[0].grid
-        if any(c.grid != grid for c in comps):
-            raise ValueError("all components must share one GridSpec")
-        if len(comps) != grid.d:
-            raise ValueError(f"expected {grid.d} components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.components[0].grid
+        object.__setattr__(self, "values", _frozen_samples(self.values, (self.grid.d,) + self.grid.shape))
 
     @classmethod
     def from_arrays(cls, grid: GridSpec, arrays) -> "VectorField":
-        return cls(tuple(ScalarField(grid, a) for a in arrays))
+        """From d component arrays (a sequence, or one (d,) + grid.shape array)."""
+        return cls(grid, arrays)
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "VectorField":
-        z = np.zeros(grid.shape)
-        return cls.from_arrays(grid, [z] * grid.d)
+        return cls(grid, np.zeros((grid.d,) + grid.shape))
 
     @classmethod
     def constant(cls, grid: GridSpec, vec) -> "VectorField":
         vec = np.atleast_1d(np.asarray(vec, dtype=np.float64))
         if vec.size != grid.d:
             raise ValueError("constant vector length must equal d")
-        return cls.from_arrays(grid, [np.full(grid.shape, v) for v in vec])
+        return cls(grid, np.broadcast_to(vec.reshape((grid.d,) + (1,) * grid.d), (grid.d,) + grid.shape))
 
-    def as_array(self) -> np.ndarray:
-        """Stack components, shape (d,) + grid.shape."""
-        return np.stack([c.values for c in self.components])
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(sum(c.values**2 for c in self.components))
+    @property
+    def components(self) -> tuple:
+        """The components as ScalarFields, built on request."""
+        return tuple(ScalarField(self.grid, c) for c in self.values)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
+        return VectorField(self.grid, self.values + other.values)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)))
+        return VectorField(self.grid, self.values - other.values)
 
     def __mul__(self, a: float) -> "VectorField":
-        return VectorField(tuple(c * a for c in self.components))
+        return VectorField(self.grid, self.values * float(a))
 
     __rmul__ = __mul__
 
@@ -227,7 +220,7 @@ class Trajectory:
             frames = tuple(v)
             if any(f.grid != self.grid for f in frames):
                 raise ValueError("all frames must share the trajectory GridSpec")
-            v = np.stack([f.as_array() for f in frames])
+            v = np.stack([f.values for f in frames])
         v = np.asarray(v, dtype=np.float64).view()
         if v.shape[1:] != (self.grid.d,) + self.grid.shape:
             raise ValueError(f"trajectory shape {v.shape} != (nt, {self.grid.d}) + {self.grid.shape}")
@@ -248,7 +241,7 @@ class Trajectory:
         return self.t0 + self.dt * (len(self) - 1)
 
     def frame(self, k: int) -> VectorField:
-        return VectorField.from_arrays(self.grid, self.values[k])
+        return VectorField(self.grid, self.values[k])
 
     @property
     def frames(self) -> tuple:
@@ -265,12 +258,15 @@ class Trajectory:
             return k + 1, 0.0
         return k, w
 
-    def at_time(self, t: float) -> VectorField:
-        """Linear interpolation between frames (exact at frame times)."""
+    def values_at(self, t: float) -> np.ndarray:
+        """Linear interpolation between frames (exact at frame times), shape (d,) + grid.shape."""
         k, w = self.locate(t)
         if w == 0.0:
-            return self.frame(k)
-        return VectorField.from_arrays(self.grid, self.values[k] * (1.0 - w) + self.values[k + 1] * w)
+            return self.values[k]
+        return self.values[k] * (1.0 - w) + self.values[k + 1] * w
+
+    def at_time(self, t: float) -> VectorField:
+        return VectorField(self.grid, self.values_at(t))
 
 
 def frame_blocks(nt: int, spec: GridSpec) -> list:
@@ -289,7 +285,7 @@ def frame_blocks(nt: int, spec: GridSpec) -> list:
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField.from_arrays(f.grid, gradient_arrays(f.values, f.grid))
+    return VectorField(f.grid, gradient_arrays(f.values, f.grid))
 
 
 # The array helpers below take sample arrays lead + grid.shape with any
@@ -305,11 +301,6 @@ def gradient_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def laplacian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return irfft(-_ksq_half(spec) * rfft(values, spec), spec)
-
-
-def jacobian_arrays(v: VectorField) -> np.ndarray:
-    """Jacobian (d_i u_j -> [j, i]) of a vector field, shape (d, d) + shape."""
-    return gradient_arrays(v.as_array(), v.grid)
 
 
 def hessian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -345,7 +336,7 @@ def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
 def advect(b: VectorField, u: VectorField) -> VectorField:
     """Dealiased transport nonlinearity (b . grad) u."""
     spec = u.grid
-    return VectorField.from_arrays(spec, advect_arrays(dealias_values(b.as_array(), spec), u.as_array(), spec))
+    return VectorField(spec, advect_arrays(dealias_values(b.values, spec), u.values, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +349,26 @@ def evaluate_many(f: ScalarField, points: np.ndarray) -> np.ndarray:
     ``points`` has shape (p, d); coordinates are wrapped into [0, L).
     Exact at grid nodes.
     """
-    spec = f.grid
+    return evaluate_arrays(f.values[None], f.grid, points)[:, 0]
+
+
+def evaluate_arrays(values: np.ndarray, spec: GridSpec, points: np.ndarray) -> np.ndarray:
+    """``evaluate_many`` of each channel of a (ch,) + grid.shape array; shape (p, ch)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64)) % spec.L
     if pts.shape[1] != spec.d:
         raise ValueError(f"points must have {spec.d} coordinates")
-    coeffs = np.fft.fftn(f.values) / spec.num_nodes
     kvals = _freq_int(spec.n) * (2.0 * np.pi / spec.L)
     phases = [np.exp(1j * np.outer(pts[:, a], kvals)) for a in range(spec.d)]
-    if spec.d == 1:
-        out = phases[0] @ coeffs
-    elif spec.d == 2:
-        out = np.einsum("px,py,xy->p", phases[0], phases[1], coeffs)
-    else:
-        out = np.einsum("px,py,pz,xyz->p", phases[0], phases[1], phases[2], coeffs)
-    return out.real
+    out = np.empty((len(pts), len(values)))
+    for c, channel in enumerate(values):
+        coeffs = np.fft.fftn(channel) / spec.num_nodes
+        if spec.d == 1:
+            out[:, c] = (phases[0] @ coeffs).real
+        elif spec.d == 2:
+            out[:, c] = np.einsum("px,py,xy->p", phases[0], phases[1], coeffs).real
+        else:
+            out[:, c] = np.einsum("px,py,pz,xyz->p", phases[0], phases[1], phases[2], coeffs).real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +418,7 @@ def make_trig_field(spec: GridSpec, seed: int, kmax: int, amplitude: float) -> V
                 full[idx] += coeff
                 full[neg] += np.conj(coeff)
         comps.append((np.fft.ifftn(full) * spec.num_nodes).real)
-    return VectorField.from_arrays(spec, comps)
+    return VectorField(spec, comps)
 
 
 def time_derivative_frames(traj: Trajectory) -> np.ndarray:
@@ -448,8 +445,8 @@ def write_snapshot(v: VectorField, path) -> None:
     """Binary field snapshot: magic 'BFLD', version, d, n, L, ncomp, samples."""
     spec = v.grid
     with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, spec.d, spec.n, spec.L, len(v.components)))
-        fh.write(np.ascontiguousarray(v.as_array(), dtype="<f8").tobytes())
+        fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, spec.d, spec.n, spec.L, len(v.values)))
+        fh.write(np.ascontiguousarray(v.values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> VectorField:
@@ -469,4 +466,4 @@ def read_snapshot(path) -> VectorField:
         if size - _SNAPSHOT_HEADER.size != payload:
             raise ValueError(f"snapshot payload is {size - _SNAPSHOT_HEADER.size} bytes, its header implies {payload}")
         values = np.frombuffer(fh.read(payload), dtype="<f8")
-    return VectorField.from_arrays(spec, values.reshape((ncomp,) + spec.shape))
+    return VectorField(spec, values.reshape((ncomp,) + spec.shape))

@@ -21,8 +21,7 @@ class Forcing:
     def __init__(self, base: VectorField, env=1.0, env_dt=0.0):
         self.grid = base.grid
         self.base = base
-        self.values = base.as_array()
-        self.values.flags.writeable = False
+        self.values = base.values
         self.env = env if callable(env) else (lambda t: env)
         self.env_dt = env_dt if callable(env_dt) else (lambda t: env_dt)
         # read by the transport right-hand side at every stage

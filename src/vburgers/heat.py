@@ -20,6 +20,7 @@ from .fields import (
     rfft,
 )
 from .forcing import Forcing
+from .norms import channel_sup
 
 
 def heat_multiplier(spec: GridSpec, tau: float) -> np.ndarray:
@@ -36,11 +37,9 @@ def heat_apply_values(values: np.ndarray, spec: GridSpec, tau: float) -> np.ndar
 
 def heat_apply(f, tau: float):
     """Exact semigroup e^{tau * Laplacian} on the trigonometric interpolant."""
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, heat_apply_values(f.values, f.grid, tau))
-    if isinstance(f, VectorField):
-        return VectorField.from_arrays(f.grid, heat_apply_values(f.as_array(), f.grid, tau))
-    raise TypeError(f"cannot heat-apply {type(f).__name__}")
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise TypeError(f"cannot heat-apply {type(f).__name__}")
+    return type(f)(f.grid, heat_apply_values(f.values, f.grid, tau))
 
 
 def n_steps(T: float, dt: float) -> int:
@@ -102,7 +101,7 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
     """
     spec = u0.grid
     rhs = None if g.is_zero else (lambda t, u_hat: g.env(t) * g.base_hat)
-    return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, None))
+    return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, rhs, None))
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +129,6 @@ def lacunary_field(spec: GridSpec, alpha: float, seed: int, j_max: int | None = 
         line += 2.0 ** (-j * alpha) * np.cos(2**j * k0 * x + theta[j])
     values = line.reshape((spec.n,) + (1,) * (spec.d - 1)) * np.ones(spec.shape)
     return ScalarField(spec, values)
-
-
-def _derivative_sup(f: ScalarField, kappa: int) -> float:
-    if kappa == 1:
-        g = gradient_arrays(f.values, f.grid)
-        return float(np.sqrt((g**2).sum(axis=0)).max())
-    if kappa == 2:
-        h = hessian_arrays(f.values, f.grid)
-        return float(np.sqrt((h**2).sum(axis=(0, 1))).max())
-    raise ValueError("kappa must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -206,7 +195,12 @@ def holder_scaling_probe(
     else:
         probe = field
 
-    norms = [_derivative_sup(heat_apply(probe, float(t)), kappa) for t in t_arr]
+    # one channel axis for the Hessian's (d, d) axes: its squares are summed in row-major order
+    grid, derivative = probe.grid, gradient_arrays if kappa == 1 else hessian_arrays
+    norms = [
+        channel_sup(derivative(heat_apply_values(probe.values, grid, float(t)), grid).reshape((-1,) + grid.shape))
+        for t in t_arr
+    ]
     logs_t = np.log(t_arr)
     logs_n = np.log(norms)
     slope, intercept = np.polyfit(logs_t, logs_n, 1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .fields import (
     frame_blocks,
     gradient_arrays,
     hessian_arrays,
-    jacobian_arrays,
     time_derivative_frames,
 )
 from .forcing import Forcing
 
 EXHAUSTIVE_PAIR_LIMIT = 2**24
+TIME_PER_STRATUM = 4  # sampled time offsets per dyadic stratum of the parabolic seminorm
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def sup_norm(f) -> float:
     if isinstance(f, ScalarField):
         return float(np.abs(f.values).max())
     if isinstance(f, VectorField):
-        return float(f.magnitude().max())
+        return channel_sup(f.values)
     raise TypeError(f"cannot take sup norm of {type(f).__name__}")
 
 
@@ -71,11 +71,11 @@ def channel_sup(arr: np.ndarray, n_channel_axes: int = 1) -> float:
 
 def grad_sup(v: VectorField) -> float:
     """Frobenius sup norm of the Jacobian."""
-    return channel_sup(jacobian_arrays(v), 2)
+    return channel_sup(gradient_arrays(v.values, v.grid), 2)
 
 
 def hessian_sup(v: VectorField) -> float:
-    return channel_sup(hessian_arrays(v.as_array(), v.grid), 3)
+    return channel_sup(hessian_arrays(v.values, v.grid), 3)
 
 
 def opnorm_sup(m: np.ndarray) -> float:
@@ -134,10 +134,15 @@ def _pair_cap(a: np.ndarray, peak: float) -> float:
     return math.inf if a.any() else 0.0
 
 
-def _by_distance(spec: GridSpec, offsets, alpha: float):
-    """The offsets and their ``dist**alpha``, in order of increasing ``dist**alpha``."""
+@lru_cache(maxsize=256)
+def _ordered_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: bool, alpha: float) -> tuple:
+    """(offsets, their ``dist**alpha``, exhaustive flag) of ``_iso_offsets``, by increasing ``dist**alpha``.
+
+    Memoized: the list depends only on the grid, the sampling and alpha.
+    """
+    offsets, exhaustive = _iso_offsets(spec, seed, per_stratum, force_sampled)
     powered = sorted((_offset_distance(spec, o) ** alpha, o) for o in offsets)
-    return [o for _, o in powered], [p for p, _ in powered]
+    return tuple(o for _, o in powered), tuple(p for p, _ in powered), exhaustive
 
 
 def _pruned_max(a, offsets, denoms, cap: float, best: float, spatial_axes) -> float:
@@ -194,21 +199,14 @@ def iso_seminorm_array(
     if v.shape[1:] != spec.shape:
         raise ValueError("sample shape mismatch")
     spatial_axes = tuple(range(1, spec.d + 1))
-    offsets, exhaustive = _iso_offsets(spec, seed, per_stratum)
-    ordered, dpows = _by_distance(spec, offsets, alpha)
+    ordered, dpows, exhaustive = _ordered_offsets(spec, seed, per_stratum, False, alpha)
     cap = _pair_cap(v, _diff_max(v, (0,) * spec.d, spatial_axes))
     best = _pruned_max(v, ordered, dpows, cap, 0.0, spatial_axes)
-    return HolderEstimate(alpha, "isotropic", best, len(offsets) * spec.num_nodes, exhaustive)
+    return HolderEstimate(alpha, "isotropic", best, len(ordered) * spec.num_nodes, exhaustive)
 
 
 def parabolic_seminorm_array(
-    u: np.ndarray,
-    spec: GridSpec,
-    dt: float,
-    alpha: float,
-    seed: int = 0,
-    per_stratum: int = 8,
-    time_per_stratum: int = 4,
+    u: np.ndarray, spec: GridSpec, dt: float, alpha: float, seed: int = 0, per_stratum: int = 8
 ) -> HolderEstimate:
     """Parabolic seminorm of a space-time array (nt, ch) + shape.
 
@@ -223,7 +221,7 @@ def parabolic_seminorm_array(
     n_points = nt * spec.num_nodes
     exhaustive = n_points**2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
 
-    space_offsets, space_exh = _iso_offsets(spec, seed, per_stratum, force_sampled=not exhaustive)
+    ordered, dpows, space_exh = _ordered_offsets(spec, seed, per_stratum, not exhaustive, alpha)
     if exhaustive and space_exh:
         time_offsets = list(range(nt))
     else:
@@ -233,12 +231,11 @@ def parabolic_seminorm_array(
         s = 2
         while s < nt:
             hi = min(2 * s, nt)
-            for _ in range(time_per_stratum):
+            for _ in range(TIME_PER_STRATUM):
                 qs.add(int(rng.integers(s, hi)))
             s *= 2
         time_offsets = [0] + sorted(q for q in qs if q < nt)
 
-    ordered, dpows = _by_distance(spec, space_offsets, alpha)
     best = 0.0
     pair_count = 0
     for q in time_offsets:
@@ -259,7 +256,7 @@ def _field_channels(f) -> tuple:
     if isinstance(f, ScalarField):
         return f.values[None], f.grid
     if isinstance(f, VectorField):
-        return f.as_array(), f.grid
+        return f.values, f.grid
     raise TypeError(f"cannot compute seminorm of {type(f).__name__}")
 
 
@@ -352,7 +349,7 @@ class KProfile:
     def _datum(self) -> tuple:
         """The t-independent terms: sup, sup grad, sup hess and Hessian seminorm of u0; the three sups of g.base."""
         u0, spec = self.u0, self.u0.grid
-        hess = hessian_arrays(u0.as_array(), spec)
+        hess = hessian_arrays(u0.values, spec)
         seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, self.alpha, self.seed).value
         b = self.g.values
         base_sups = channel_sup(b, 1), channel_sup(gradient_arrays(b, spec), 2), channel_sup(hessian_arrays(b, spec), 3)

@@ -116,4 +116,4 @@ def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Tra
             out += g.env(t) * g.base_hat
         return out
 
-    return Trajectory(spec, 0.0, dt, integrate(u0.as_array(), spec, T, dt, rhs, _blocking_guard(spec)))
+    return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, rhs, _blocking_guard(spec)))

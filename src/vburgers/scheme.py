@@ -22,6 +22,7 @@ from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
 from .transport import TransportProblem, solve_transport
 
 T_INIT_INFINITE = math.inf
+T_INIT_HORIZON = 1e6  # compute_t_init reports T_INIT_INFINITE when t c K(t) < 1 up to here
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,6 @@ def compute_t_init(
     g: Forcing | None,
     c: float = 1.0,
     alpha: float = 0.5,
-    horizon: float = 1e6,
     tol: float = 1e-10,
     kfn=None,
 ) -> float:
@@ -175,7 +175,7 @@ def compute_t_init(
 
     kfn maps a time to the KConstants computed at c = 1 (default: a KProfile
     of u0 and g).  Returns the infinite sentinel when the product never
-    reaches 1 up to the horizon; a constant K (zero forcing) is resolved in
+    reaches 1 up to T_INIT_HORIZON; a constant K (zero forcing) is resolved in
     closed form.
     """
     if g is None:
@@ -195,7 +195,7 @@ def compute_t_init(
     lo, hi = 0.0, 1.0
     while f(hi) < 0:
         lo, hi = hi, hi * 2.0
-        if hi > horizon:
+        if hi > T_INIT_HORIZON:
             return T_INIT_INFINITE
     while True:
         mid = 0.5 * (lo + hi)

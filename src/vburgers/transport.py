@@ -36,7 +36,7 @@ class TransportProblem:
     u0: VectorField
     b: object = None  # None | VectorField | Trajectory
     C: object = None  # None | (d, d) array | (d, d)+shape array | callable t -> array
-    f: Forcing | None = None
+    f: Forcing | None = None  # None: zero forcing, set in __post_init__
     T: float = 1.0
     dt: float = 1e-3
 
@@ -49,7 +49,9 @@ class TransportProblem:
             raise ValueError("drift grid mismatch")
         if isinstance(self.b, Trajectory) and self.b.t_end < self.T - 1e-9 * self.dt:
             raise ValueError("drift trajectory does not cover [0, T]")
-        if self.f is not None and self.f.grid != grid:
+        if self.f is None:
+            self.f = ZeroForcing(grid)
+        elif self.f.grid != grid:
             raise ValueError("source grid mismatch")
 
     @property
@@ -60,12 +62,13 @@ class TransportProblem:
     def n_steps(self) -> int:
         return n_steps(self.T, self.dt)
 
-    def drift_at(self, t: float) -> VectorField | None:
+    def drift_at(self, t: float) -> np.ndarray | None:
+        """The drift array (d,) + grid.shape at time t, or None."""
         if self.b is None:
             return None
         if isinstance(self.b, VectorField):
-            return self.b
-        return self.b.at_time(t)
+            return self.b.values
+        return self.b.values_at(t)
 
     def matrix_at(self, t: float) -> np.ndarray | None:
         if self.C is None:
@@ -73,9 +76,6 @@ class TransportProblem:
         if callable(self.C):
             return np.asarray(self.C(t), dtype=np.float64)
         return np.asarray(self.C, dtype=np.float64)
-
-    def forcing(self) -> Forcing:
-        return self.f if self.f is not None else ZeroForcing(self.grid)
 
 
 def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -90,7 +90,7 @@ def _dealiased_drift(p: TransportProblem):
     if p.b is None:
         return None
     if isinstance(p.b, VectorField):
-        b = dealias_values(p.b.as_array(), p.grid)
+        b = dealias_values(p.b.values, p.grid)
         return lambda t: b
     b = np.empty_like(p.b.values)
     for sl in frame_blocks(len(b), p.grid):
@@ -127,8 +127,7 @@ def _blocking_guard(spec: GridSpec):
 
 def solve_transport(p: TransportProblem) -> Trajectory:
     """Integrating-factor midpoint solve; raises on blocking or divergence."""
-    spec = p.grid
-    g = p.forcing()
+    spec, g = p.grid, p.f
     drift = _dealiased_drift(p)
 
     def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
@@ -140,24 +139,35 @@ def solve_transport(p: TransportProblem) -> Trajectory:
             out -= _apply_matrix_hat(m, u_hat, spec)
         return out
 
-    u = integrate(p.u0.as_array(), spec, p.T, p.dt, rhs, _blocking_guard(spec))
+    u = integrate(p.u0.values, spec, p.T, p.dt, rhs, _blocking_guard(spec))
     return Trajectory(spec, 0.0, p.dt, u)
+
+
+def _log_amplification(p: TransportProblem, times: np.ndarray) -> np.ndarray:
+    """log A(0, t): the trapezoid integral of the sup operator norm of the matrix term."""
+    out = np.zeros(times.size)
+    if p.C is not None:
+        norms = np.array([opnorm_sup(p.matrix_at(float(t))) for t in times])
+        out[1:] = np.cumsum(0.5 * (norms[1:] + norms[:-1]) * np.diff(times))
+    return out
+
+
+def _amplified_integral(log_a: np.ndarray, h: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """int_0^t exp(log_a(t) - log_a(s)) h(s) ds at every t of ``times`` (trapezoid rule, O(nt^2))."""
+    return np.array(
+        [np.trapezoid(np.exp(log_a[k] - log_a[: k + 1]) * h[: k + 1], times[: k + 1]) for k in range(times.size)]
+    )
 
 
 def amplification_factors(p: TransportProblem, times: np.ndarray) -> np.ndarray:
     """A(0, t) = exp of the integrated sup operator norm of the matrix term."""
-    if p.C is None:
-        return np.ones(times.size)
-    norms = np.array([opnorm_sup(p.matrix_at(float(t))) for t in times])
-    out = np.zeros(times.size)
-    out[1:] = np.cumsum(0.5 * (norms[1:] + norms[:-1]) * np.diff(times))
-    return np.exp(out)
+    return np.exp(_log_amplification(p, times))
 
 
 def mp_tolerance(p: TransportProblem, scale: float | None = None) -> float:
     """Discrete maximum-principle tolerance: O(dt^2) plus a rounding floor."""
     if scale is None:
-        g = p.forcing()
+        g = p.f
         times = np.arange(p.n_steps + 1) * p.dt
         env = max(abs(g.env(float(t))) for t in times[:: max(1, p.n_steps // 8)])
         scale = sup_norm(p.u0) + p.T * env * channel_sup(g.values)
@@ -168,13 +178,8 @@ def max_principle_slack(traj: Trajectory, p: TransportProblem) -> np.ndarray:
     """Per-frame slack RHS - ||u_t||_inf of the maximum-principle bound."""
     if traj.grid != p.grid:
         raise ValueError("trajectory grid does not match the problem grid")
-    times = traj.times
-    cumint = np.log(amplification_factors(p, times))
-    g = p.forcing()
+    times, g = traj.times, p.f
+    log_a = _log_amplification(p, times)
     f_sup = np.abs([g.env(float(t)) for t in times]) * channel_sup(g.values)
-    u0_sup = sup_norm(p.u0)
-    rhs = np.empty(times.size)
-    for k in range(times.size):
-        weights = np.exp(cumint[k] - cumint[: k + 1])
-        rhs[k] = np.exp(cumint[k] - cumint[0]) * u0_sup + np.trapezoid(weights * f_sup[: k + 1], times[: k + 1])
+    rhs = np.exp(log_a) * sup_norm(p.u0) + _amplified_integral(log_a, f_sup, times)
     return rhs - frame_sups(traj.values, 1)

@@ -19,19 +19,23 @@ import numpy as np
 from .errors import OracleError, WindowError
 from .fields import (
     GridSpec,
-    ScalarField,
     Trajectory,
-    evaluate_many,
+    evaluate_arrays,
     frame_blocks,
     gradient_arrays,
     laplacian_arrays,
     time_derivative_frames,
 )
 from .norms import channel_sup, frame_sups, opnorm_sup
-from .transport import TransportProblem, solve_transport
+from .transport import TransportProblem, _amplified_integral, _log_amplification, solve_transport
 
 SCHAUDER_FORMS = ("grad_sup", "grad_holder", "second_sup", "second_holder")
 ROUNDING_FLOOR = 1e3 * np.finfo(float).eps  # relative to the largest iterate norm
+CHECK_TOL = 1e-9  # slack tolerance of the uniform and short-time reports
+SAMPLE_TIMES = 33  # frames sampled by the uniform checks
+C_STAR_HI, C_STAR_REL_TOL, C_STAR_TOL = 1e8, 1e-3, 1e-12  # fit_c_star's range top, log-width and slack
+BALL_SEED = 0  # directions of the 3-D ball samples
+BALL_TIMES, BALL_RADII, BALL_DIRECTIONS = 7, 4, 8  # ball sample layout
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +103,7 @@ def _make_report(name, params, times, lhs, rhs, c_star, tol=1e-12) -> BoundRepor
     return BoundReport(name, dict(params), times, lhs, rhs, float(c_star), verdict, worst_t, worst_ratio)
 
 
-def fit_c_star(lhs, rhs_fn, lo: float = 1e-4, hi: float = 1e8, rel_tol: float = 1e-3, tol: float = 1e-12) -> float:
+def fit_c_star(lhs, rhs_fn, lo: float = 1e-4) -> float:
     """Minimal c with lhs <= rhs_fn(c) everywhere, assuming rhs nondecreasing in c.
 
     Conventions: an all-zero LHS or a c-independent RHS that already holds
@@ -108,19 +112,19 @@ def fit_c_star(lhs, rhs_fn, lo: float = 1e-4, hi: float = 1e8, rel_tol: float = 
     lhs = np.asarray(lhs, dtype=float)
 
     def ok(c: float) -> bool:
-        return bool(np.all(lhs <= np.asarray(rhs_fn(c), dtype=float) + tol))
+        return bool(np.all(lhs <= np.asarray(rhs_fn(c), dtype=float) + C_STAR_TOL))
 
     if lhs.size == 0 or not np.any(lhs > 0):
         return 1.0
-    if not ok(hi):
+    if not ok(C_STAR_HI):
         return math.inf
-    r_lo, r_hi = np.asarray(rhs_fn(lo), dtype=float), np.asarray(rhs_fn(hi), dtype=float)
+    r_lo, r_hi = np.asarray(rhs_fn(lo), dtype=float), np.asarray(rhs_fn(C_STAR_HI), dtype=float)
     if np.allclose(r_lo, r_hi, rtol=1e-12, atol=0.0):
         return 1.0
     if ok(lo):
         return lo
-    a, b = math.log(lo), math.log(hi)
-    while b - a > rel_tol:
+    a, b = math.log(lo), math.log(C_STAR_HI)
+    while b - a > C_STAR_REL_TOL:
         m = 0.5 * (a + b)
         if ok(math.exp(m)):
             b = m
@@ -133,14 +137,13 @@ def fit_c_star(lhs, rhs_fn, lo: float = 1e-4, hi: float = 1e8, rel_tol: float = 
 # uniform estimates
 
 
-def _sample_indices(n: int, max_points: int = 33) -> np.ndarray:
-    if n <= max_points:
+def _sample_indices(n: int) -> np.ndarray:
+    if n <= SAMPLE_TIMES:
         return np.arange(n)
-    idx = np.unique(np.round(np.linspace(0, n - 1, max_points)).astype(int))
-    return idx
+    return np.unique(np.round(np.linspace(0, n - 1, SAMPLE_TIMES)).astype(int))
 
 
-def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float = 1e-9, max_points: int = 33) -> dict:
+def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5) -> dict:
     """Check the iterate-uniform bounds against the reference constants.
 
     Four sub-reports: sup of u against K0; sup of the gradient against K;
@@ -149,7 +152,7 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float =
     kfn maps a time to the KConstants computed at c = 1.
     """
     times = records[0].times
-    idx = _sample_indices(len(times), max_points)
+    idx = _sample_indices(len(times))
     ts = times[idx]
     kcs = [kfn(float(t)) for t in ts]
 
@@ -160,7 +163,7 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float =
     rhs_u = np.array([kc.K0 for kc in kcs])
     rep_u = _make_report(
         "uniform_sup", {"c": c, "alpha": alpha}, ts, lhs_u, rhs_u,
-        fit_c_star(lhs_u, lambda _: rhs_u), tol,
+        fit_c_star(lhs_u, lambda _: rhs_u), CHECK_TOL,
     )
 
     def rhs_g(cc):
@@ -168,7 +171,7 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float =
 
     rep_g = _make_report(
         "uniform_grad", {"c": c, "alpha": alpha}, ts, lhs_g, rhs_g(c),
-        fit_c_star(lhs_g, rhs_g, lo=1.0), tol,
+        fit_c_star(lhs_g, rhs_g, lo=1.0), CHECK_TOL,
     )
 
     def rhs_2(cc):
@@ -176,7 +179,7 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float =
 
     rep_2 = _make_report(
         "uniform_second", {"c": c, "alpha": alpha}, ts, lhs_2, rhs_2(c),
-        fit_c_star(lhs_2, rhs_2, lo=1.0), tol,
+        fit_c_star(lhs_2, rhs_2, lo=1.0), CHECK_TOL,
     )
 
     kc_T = kcs[-1]
@@ -187,7 +190,7 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float =
 
     rep_h = _make_report(
         "uniform_holder", {"c": c, "alpha": alpha}, ts[-1:], lhs_h, rhs_h(c),
-        fit_c_star(lhs_h, rhs_h, lo=1.0), tol,
+        fit_c_star(lhs_h, rhs_h, lo=1.0), CHECK_TOL,
     )
     return {"sup": rep_u, "grad": rep_g, "second": rep_2, "holder": rep_h}
 
@@ -196,7 +199,7 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5, tol: float =
 # short-time estimates
 
 
-def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25, tol: float = 1e-9) -> dict:
+def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25) -> dict:
     """Check the per-iterate contraction bounds inside the short-time window.
 
     For iterate m the window is t <= min(T, m / (c K(T))) with K evaluated
@@ -257,11 +260,11 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25, tol: floa
     params = {"c": c, "beta": beta, "T": T, "m_list": sorted(set(int(m) for m in rows_m))}
     rep_v = _make_report(
         "short_time_sup", {**params, "fitted_exponent": exp_v}, rows_t, lhs_v, rhs_v(c),
-        fit_c_star(lhs_v, rhs_v, lo=1.0), tol,
+        fit_c_star(lhs_v, rhs_v, lo=1.0), CHECK_TOL,
     )
     rep_gv = _make_report(
         "short_time_grad", {**params, "fitted_exponent": exp_gv}, rows_t, lhs_gv, rhs_gv(c),
-        fit_c_star(lhs_gv, rhs_gv, lo=1.0), tol,
+        fit_c_star(lhs_gv, rhs_gv, lo=1.0), CHECK_TOL,
     )
     return {"sup": rep_v, "grad": rep_gv}
 
@@ -279,7 +282,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
     """
     if p.grid != p_bar.grid:
         raise ValueError("transport problems live on different grids")
-    if not np.array_equal(p.u0.as_array(), p_bar.u0.as_array()):
+    if not np.array_equal(p.u0.values, p_bar.u0.values):
         raise ValueError("the stability bound requires the same initial condition")
     if p.T != p_bar.T or p.dt != p_bar.dt:
         raise ValueError("time horizons must agree")
@@ -288,11 +291,11 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
     phi_bar = solve_transport(p_bar)
     times = phi.times
     nt = len(times)
-    g, g_bar = p.forcing(), p_bar.forcing()
+    g, g_bar = p.f, p_bar.f
 
     def drift_arr(q, t):
         b = q.drift_at(t)
-        return b.as_array() if b is not None else 0.0
+        return b if b is not None else 0.0
 
     u, u_bar = phi.values, phi_bar.values
     sups = [
@@ -300,11 +303,9 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
         for sl in frame_blocks(nt, p.grid)
     ]
     sup_phi, grad_phi, lhs = map(np.concatenate, zip(*sups))
-    opn_bar = np.empty(nt)
     integrand = np.empty(nt)
     for k, t in enumerate(times):
         cm = p_bar.matrix_at(t)
-        opn_bar[k] = opnorm_sup(cm) if cm is not None else 0.0
         db = np.asarray(drift_arr(p_bar, t) - drift_arr(p, t))
         b_diff = np.sqrt((db**2).sum(axis=0)).max() if db.ndim else float(abs(db))
         c0 = p.matrix_at(t)
@@ -317,12 +318,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
         f_diff = channel_sup(g_bar.env(t) * g_bar.values - g.env(t) * g.values)
         integrand[k] = b_diff * grad_phi[k] + c_diff * sup_phi[k] + f_diff
 
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (opn_bar[1:] + opn_bar[:-1]) * np.diff(times))])
-    rhs = np.empty(nt)
-    rhs[0] = 0.0
-    for k in range(1, nt):
-        w = np.exp(cum[k] - cum[: k + 1])
-        rhs[k] = np.trapezoid(w * integrand[: k + 1], times[: k + 1])
+    rhs = _amplified_integral(_log_amplification(p_bar, times), integrand, times)
 
     if tol is None:
         scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
@@ -371,19 +367,19 @@ class ParabolicBall:
             raise WindowError("parabolic ball does not fit inside the torus")
 
 
-def _ball_fractions(d: int, n_t: int, n_r: int, n_dir: int, seed: int):
+def _ball_fractions(d: int):
     """Sample layout in normalized ball coordinates (shared across scales)."""
-    taus = np.linspace(0.0, 1.0, n_t)
+    taus = np.linspace(0.0, 1.0, BALL_TIMES)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif d == 2:
-        ang = 2 * np.pi * np.arange(n_dir) / n_dir
+        ang = 2 * np.pi * np.arange(BALL_DIRECTIONS) / BALL_DIRECTIONS
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n_dir, 3))
+        rng = np.random.default_rng(BALL_SEED)
+        raw = rng.standard_normal((BALL_DIRECTIONS, 3))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    rhos = np.linspace(1.0 / n_r, 1.0, n_r)
+    rhos = np.linspace(1.0 / BALL_RADII, 1.0, BALL_RADII)
     offs = [np.zeros(d)]
     for r in rhos:
         for u in dirs:
@@ -395,12 +391,6 @@ def _ball_points(ball: ParabolicBall, taus, offs):
     ts = ball.t0 - ball.M**ball.j * taus
     pts = np.asarray(ball.x0) + ball.radius * offs
     return ts, pts
-
-
-def _eval_channels(values: np.ndarray, grid: GridSpec, pts: np.ndarray) -> np.ndarray:
-    """values: (ch,) + grid.shape -> (npts, ch) by trigonometric interpolation."""
-    cols = [evaluate_many(ScalarField(grid, ch), pts) for ch in values]
-    return np.stack(cols, axis=1)
 
 
 def _interp_frames(arrs: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
@@ -454,11 +444,6 @@ def check_schauder_instance(
     ball: ParabolicBall,
     alpha: float = 0.5,
     which: str = "grad_sup",
-    alpha_prime: float | None = None,
-    seed: int = 0,
-    n_t: int = 7,
-    n_r: int = 4,
-    n_dir: int = 8,
     residual_tol: float = 1e-5,
 ) -> BoundReport:
     """One local gradient estimate for (d/dt - Lap + a) u = b . grad u + f.
@@ -467,23 +452,21 @@ def check_schauder_instance(
     "grad_holder", "second_sup" (time derivative and Hessian sups), or
     "second_holder".  The right-hand side is assembled exactly, including
     the drift penalty R_b = (1 + M^{j/2} |b(t0, x0)|)^{-1}; the reported
-    c_star is the implied constant LHS / RHS.
+    c_star is the implied constant LHS / RHS.  The "second_holder" form
+    uses alpha' = (alpha + 1) / 2.
     """
     if which not in SCHAUDER_FORMS:
         raise ValueError(f"which must be one of {SCHAUDER_FORMS}")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if alpha_prime is None:
-        alpha_prime = (alpha + 1.0) / 2.0
-    if which == "second_holder" and alpha_prime <= alpha:
-        raise ValueError("alpha_prime must exceed alpha")
+    alpha_prime = (alpha + 1.0) / 2.0
     ball.validate_against(u)
     grid = u.grid
     d, ncomp = grid.d, u.values.shape[1]
     M, j = ball.M, ball.j
     inner = ball.shrunk()
 
-    taus, offs = _ball_fractions(d, n_t, n_r, n_dir, seed)
+    taus, offs = _ball_fractions(d)
     ts_out, pts_out = _ball_points(ball, taus, offs)
     ts_in, pts_in = _ball_points(inner, taus, offs)
 
@@ -495,7 +478,7 @@ def check_schauder_instance(
     dt_arr = time_derivative_frames(u)
 
     def sample(arrs, ts, pts):
-        return np.stack([_eval_channels(_interp_frames(arrs, times, t), grid, pts) for t in ts])
+        return np.stack([evaluate_arrays(_interp_frames(arrs, times, t), grid, pts) for t in ts])
 
     # hypothesis checks: nonnegative zeroth-order coefficient, u solves the PDE
     a_out = np.stack([_coeff_at(a, t, pts_out, 1)[:, 0] for t in ts_out])
@@ -564,7 +547,7 @@ def check_schauder_instance(
     implied = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     params = {
         "which": which, "alpha": alpha, "alpha_prime": alpha_prime, "M": M, "j": j,
-        "R_b": R_b, "sup_u": sup_u, "residual": res_max, "seed": seed,
+        "R_b": R_b, "sup_u": sup_u, "residual": res_max, "seed": BALL_SEED,
     }
     return _make_report(f"schauder_{which}", params, np.array([ball.t0]), np.array([lhs]), np.array([rhs]), implied)
 

@@ -72,7 +72,7 @@ def test_criterion_01_oracle_equivalence(cole_hopf_run):
     g, phi0, u0, fp, elapsed = cole_hopf_run
     exact = cole_hopf(phi0, T=1.0, dt=1e-3)
     diff = max(
-        sup_norm(VectorField.from_arrays(g, fp.frame(k).as_array() - exact.frame(k).as_array()))
+        sup_norm(VectorField.from_arrays(g, fp.frame(k).values - exact.frame(k).values))
         for k in range(len(fp))
     )
     ok = diff <= 1e-5 and elapsed < 30.0

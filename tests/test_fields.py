@@ -14,8 +14,8 @@ from vburgers.fields import (
     advect,
     evaluate_many,
     gradient,
+    gradient_arrays,
     hessian_arrays,
-    jacobian_arrays,
     laplacian_arrays,
     make_trig_field,
     read_snapshot,
@@ -61,7 +61,7 @@ def test_gradient_wavenumber_uses_domain_length():
 def test_jacobian_shape_and_values(grid2d):
     xx, yy = grid2d.mesh()
     v = VectorField.from_arrays(grid2d, [np.sin(yy), np.cos(xx)])
-    jac = jacobian_arrays(v)
+    jac = gradient_arrays(v.values, grid2d)
     assert jac.shape == (2, 2) + grid2d.shape
     # d(sin y)/dx = 0, d(sin y)/dy = cos y
     assert np.abs(jac[0, 0]).max() < 1e-10
@@ -111,7 +111,7 @@ def test_trig_interpolation_matches_closed_form_off_nodes(grid1d):
 def test_make_trig_field_deterministic_and_band_limited(grid1d):
     a = make_trig_field(grid1d, seed=5, kmax=3, amplitude=1.0)
     b = make_trig_field(grid1d, seed=5, kmax=3, amplitude=1.0)
-    assert np.array_equal(a.as_array(), b.as_array())
+    assert np.array_equal(a.values, b.values)
     spec = np.fft.rfft(a.components[0].values)
     assert np.abs(spec[4:]).max() < 1e-12 * max(1.0, np.abs(spec).max())
     with pytest.raises(ResolutionError):
@@ -122,7 +122,7 @@ def test_trajectory_interpolation(grid1d, sin_field):
     frames = tuple(sin_field * (1.0 + k) for k in range(4))
     traj = Trajectory(grid1d, 0.0, 0.5, frames)
     mid = traj.at_time(0.25)
-    assert np.allclose(mid.as_array(), 1.5 * sin_field.as_array(), atol=1e-14)
+    assert np.allclose(mid.values, 1.5 * sin_field.values, atol=1e-14)
     assert traj.t_end == pytest.approx(1.5)
 
 
@@ -132,7 +132,7 @@ def test_time_derivative_frames_second_order(grid1d, sin_field):
     frames = tuple(sin_field * float(np.exp(k * dt)) for k in range(5))
     traj = Trajectory(grid1d, 0.0, dt, frames)
     d = time_derivative_frames(traj)
-    expect = np.exp(2 * dt) * sin_field.as_array()
+    expect = np.exp(2 * dt) * sin_field.values
     assert np.abs(d[2] - expect).max() < 1e-6
 
 
@@ -142,7 +142,7 @@ def test_snapshot_roundtrip(tmp_path, grid2d):
     write_snapshot(v, p)
     w = read_snapshot(p)
     assert w.grid == grid2d
-    assert np.array_equal(w.as_array(), v.as_array())
+    assert np.array_equal(w.values, v.values)
 
 
 def _valid_snapshot(tmp_path) -> bytes:
@@ -186,7 +186,7 @@ def test_snapshot_reader_valid_or_value_error(tmp_path, data):
 
 
 def test_trajectory_wraps_array_read_only(grid1d, sin_field):
-    arr = np.stack([sin_field.as_array() * k for k in range(3)])
+    arr = np.stack([sin_field.values * k for k in range(3)])
     traj = Trajectory(grid1d, 0.0, 0.1, arr)
     assert np.shares_memory(traj.values, arr)
     assert not traj.values.flags.writeable and arr.flags.writeable
@@ -194,12 +194,38 @@ def test_trajectory_wraps_array_read_only(grid1d, sin_field):
         traj.values[0, 0, 0] = 1.0
     again = Trajectory(grid1d, 0.0, 0.1, traj.frames)
     assert np.array_equal(again.values, arr)
-    assert np.array_equal(traj.frame(2).as_array(), arr[2])
+    assert np.array_equal(traj.frame(2).values, arr[2])
     arr[1, 0, 3] = np.nan
     with pytest.raises(ValueError):
         Trajectory(grid1d, 0.0, 0.1, arr)
     with pytest.raises(ValueError):
         Trajectory(grid1d, 0.0, 0.1, arr[:, :, :32])
+
+
+def test_vector_field_is_one_read_only_array(grid2d):
+    src = np.stack([np.sin(m) for m in grid2d.mesh()])
+    v = VectorField(grid2d, src)
+    src[0, 0, 0] = 5.0  # the field holds its own copy
+    assert v.values[0, 0, 0] == 0.0 and not np.shares_memory(v.values, src)
+    assert v.values.shape == (2,) + grid2d.shape and v.values.dtype == np.float64
+    assert not v.values.flags.writeable
+    with pytest.raises(ValueError):
+        v.values[1, 0, 0] = 1.0
+    for i, c in enumerate(v.components):
+        assert isinstance(c, ScalarField) and np.array_equal(c.values, v.values[i])
+    for bad_shape in (src[:1], src[:, :, :16], src[:, :, :, None]):
+        with pytest.raises(ValueError):
+            VectorField(grid2d, bad_shape)
+    for bad_sample in (np.nan, np.inf, -np.inf):
+        bad = src.copy()
+        bad[1, 3, 4] = bad_sample
+        with pytest.raises(ValueError):
+            VectorField(grid2d, bad)
+        with pytest.raises(ValueError):
+            VectorField.from_arrays(grid2d, list(bad))
+    traj = Trajectory(grid2d, 0.0, 0.1, np.stack([v.values * k for k in range(3)]))
+    for k in range(3):
+        assert np.array_equal(traj.frame(k).values, traj.values[k])
 
 
 def test_snapshot_magic(tmp_path, random_field):

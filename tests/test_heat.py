@@ -25,7 +25,7 @@ def test_heat_decays_single_mode(grid1d):
 def test_heat_semigroup_property(random_field):
     a = heat_apply(heat_apply(random_field, 0.1), 0.15)
     b = heat_apply(random_field, 0.25)
-    assert np.allclose(a.as_array(), b.as_array(), atol=1e-13)
+    assert np.allclose(a.values, b.values, atol=1e-13)
 
 
 def test_heat_preserves_mean(grid1d, random_field):
@@ -42,7 +42,7 @@ def test_heat_rejects_negative_time(random_field):
 def test_duhamel_zero_forcing_is_pure_heat(grid1d, random_field):
     traj = duhamel_forced_heat(random_field, ZeroForcing(grid1d), 0.5, 1e-2)
     expect = heat_apply(random_field, 0.5)
-    assert np.allclose(traj.frame(len(traj) - 1).as_array(), expect.as_array(), atol=1e-12)
+    assert np.allclose(traj.frame(len(traj) - 1).values, expect.values, atol=1e-12)
 
 
 def test_duhamel_constant_forcing_constant_mode():
@@ -59,8 +59,8 @@ def test_duhamel_quadrature_second_order(grid1d, random_field):
     coarse = duhamel_forced_heat(random_field, force, 0.5, 1e-2)
     fine = duhamel_forced_heat(random_field, force, 0.5, 5e-3)
     ref = duhamel_forced_heat(random_field, force, 0.5, 1.25e-3)
-    e_c = np.abs(coarse.frame(-1 % len(coarse)).as_array() - ref.frame(-1 % len(ref)).as_array()).max()
-    e_f = np.abs(fine.frame(-1 % len(fine)).as_array() - ref.frame(-1 % len(ref)).as_array()).max()
+    e_c = np.abs(coarse.frame(-1 % len(coarse)).values - ref.frame(-1 % len(ref)).values).max()
+    e_f = np.abs(fine.frame(-1 % len(fine)).values - ref.frame(-1 % len(ref)).values).max()
     assert e_f < e_c / 3.0  # ~4x for a second-order rule
 
 
@@ -109,6 +109,6 @@ def test_heat_commutes_with_gradient(grid1d):
 
     x = grid1d.axis_coords()
     f = ScalarField(grid1d, np.sin(2 * x) + 0.2 * np.cos(4 * x))
-    a = gradient(ScalarField(grid1d, heat_apply(VectorField((f,)), 0.3).components[0].values))
+    a = gradient(ScalarField(grid1d, heat_apply(VectorField(grid1d, f.values[None]), 0.3).components[0].values))
     b = heat_apply(gradient(f), 0.3)
-    assert np.allclose(a.as_array(), b.as_array(), atol=1e-12)
+    assert np.allclose(a.values, b.values, atol=1e-12)

@@ -295,7 +295,7 @@ def test_sin_seminorm_feeds_k2alpha(grid1d, sin_field):
 def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
     """K(t) one frame at a time: per-frame sups of g.at(s) and g.base * env_dt(s), and a trapezoid on 64 steps."""
     spec = u0.grid
-    hess = hessian_arrays(u0.as_array(), spec)
+    hess = hessian_arrays(u0.values, spec)
     hess_seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, alpha, seed).value
     sup_u0, grad_u0, hess_u0 = sup_norm(u0), grad_sup(u0), channel_sup(hess, 3)
     int_g = int_dg = int_hess_dt = g_seminorm = 0.0

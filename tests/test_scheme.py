@@ -65,7 +65,7 @@ def test_constant_data_is_fixed_point(grid1d):
     assert conv
     for rec in recs[1:]:
         assert rec.sup_v.max() < 1e-12
-    assert np.allclose(fp.frame(len(fp) - 1).as_array(), 0.7, atol=1e-12)
+    assert np.allclose(fp.frame(len(fp) - 1).values, 0.7, atol=1e-12)
 
 
 def test_picard_converges_and_solves(grid1d):
@@ -173,22 +173,22 @@ def test_series_majorant_property(gamma, ck, t):
 def test_viscosity_roundtrip(grid1d, random_field):
     nu = 0.5
     u0t, gt = rescale_viscosity(random_field, None, nu)
-    assert np.allclose(u0t.as_array(), random_field.as_array() / nu, atol=1e-15)
+    assert np.allclose(u0t.values, random_field.values / nu, atol=1e-15)
     cfg = small_cfg(grid1d)
     recs, fp, conv = run_picard(cfg, u0t, gt)
     phys, weights = unrescale(fp, nu)
     assert phys.dt == pytest.approx(cfg.dt / nu)
     assert weights["grad"] == pytest.approx(1.0 / nu)
     assert weights["hess"] == pytest.approx(1.0 / nu**2)
-    back = np.stack([f.as_array() for f in phys.frames])
-    orig = np.stack([f.as_array() for f in fp.frames])
+    back = np.stack([f.values for f in phys.frames])
+    orig = np.stack([f.values for f in fp.frames])
     assert np.allclose(back, nu * orig, atol=1e-14)
 
 
 def test_viscosity_one_is_identity(grid1d, random_field):
     g = TrigForcing(grid1d, seed=2, kmax=2, amplitude=0.3)
     u0t, gt = rescale_viscosity(random_field, g, 1.0)
-    assert np.array_equal(u0t.as_array(), random_field.as_array())
+    assert np.array_equal(u0t.values, random_field.values)
     assert gt is g
 
 
@@ -198,8 +198,8 @@ def test_rescale_viscosity_forcing(grid1d, random_field, nu):
     g = TrigForcing(grid1d, seed=2, kmax=2, amplitude=0.3, omega=1.5)
     _, gt = rescale_viscosity(random_field, g, nu)
     for t in (0.0, 0.3 * nu, 1.1 * nu, 2.5 * nu):
-        expect = g.at(t / nu).as_array() / nu**2
-        assert np.allclose(gt.at(t).as_array(), expect, rtol=1e-15, atol=0.0)
+        expect = g.at(t / nu).values / nu**2
+        assert np.allclose(gt.at(t).values, expect, rtol=1e-15, atol=0.0)
         eps = 1e-5 * nu
         central = (gt.env(t + eps) - gt.env(t - eps)) / (2 * eps)
         assert gt.env_dt(t) == pytest.approx(central, rel=1e-8)
@@ -208,7 +208,7 @@ def test_rescale_viscosity_forcing(grid1d, random_field, nu):
 def test_rescale_viscosity_keeps_zero_forcing_zero(grid1d, random_field):
     for zero in (None, ZeroForcing(grid1d)):
         _, gt = rescale_viscosity(random_field, zero, 0.25)
-        assert gt.is_zero and not gt.at(0.7).as_array().any()
+        assert gt.is_zero and not gt.at(0.7).values.any()
 
 
 def test_rescaled_solution_solves_physical_equation():
@@ -228,7 +228,7 @@ def test_rescaled_solution_solves_physical_equation():
     for k in range(1, len(phys) - 1):
         f = phys.frame(k)
         lap = np.stack([laplacian_arrays(c.values, g) for c in f.components])
-        adv = advect(f, f).as_array()
+        adv = advect(f, f).values
         worst = max(worst, np.abs(dts[k] - nu * lap + adv).max())
     assert worst < 1e-4
 
@@ -269,7 +269,7 @@ def test_records_match_per_frame_reference(d, n, T):
         "sup_v": [sup_norm(f - p) for f, p in zip(frames, prev_frames)],
         "sup_grad_v": [grad_sup(f - p) for f, p in zip(frames, prev_frames)],
     }
-    hess = np.stack([hessian_arrays(f.as_array(), g).reshape((d**3,) + g.shape) for f in frames])
+    hess = np.stack([hessian_arrays(f.values, g).reshape((d**3,) + g.shape) for f in frames])
     ref["holder_hess"] = parabolic_seminorm_array(hess, g, cfg.dt, cfg.alpha, cfg.seed).value
     ref["holder_dt"] = parabolic_seminorm_array(dts, g, cfg.dt, cfg.alpha, cfg.seed).value
     for name, expect in ref.items():

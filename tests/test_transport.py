@@ -32,7 +32,7 @@ def test_zero_drift_reduces_to_heat(grid1d, random_field):
     p = TransportProblem(u0=random_field, b=None, C=None, f=None, T=0.5, dt=1e-3)
     traj = solve_transport(p)
     expect = heat_apply(random_field, 0.5)
-    err = np.abs(traj.frame(len(traj) - 1).as_array() - expect.as_array()).max()
+    err = np.abs(traj.frame(len(traj) - 1).values - expect.values).max()
     assert err < 1e-12  # diffusion handled exactly by the integrating factor
 
 
@@ -54,10 +54,10 @@ def test_stepper_second_order(grid1d, random_field):
     b = make_trig_field(grid1d, seed=2, kmax=3, amplitude=0.5)
     errs = []
     ref = solve_transport(TransportProblem(u0=random_field, b=b, C=None, f=None, T=0.25, dt=1 / 4096))
-    ref_final = ref.frame(len(ref) - 1).as_array()
+    ref_final = ref.frame(len(ref) - 1).values
     for dt in (1 / 256, 1 / 512):
         traj = solve_transport(TransportProblem(u0=random_field, b=b, C=None, f=None, T=0.25, dt=dt))
-        errs.append(np.abs(traj.frame(len(traj) - 1).as_array() - ref_final).max())
+        errs.append(np.abs(traj.frame(len(traj) - 1).values - ref_final).max())
     assert errs[1] < errs[0] / 3.2  # ~4x halving dt
 
 
@@ -122,7 +122,7 @@ def test_time_varying_drift_accepts_trajectory(grid1d, random_field):
     p = TransportProblem(u0=random_field, b=drift, C=None, f=None, T=0.25, dt=1 / 512)
     traj = solve_transport(p)
     assert len(traj) == 129
-    assert np.isfinite(traj.frame(128).as_array()).all()
+    assert np.isfinite(traj.frame(128).values).all()
 
 
 def test_forced_solution_reproduces_manufactured():
@@ -180,7 +180,7 @@ def _ref_datum(spec):
     """Band-limited data plus a faint mode above the two-thirds cut (below the blocking gate),
     so that every dealiasing mask of the right-hand side shows in the solution."""
     high = 1e-4 * np.cos((spec.n // 3 + 1) * spec.mesh()[0])
-    return VectorField.from_arrays(spec, make_trig_field(spec, seed=3, kmax=2, amplitude=0.5).as_array() + high)
+    return VectorField.from_arrays(spec, make_trig_field(spec, seed=3, kmax=2, amplitude=0.5).values + high)
 
 
 @pytest.mark.parametrize("matrix", ["constant", "field"])
@@ -188,7 +188,7 @@ def _ref_datum(spec):
 def test_solve_transport_matches_physical_midpoint(spec, matrix):
     d = spec.d
     u0 = _ref_datum(spec)
-    frames = make_trig_field(spec, seed=4, kmax=2, amplitude=0.4).as_array()
+    frames = make_trig_field(spec, seed=4, kmax=2, amplitude=0.4).values
     # a drift that changes between its frames, so the midpoint stages interpolate
     drift = Trajectory(spec, 0.0, 2 * _REF_DT, np.stack([frames * (1.0 + 0.5 * k) for k in range(9)]))
     f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3, omega=2.0)
@@ -207,9 +207,9 @@ def test_solve_transport_matches_physical_midpoint(spec, matrix):
         bt = b[k] if w == 0.0 else b[k] * (1.0 - w) + b[k + 1] * w
         m = C(t) if callable(C) else C
         cu = np.tensordot(m, u, axes=(1, 0)) if m.ndim == 2 else np.einsum("ij...,j...->i...", m, u)
-        return f.at(t).as_array() - _physical_advect(bt, u, spec) - cu
+        return f.at(t).values - _physical_advect(bt, u, spec) - cu
 
-    _assert_rel_close(traj.values, _physical_midpoint(u0.as_array(), spec, _REF_T, _REF_DT, rhs))
+    _assert_rel_close(traj.values, _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, rhs))
 
 
 @pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
@@ -219,9 +219,9 @@ def test_direct_solve_matches_physical_midpoint(spec):
     traj = direct_solve(u0, f, _REF_T, _REF_DT)
 
     def rhs(t, u):
-        return f.at(t).as_array() - _physical_advect(dealias_values(u, spec), u, spec)
+        return f.at(t).values - _physical_advect(dealias_values(u, spec), u, spec)
 
-    _assert_rel_close(traj.values, _physical_midpoint(u0.as_array(), spec, _REF_T, _REF_DT, rhs))
+    _assert_rel_close(traj.values, _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, rhs))
 
 
 @pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
@@ -229,7 +229,7 @@ def test_duhamel_forced_heat_matches_physical_midpoint(spec):
     u0 = _ref_datum(spec)
     f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3, omega=2.0)
     traj = duhamel_forced_heat(u0, f, _REF_T, _REF_DT)
-    ref = _physical_midpoint(u0.as_array(), spec, _REF_T, _REF_DT, lambda t, u: f.at(t).as_array())
+    ref = _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, lambda t, u: f.at(t).values)
     _assert_rel_close(traj.values, ref)
 
 

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from vburgers.cli import main
 from vburgers.errors import OracleError, WindowError
-from vburgers.fields import GridSpec, Trajectory, VectorField, make_trig_field
+from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, make_trig_field
 from vburgers.forcing import ConstantForcing, TrigForcing, ZeroForcing
+from vburgers.heat import heat_apply_values
 from vburgers.norms import KProfile, compute_k_constants
 from vburgers.scheme import SchemeConfig, run_picard
 from vburgers.transport import TransportProblem
@@ -247,7 +249,7 @@ def test_parabolic_rescale_identity_at_j_zero(grid1d, random_field):
     u2, co2, _ = parabolic_rescale(traj, {"b": np.array([1.5])}, 0, 2.0)
     assert u2.grid == traj.grid
     assert u2.dt == traj.dt
-    assert np.array_equal(u2.frame(0).as_array(), traj.frame(0).as_array())
+    assert np.array_equal(u2.frame(0).values, traj.frame(0).values)
     assert np.array_equal(co2["b"], np.array([1.5]))
 
 
@@ -285,3 +287,83 @@ def test_parabolic_rescale_coefficient_amplitudes():
     assert co2["a"] == pytest.approx(M**j)
     assert np.allclose(co2["b"], M ** (j / 2.0) * 2.0)
     assert co2["f"] == pytest.approx(M**j * 3.0)
+
+
+# ---------------------------------------------------------------------------
+# field objects only at the API edges
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """``measure(fn)``: ``fn()`` and the ScalarFields and VectorFields constructed while it runs."""
+    counts = {ScalarField: 0, VectorField: 0}
+    for cls in counts:
+
+        def counted(self, cls=cls, post_init=cls.__post_init__):
+            counts[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    def measure(fn):
+        before = dict(counts)
+        result = fn()
+        return result, {cls.__name__: counts[cls] - before[cls] for cls in counts}
+
+    return measure
+
+
+def _heat_flow(u0: VectorField, n_steps: int, dt: float) -> Trajectory:
+    return Trajectory(u0.grid, 0.0, dt, np.stack([heat_apply_values(u0.values, u0.grid, k * dt) for k in range(n_steps + 1)]))
+
+
+@pytest.mark.parametrize("n_steps", [32, 64])
+def test_check_gronwall_builds_no_field_per_frame(constructions, n_steps):
+    g = GridSpec(1, 32, TWO_PI)
+    T = 0.125
+    dt = T / n_steps
+    u0 = make_trig_field(g, seed=2, kmax=2, amplitude=0.3)
+    drift = _heat_flow(u0, n_steps, dt)
+    drift_bar = Trajectory(g, 0.0, dt, 1.1 * drift.values)
+    p = TransportProblem(u0=u0, b=drift, T=T, dt=dt)
+    p_bar = TransportProblem(u0=u0, b=drift_bar, C=0.1 * np.eye(1), f=TrigForcing(g, 1, 2, 0.05), T=T, dt=dt)
+    _, counted = constructions(lambda: check_gronwall(p, p_bar))
+    assert counted == {"ScalarField": 0, "VectorField": 0}
+
+
+@pytest.mark.parametrize("n_steps", [128, 256])
+def test_check_schauder_instance_builds_no_field_per_sample(constructions, grid2d, n_steps):
+    dt = 0.25 / n_steps
+    u0 = make_trig_field(grid2d, seed=4, kmax=1, amplitude=0.3)
+    traj = _heat_flow(u0, n_steps, dt)
+    ball = ParabolicBall(0.25, (0.0, 0.0), -2, 2.0)
+    for which in ("grad_sup", "second_holder"):
+        _, counted = constructions(lambda: check_schauder_instance(traj, None, None, None, ball, 0.5, which))
+        assert counted == {"ScalarField": 0, "VectorField": 0}
+
+
+def _cli_counts(measure, tmp_path, check: str, dt: float) -> dict:
+    cfg = {
+        "name": "counting",
+        "grid": {"d": 1, "n": 16, "L": TWO_PI},
+        "scheme": {"T": 0.25, "dt": dt},
+        "data": {"kind": "trig", "seed": 5, "kmax": 1, "amplitude": 0.3},
+        "checks": [check],
+        "out_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, counted = measure(lambda: main(["run", str(path)]))
+    assert rc in (0, 1)
+    return counted
+
+
+@pytest.mark.parametrize("check", ["schauder", "interpolation"])
+def test_cli_runners_build_no_field_per_frame(constructions, tmp_path, check):
+    coarse = _cli_counts(constructions, tmp_path, check, 1 / 256)
+    fine = _cli_counts(constructions, tmp_path, check, 1 / 512)
+    assert fine == coarse
+    if check == "interpolation":
+        # one VectorField per random field of the battery, plus the datum and the (zero) forcing's base
+        n_fields = json.loads((tmp_path / "out" / "interpolation.json").read_text())["n_fields"]
+        assert coarse == {"ScalarField": 0, "VectorField": n_fields + 2}
