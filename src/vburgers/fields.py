@@ -25,6 +25,7 @@ _SNAPSHOT_MAGIC = b"BFLD"
 _SNAPSHOT_VERSION = 1
 _SNAPSHOT_HEADER = struct.Struct("<4sBIIdI")
 BLOCK_SAMPLES = 2**14
+LANE_SAMPLES = 2**12  # lanes x grid nodes of one Picard wavefront group (scheme.run_picard)
 
 
 @dataclass(frozen=True)
@@ -249,14 +250,7 @@ class Trajectory:
 
     def locate(self, t: float) -> tuple:
         """(k, w) with t = (1 - w) t_k + w t_{k+1}; w = 0 at (and clamped beyond) frames."""
-        s = (t - self.t0) / self.dt
-        k = min(max(int(np.floor(s)), 0), len(self) - 1)
-        w = s - k
-        if k == len(self) - 1 or w <= 1e-12:
-            return k, 0.0
-        if w >= 1 - 1e-12:
-            return k + 1, 0.0
-        return k, w
+        return locate(t, self.t0, self.dt, len(self))
 
     def values_at(self, t: float) -> np.ndarray:
         """Linear interpolation between frames (exact at frame times), shape (d,) + grid.shape."""
@@ -267,6 +261,18 @@ class Trajectory:
 
     def at_time(self, t: float) -> VectorField:
         return VectorField(self.grid, self.values_at(t))
+
+
+def locate(t: float, t0: float, dt: float, nt: int) -> tuple:
+    """``Trajectory.locate`` on the time grid t0 + k dt, k < nt, for frames held elsewhere."""
+    s = (t - t0) / dt
+    k = min(max(int(np.floor(s)), 0), nt - 1)
+    w = s - k
+    if k == nt - 1 or w <= 1e-12:
+        return k, 0.0
+    if w >= 1 - 1e-12:
+        return k + 1, 0.0
+    return k, w
 
 
 def frame_blocks(nt: int, spec: GridSpec) -> list:
@@ -426,12 +432,20 @@ def time_derivative_frames(traj: Trajectory) -> np.ndarray:
 
     Returns an array shaped like ``traj.values``.
     """
-    u = traj.values
+    return time_derivative_arrays(traj.values, traj.dt)
+
+
+def _centered_difference(before: np.ndarray, after: np.ndarray, dt: float) -> np.ndarray:
+    """(after - before) / (2 dt), the interior time derivative of ``time_derivative_arrays``."""
+    return (after - before) / (2 * dt)
+
+
+def time_derivative_arrays(u: np.ndarray, dt: float) -> np.ndarray:
+    """``time_derivative_frames`` of frames stacked on the leading axis of ``u``, spaced ``dt`` apart."""
     if len(u) < 3:
         raise ValueError("need at least 3 frames for time differences")
-    dt = traj.dt
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2 * dt)
+    out[1:-1] = _centered_difference(u[:-2], u[2:], dt)
     out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
     out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
     return out

@@ -32,6 +32,11 @@ class Forcing:
         """Half-spectrum of the base, transformed once."""
         return rfft(self.values, self.grid)
 
+    def spectra(self, times) -> np.ndarray:
+        """Half-spectra env(t) base_hat at ``times``, shape (nt, d) + half-spectrum shape."""
+        env = np.array([self.env(t) for t in times])
+        return env.reshape((-1,) + (1,) * self.base_hat.ndim) * self.base_hat
+
     def at(self, t: float) -> VectorField:
         return self.base * self.env(t)
 

@@ -52,43 +52,78 @@ def n_steps(T: float, dt: float) -> int:
     return n
 
 
-def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard) -> np.ndarray:
+def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, lanes: int = 1, emit=None):
     """Integrating-factor midpoint solve of d_t u = Lap u + rhs(t, u) on [0, T].
 
     Maps a channels-first array (ch,) + grid shape to the stack of states on
     t = k dt, shape (n_steps + 1, ch) + grid shape.  Diffusion is exact via
-    E = e^{dt Lap}.  The state is stepped as its half-spectrum u_hat, and
-    ``rhs(t, u_hat)`` takes and returns half-spectra: one explicit midpoint
+    E = e^{dt Lap}.  The state is stepped as its half-spectrum u_hat, and the
+    right-hand side takes and returns half-spectra: one explicit midpoint
     stage, second order in dt, with no transform of its own:
 
         s_hat = E_half (u_hat + dt/2 rhs(t, u_hat))
         u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
     Only the stored states are inverse-transformed.  ``rhs`` None is pure
-    heat flow.  A non-finite state or one above 1e10 times the data scale
-    raises DivergenceError; then ``guard(t, u, u_hat)``, unless None, checks
-    each new state.
+    heat flow.
+
+    The state carries a leading lane axis: ``lanes`` problems that share
+    u0 march staggered by one step, lane j taking step s - j at tick s, so
+    one batched transform serves every lane of a tick and lane j can read
+    what lane j - 1 produced on earlier ticks.  ``rhs(s, ts, u_hat)`` gets
+    the tick, the times of its active lanes lo, lo + 1, ... (floats) and
+    their stacked half-spectra (a, ch) + half-spectrum shape.  A state is
+    checked lane by lane in order: a non-finite state or one above 1e10
+    times the data scale is a DivergenceError, then ``guard(ts, u, u_hat)``,
+    unless None, returns None or (i, error) for the first failing lane i.
+
+    With ``emit`` None there is one lane: the states are returned and a
+    failed check raises.  Otherwise nothing is stored: ``emit(s, lo, u,
+    failed)`` takes tick s's new states u of lanes lo, lo + 1, ... (lane j's
+    frame s - j + 1) and None or (j, error) for the first failing lane j,
+    whose states and those of the lanes above it it must discard, and
+    returns the number of lanes to go on with (lanes above it stop).
     """
     steps = n_steps(T, dt)
     e_full = heat_multiplier(spec, dt)
     e_half = heat_multiplier(spec, dt / 2.0)
     ceiling = 1e10 * (float(np.abs(u0).max()) + 1.0)
-    out = np.empty((steps + 1,) + u0.shape)
-    out[0] = u0
-    u_hat = rfft(u0, spec)
-    for k in range(steps):
-        t = k * dt
+    u_hat = np.repeat(rfft(u0, spec)[None], lanes, axis=0)
+    out = None
+    if emit is None:
+        out = np.empty((steps + 1,) + u0.shape)
+        out[0] = u0
+
+        def emit(s, lo, u, failed):
+            if failed is not None:
+                raise failed[1]
+            out[s + 1] = u[0]
+            return 1
+
+    s = 0
+    while 0 < lanes and s < steps + lanes - 1:
+        lo, hi = max(0, s - steps + 1), min(lanes, s + 1)
+        ts = [(s - j) * dt for j in range(lo, hi)]
+        uh = u_hat[lo:hi]
         if rhs is None:
-            u_hat = e_full * u_hat
+            uh = e_full * uh
         else:
-            s_hat = e_half * (u_hat + (dt / 2.0) * rhs(t, u_hat))
-            u_hat = e_full * u_hat + dt * e_half * rhs(t + dt / 2.0, s_hat)
-        u = out[k + 1] = irfft(u_hat, spec)
-        peak = np.abs(u).max()
-        if not peak <= ceiling:
-            raise DivergenceError(f"solution diverged at t={t + dt:g}: sup {peak:.3g} above {ceiling:.3g}")
-        if guard is not None:
-            guard(t + dt, u, u_hat)
+            s_hat = e_half * (uh + (dt / 2.0) * rhs(s, ts, uh))
+            uh = e_full * uh + dt * e_half * rhs(s, [t + dt / 2.0 for t in ts], s_hat)
+        u_hat[lo:hi] = uh
+        u = irfft(uh, spec)
+        peak = np.abs(u).reshape(len(u), -1).max(axis=1)
+        finite = peak <= ceiling
+        n_ok = len(u) if finite.all() else int(np.argmin(finite))
+        failed = None if guard is None or n_ok == 0 else guard([t + dt for t in ts[:n_ok]], u[:n_ok], uh[:n_ok])
+        if failed is None and n_ok < len(u):
+            failed = n_ok, DivergenceError(
+                f"solution diverged at t={ts[n_ok] + dt:g}: sup {peak[n_ok]:.3g} above {ceiling:.3g}"
+            )
+        if failed is not None:
+            failed = lo + failed[0], failed[1]
+        lanes = emit(s, lo, u, failed)
+        s += 1
     return out
 
 
@@ -100,7 +135,7 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
     The forcing spectrum is env(t) times the base's, transformed once.
     """
     spec = u0.grid
-    rhs = None if g.is_zero else (lambda t, u_hat: g.env(t) * g.base_hat)
+    rhs = None if g.is_zero else (lambda s, ts, u_hat: g.spectra(ts))
     return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, rhs, None))
 
 

@@ -88,12 +88,13 @@ def cole_hopf(
 
     rhs = None
     if f is not None:
-        def rhs(t: float, phi_hat: np.ndarray) -> np.ndarray:
-            return rfft((f(t) if callable(f) else f).values * irfft(phi_hat, spec), spec)
+        def rhs(s, ts, phi_hat: np.ndarray) -> np.ndarray:
+            return rfft((f(ts[0]) if callable(f) else f).values * irfft(phi_hat, spec), spec)
 
-    def positive(t: float, phi: np.ndarray, phi_hat: np.ndarray) -> None:
+    def positive(ts, phi: np.ndarray, phi_hat: np.ndarray):
         if np.any(phi <= 0):
-            raise OracleError(f"phi lost positivity at t={t:g}")
+            return 0, OracleError(f"phi lost positivity at t={ts[0]:g}")
+        return None
 
     phis = integrate(phi0.values[None], spec, T, dt, rhs, positive)
     u = np.empty((len(phis), spec.d) + spec.shape)
@@ -110,10 +111,10 @@ def direct_solve(u0: VectorField, g: Forcing | None, T: float, dt: float) -> Tra
     """
     spec = u0.grid
 
-    def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
+    def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
         out = -advect_hat(irfft(u_hat * _dealias_mask(spec), spec), u_hat, spec)
         if g is not None and not g.is_zero:
-            out += g.env(t) * g.base_hat
+            out += g.spectra(ts)
         return out
 
     return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, rhs, _blocking_guard(spec)))

@@ -11,15 +11,30 @@ import csv
 import io
 import json
 import math
+import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, Trajectory, VectorField, frame_blocks, gradient_arrays, hessian_arrays, time_derivative_frames
+from . import fields
+from .fields import (
+    GridSpec,
+    Trajectory,
+    VectorField,
+    _centered_difference,
+    dealias_values,
+    frame_blocks,
+    gradient_arrays,
+    hessian_arrays,
+    locate,
+    time_derivative_arrays,
+    time_derivative_frames,
+)
 from .forcing import Forcing, ZeroForcing
-from .heat import duhamel_forced_heat, n_steps
+from .heat import duhamel_forced_heat, integrate, n_steps
 from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
-from .transport import TransportProblem, solve_transport
+from .transport import TransportProblem, _blocking_guard, _transport_rhs, solve_transport
 
 T_INIT_INFINITE = math.inf
 T_INIT_HORIZON = 1e6  # compute_t_init reports T_INIT_INFINITE when t c K(t) < 1 up to here
@@ -54,6 +69,9 @@ class SchemeConfig:
         n_steps(self.T, self.dt)
 
 
+SUP_ROWS = ("sup_u", "sup_grad_u", "sup_hess_u", "sup_dt_u", "sup_v", "sup_grad_v")
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """Per-iterate sup-norm and Hoelder diagnostics along the trajectory."""
@@ -70,54 +88,286 @@ class IterationRecord:
     holder_dt: float
 
     def __post_init__(self):
-        for name in ("sup_u", "sup_grad_u", "sup_hess_u", "sup_dt_u", "sup_v", "sup_grad_v"):
+        for name in SUP_ROWS:
             a = getattr(self, name)
             if not (np.all(np.isfinite(a)) and np.all(a >= 0)):
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def _diagnose(
-    m: int,
-    traj: Trajectory,
-    prev: Trajectory | None,
-    alpha: float,
-    seed: int,
-    record_holder: bool,
-) -> IterationRecord:
+HELD_TRAJECTORIES = 3  # what one solve at a time held beyond its drift: dealiased drift, new iterate, d_t stack
+_CHUNK_SAMPLES = 2**10  # grid nodes per chunk of a kept trajectory
+
+
+def _block_sups(ub: np.ndarray, vb: np.ndarray | None, spec: GridSpec, hess_out=None) -> list:
+    """Per-frame sup_u, sup_grad_u, sup_hess_u and, given the updates vb, sup_grad_v of a block of frames.
+
+    ``hess_out``, unless None, receives the block's Hessians as (frames, d**3) + grid shape.
+    """
+    hess = hessian_arrays(ub, spec)
+    if hess_out is not None:
+        hess_out[...] = hess.reshape(hess_out.shape)
+    sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3)]
+    if vb is not None:
+        sups.append(frame_sups(gradient_arrays(vb, spec), 2))
+    return sups
+
+
+def _diagnose(m: int, traj: Trajectory, prev: Trajectory | None, cfg: SchemeConfig, record_holder: bool, times):
+    """Record of iterate m from its whole trajectory; its update is traj - prev, or at m = 0 traj itself."""
     spec, u = traj.grid, traj.values
     dt_u = time_derivative_frames(traj)
     hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
     cols = []
     for sl in frame_blocks(len(u), spec):
         ub = u[sl]
-        hess = hessian_arrays(ub, spec)
-        if record_holder:
-            hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
-        sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)]
-        if prev is not None:
-            v = ub - prev.values[sl]
-            sups += [frame_sups(v, 1), frame_sups(gradient_arrays(v, spec), 2)]
-        cols.append(sups)
-    sup_u, sup_grad, sup_hess, sup_dt, *update = map(np.concatenate, zip(*cols))
-    sup_v, sup_grad_v = update or (sup_u, sup_grad)
-
-    holder_hess = holder_dt = 0.0
+        vb = None if prev is None else ub - prev.values[sl]
+        sup_u, sup_grad, sup_hess, *grad_v = _block_sups(ub, vb, spec, None if hess_u is None else hess_u[sl])
+        update = [sup_u, sup_grad] if vb is None else [frame_sups(vb, 1)] + grad_v
+        cols.append([sup_u, sup_grad, sup_hess, frame_sups(dt_u[sl], 1)] + update)
+    holder = (0.0, 0.0)
     if record_holder:
-        holder_hess = parabolic_seminorm_array(hess_u, spec, traj.dt, alpha, seed).value
-        holder_dt = parabolic_seminorm_array(dt_u, spec, traj.dt, alpha, seed).value
+        holder = tuple(parabolic_seminorm_array(a, spec, cfg.dt, cfg.alpha, cfg.seed).value for a in (hess_u, dt_u))
+    return IterationRecord(m, times, *map(np.concatenate, zip(*cols)), *holder)
 
-    return IterationRecord(
-        m=m,
-        times=traj.times,
-        sup_u=sup_u,
-        sup_grad_u=sup_grad,
-        sup_hess_u=sup_hess,
-        sup_dt_u=sup_dt,
-        sup_v=sup_v,
-        sup_grad_v=sup_grad_v,
-        holder_hess=holder_hess,
-        holder_dt=holder_dt,
-    )
+
+class _Frames:
+    """Frames (d,) + grid shape of one trajectory, appended one at a time.
+
+    They sit in chunks of about _CHUNK_SAMPLES grid nodes: an array of its
+    own per frame would cost a header of about a tenth of a 1-D frame of
+    128 nodes.  ``release(k)`` says frames up to k are read, and frees the
+    chunk that holds no frame after k.  ``nbytes`` counts the live chunks,
+    headers included.
+    """
+
+    def __init__(self, spec: GridSpec, frames=()):
+        self.chunk = max(1, _CHUNK_SAMPLES // spec.num_nodes)
+        self.shape = (spec.d,) + spec.shape
+        self.chunks = []
+        self.n = self.nbytes = 0
+        for frame in frames:
+            self.append(frame)
+
+    def append(self, frame: np.ndarray) -> None:
+        if self.n % self.chunk == 0:
+            self.chunks.append(np.empty((self.chunk,) + self.shape))
+            self.nbytes += sys.getsizeof(self.chunks[-1])
+        self.chunks[-1][self.n % self.chunk] = frame
+        self.n += 1
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.chunks[k // self.chunk][k % self.chunk]
+
+    def release(self, k: int) -> None:
+        if (k + 1) % self.chunk == 0 or k + 1 == self.n:
+            self.nbytes -= sys.getsizeof(self.chunks[k // self.chunk])
+            self.chunks[k // self.chunk] = None
+
+    def stack(self) -> np.ndarray:
+        return np.concatenate(self.chunks)[: self.n]
+
+
+class _Wavefront:
+    """Picard iterates m0 + 1 .. m0 + L marching together on the lane axis of ``heat.integrate``.
+
+    Lane j solves iterate m0 + 1 + j.  Its drift is lane j - 1, or for lane
+    0 ``drift``, the frames of iterate m0 (released as they are read).  At
+    tick s lane j takes step k = s - j and writes its frame k + 1.  Rings
+    of three frames are slotted by tick, s % 3, so all lanes of a tick read
+    and write the same slots: lane j's dealiased drift frames k and k + 1,
+    written by the lane below two ticks and one tick earlier, sit in slots
+    (s - 2) % 3 and (s - 1) % 3.  Per-lane series are kept by column
+    k + 1 + j, so a tick fills one column; lane j's frames are columns j to
+    j + n_steps.  The update and time-derivative sups are taken at once,
+    the spatial derivatives in buffered blocks of BLOCK_SAMPLES / 2 nodes.
+
+    A lane keeps its full trajectory only while it may still be returned
+    (m >= min_iters and its running update sup below tol_fp) or while it is
+    the last lane, the next group's drift.  The group counts the bytes it
+    holds: the kept frames, the drift frames not yet read, its own arrays
+    and their temporaries.  While that exceeds what one solve at a time
+    held, the drift and HELD_TRAJECTORIES more trajectories, the group is
+    cut from the top: the lanes above the highest lane below the last that
+    may still be returned are discarded, so the lower lanes that may be
+    returned keep their frames.  A lane that fails a check cuts the group
+    at itself; its error stands unless a lane below it converges.
+    """
+
+    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, m0: int, lanes: int, min_iters: int):
+        spec = self.spec = cfg.grid
+        self.cfg, self.drift, self.m0, self.lanes, self.min_iters = cfg, drift, m0, lanes, min_iters
+        steps = self.steps = n_steps(cfg.T, cfg.dt)
+        # locate(k dt) is frame k; locate(k dt + dt/2) weighs frames k and k + 1 by these
+        w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
+        self.w_mid = np.array(w_mid).reshape((-1,) + (1,) * (spec.d + 1))
+
+        # frame 0 of every iterate is the datum, as if lane j wrote it at tick j - 1
+        ring = (3, lanes, spec.d) + spec.shape
+        self.raw = np.empty(ring)  # lane j's last three frames
+        self.dal = np.empty(ring)  # lane j's dealiased drift frames
+        lane = self.lane_ids = np.arange(lanes)
+        self.raw[(lane - 1) % 3, lane] = u0.values
+        first = dealias_values(np.stack([drift[0], drift[1]]), spec)
+        self.dal[(lane - 2) % 3, lane] = first[0]
+        self.dal[2, 0] = first[1]
+        drift.release(0)
+
+        # its update is zero; column j is lane j's frame 0
+        self.cols = np.empty((lanes, len(SUP_ROWS), steps + lanes))
+        zero = np.zeros((1,) + u0.values.shape)
+        sup0 = _block_sups(u0.values[None], zero, spec) + [frame_sups(zero, 1)]
+        for row, val in zip((0, 1, 2, 5, 4), sup0):
+            self.cols[lane, row, lane] = val
+        self.kept = [_Frames(spec, u0.values[None]) for _ in range(lanes)]
+        self.running = np.zeros(lanes)
+
+        cap = max(1, fields.BLOCK_SAMPLES // (2 * spec.num_nodes))
+        self.buf = np.empty((2, cap, spec.d) + spec.shape)  # frames and their updates, BLOCK_SAMPLES nodes
+        self.buf_at = np.empty((2, cap), dtype=np.intp)  # lane and column of each buffered row
+        self.fill = 0
+
+        # temporaries: a flush holds about 1 + 3 d**2 frames per buffered frame (the Hessian and its
+        # stacks), a tick up to 12 frames per lane (stage spectra, products, updates)
+        self.frame = u0.values.nbytes
+        temporaries = (1 + 3 * spec.d**2) * cap + 12 * lanes
+        own = sum(sys.getsizeof(a) for a in (self.raw, self.dal, self.cols, self.buf))
+        self.working = own + temporaries * self.frame
+        self.budget = (1 + HELD_TRAJECTORIES) * (steps + 1) * self.frame
+        self.error = self.converged = self.cut = None
+        self.peak_kept = self.ticks = 0
+
+    def drift_at(self, s: int, ts) -> np.ndarray:
+        """The dealiased drift of tick s's active lanes at their times ``ts``."""
+        lo = max(0, s - self.steps + 1)
+        lanes = slice(lo, lo + len(ts))
+        frame_k = self.dal[(s - 2) % 3, lanes]
+        if locate(ts[0], 0.0, self.cfg.dt, self.steps + 1)[1] == 0.0:
+            return frame_k
+        w = self.w_mid[s - lanes.stop + 1 : s - lo + 1][::-1]
+        return frame_k * (1.0 - w) + self.dal[(s - 1) % 3, lanes] * w
+
+    def _may_return(self, j: int) -> bool:
+        return self.m0 + 1 + j >= self.min_iters and self.running[j] < self.cfg.tol_fp
+
+    def _cut(self, lanes: int) -> None:
+        for j in range(lanes, self.lanes):
+            self.kept[j] = None
+        self.lanes = lanes
+
+    def take(self, s: int, lo: int, u: np.ndarray, failed) -> int:
+        """``heat.integrate``'s emit: file tick s's frames u of lanes lo, lo + 1, ...; return the lane count."""
+        self.ticks += 1
+        if failed is not None:
+            self.error = failed[1]
+            self._cut(failed[0])
+            u = u[: failed[0] - lo]
+        hi = lo + len(u)
+        if hi == lo:
+            return self.lanes
+        spec, steps, col = self.spec, self.steps, s + 1
+        now, last, before = s % 3, (s - 1) % 3, (s - 2) % 3
+        self.raw[now, lo:hi] = u
+
+        # updates: against the lane below's frame of the tick before, lane 0's against its drift
+        v = np.empty_like(u)
+        if lo == 0:
+            np.subtract(u[0], self.drift[s + 1], out=v[0])
+        b = max(lo, 1)
+        np.subtract(u[b - lo :], self.raw[last, b - 1 : hi - 1], out=v[b - lo :])
+        sup_v = frame_sups(v, 1)
+        self.cols[lo:hi, 4, col] = sup_v
+        np.maximum(self.running[lo:hi], sup_v, out=self.running[lo:hi])
+
+        # dealias what the lanes above read next: lane 0's drift frame s + 2, the other lanes' new frames
+        head = lo == 0 and s + 2 <= steps
+        feed = max(lo, min(hi, self.lanes - 1))
+        src = u[: feed - lo]
+        if head:
+            src = np.concatenate([self.drift[s + 2][None], src])
+        if len(src):
+            self.dal[now, lo + 1 - head : feed + 1] = dealias_values(src, spec)
+        if lo == 0:
+            self.drift.release(s + 1)
+
+        # time derivatives of the lanes with three frames: centered at the frame before, one-sided at the ends
+        mid = min(hi, s)
+        if mid > lo:
+            dt = self.cfg.dt
+            dts = _centered_difference(self.raw[before, lo:mid], self.raw[now, lo:mid], dt)
+            self.cols[lo:mid, 3, col - 1] = frame_sups(dts, 1)
+            for j, end, at in ((s - 1, 0, s - 1), (lo, 2, col)):
+                # lane s - 1 wrote its frame 2, lane lo its last
+                if lo <= j < mid and (end == 0 or s - lo + 1 == steps):
+                    window = self.raw[[before, last, now], j : j + 1]
+                    self.cols[j, 3, at] = frame_sups(time_derivative_arrays(window, dt)[end], 1)[0]
+
+        self._buffer(lo, hi, col, u, v)
+
+        may_return = (self.running[lo:hi] < self.cfg.tol_fp).tolist()
+        for i, j in enumerate(range(lo, hi)):
+            may_return[i] = may_return[i] and self.m0 + 1 + j >= self.min_iters
+            if self.kept[j] is None:
+                continue
+            if may_return[i] or j == self.lanes - 1:
+                self.kept[j].append(u[i])
+            else:
+                self.kept[j] = None
+        if s - lo + 1 == steps and may_return[0]:
+            self.converged = lo
+            self._cut(lo + 1)
+            return self.lanes
+
+        while True:
+            kept = sum(frames.nbytes for frames in self.kept[: self.lanes] if frames is not None)
+            self.peak_kept = max(self.peak_kept, kept // self.frame)
+            if kept + self.drift.nbytes + self.working <= self.budget:
+                return self.lanes
+            # lanes yet to start may be returned too; with none below the last lane, nothing can go
+            c = next((c for c in reversed(range(self.lanes - 1)) if self._may_return(c)), None)
+            if c is None:
+                return self.lanes
+            self.cut = self.m0 + 1 + c
+            self._cut(c + 1)
+
+    def _buffer(self, lo: int, hi: int, col: int, u: np.ndarray, v: np.ndarray) -> None:
+        cap, i = self.buf.shape[1], 0
+        while i < len(u):
+            n = min(len(u) - i, cap - self.fill)
+            rows = slice(self.fill, self.fill + n)
+            self.buf[0, rows], self.buf[1, rows] = u[i : i + n], v[i : i + n]
+            self.buf_at[0, rows], self.buf_at[1, rows] = self.lane_ids[lo + i : lo + i + n], col
+            self.fill += n
+            i += n
+            if self.fill == cap:
+                self._flush()
+
+    def _flush(self) -> None:
+        if self.fill:
+            j, col = self.buf_at[:, : self.fill]
+            sups = _block_sups(self.buf[0, : self.fill], self.buf[1, : self.fill], self.spec)
+            for row, val in zip((0, 1, 2, 5), sups):
+                self.cols[j, row, col] = val
+            self.fill = 0
+
+    def finish(self, times: np.ndarray):
+        """(records, frames of the last lane, converged) once the march is over; raises a lane's error."""
+        self._flush()
+        if self.converged is None and self.error is not None:
+            raise self.error
+        records = []
+        for j in range(self.lanes):
+            sups = [row.copy() for row in self.cols[j, :, j : j + self.steps + 1]]
+            records.append(IterationRecord(self.m0 + 1 + j, times, *sups, 0.0, 0.0))
+        return records, self.kept[self.lanes - 1], self.converged is not None
+
+
+def _march(cfg: SchemeConfig, u0: VectorField, g: Forcing, drift: _Frames, m0: int, lanes: int, min_iters: int, times):
+    """One group on the lane axis: (records, frames of its last lane, converged, trace entry)."""
+    spec = cfg.grid
+    front = _Wavefront(cfg, u0, drift, m0, lanes, min_iters)
+    integrate(u0.values, spec, cfg.T, cfg.dt, _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec), lanes, front.take)
+    records, frames, converged = front.finish(times)
+    return records, frames, converged, {"ticks": front.ticks, "cut": front.cut, "peak_kept_frames": front.peak_kept}
 
 
 def run_picard(
@@ -126,6 +376,7 @@ def run_picard(
     g: Forcing | None = None,
     record_holder: bool = False,
     min_iters: int = 1,
+    trace: list | None = None,
 ):
     """Iterate the linear transport solves until the update is negligible.
 
@@ -133,6 +384,29 @@ def run_picard(
     forced heat trajectory; iterate m solves transport with the previous
     iterate as drift.  Non-convergence at m_max is reported, not raised.
     The solve is in the unit-viscosity frame, so ``cfg.nu`` must be 1.
+
+    Iterate 0 runs alone.  The transport iterates march in groups as a
+    wavefront on the lane axis of ``heat.integrate`` (see ``_Wavefront``):
+    at tick s, iterate m0 + 1 + j takes step s - j, reading frames s - j
+    and s - j + 1 of iterate m0 + j, which the two ticks before produced.
+    A group has m_max - m0 lanes, at most fields.LANE_SAMPLES grid nodes'
+    worth, and one lane with ``record_holder`` (each lane would hold its
+    Hessian and time-derivative stacks); a group of one lane is one
+    ``solve_transport`` and the diagnostics of its whole trajectory.  A
+    lane keeps its full trajectory only while it may still be returned or
+    is the group's last lane (the next group's drift); while the group
+    holds more than one solve at a time did, it is cut from the top, down
+    to the highest lane below the last that may still be returned.  The
+    first m >= min_iters whose update sup is below tol_fp stops the run and
+    the lanes above it are discarded; a lane's DivergenceError or
+    ResolutionError is raised, with the message a lone solve gives, only if
+    every lane below it ends unconverged.  Records, fixed point and
+    ``converged`` are those of solving the iterates one after another, bit
+    for bit.
+
+    ``trace``, a list, gets one dict per group: first iterate, lanes, ticks,
+    the iterate the memory rule last cut the group above (or None), the
+    peak count of kept frames and the wall time.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configuration")
@@ -143,20 +417,33 @@ def run_picard(
         )
     if g is None:
         g = ZeroForcing(cfg.grid)
-    records = []
-    traj = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
-    records.append(_diagnose(0, traj, None, cfg.alpha, cfg.seed, record_holder))
-    converged = False
-    for m in range(1, cfg.m_max + 1):
-        p = TransportProblem(u0=u0, b=traj, C=None, f=g, T=cfg.T, dt=cfg.dt)
-        new = solve_transport(p)
-        rec = _diagnose(m, new, traj, cfg.alpha, cfg.seed, record_holder)
-        records.append(rec)
-        traj = new
-        if m >= min_iters and float(rec.sup_v.max()) < cfg.tol_fp:
-            converged = True
-            break
-    return records, traj, converged
+    spec, steps = cfg.grid, n_steps(cfg.T, cfg.dt)
+    drift = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
+    times = drift.times
+    times.flags.writeable = False  # one array for every record of the run
+    records = [_diagnose(0, drift, None, cfg, record_holder, times)]
+    while True:
+        m0 = len(records) - 1
+        lanes = 1 if record_holder else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
+        start = time.perf_counter()
+        if lanes == 1:
+            if isinstance(drift, _Frames):
+                drift = Trajectory(spec, 0.0, cfg.dt, drift.stack())
+            new = solve_transport(TransportProblem(u0=u0, b=drift, C=None, f=g, T=cfg.T, dt=cfg.dt))
+            recs = [_diagnose(m0 + 1, new, drift, cfg, record_holder, times)]
+            converged = m0 + 1 >= min_iters and float(recs[0].sup_v.max()) < cfg.tol_fp
+            drift, stats = new, {"ticks": steps, "cut": None, "peak_kept_frames": steps + 1}
+        else:
+            if isinstance(drift, Trajectory):
+                drift = _Frames(spec, drift.values)
+            recs, drift, converged, stats = _march(cfg, u0, g, drift, m0, lanes, min_iters, times)
+        if trace is not None:
+            trace.append({"first_iterate": m0 + 1, "lanes": lanes, **stats, "wall_s": time.perf_counter() - start})
+        records += recs
+        if converged or len(records) - 1 == cfg.m_max:
+            if isinstance(drift, _Frames):
+                drift = Trajectory(spec, 0.0, cfg.dt, drift.stack())
+            return records, drift, converged
 
 
 # ---------------------------------------------------------------------------

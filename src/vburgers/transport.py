@@ -86,25 +86,25 @@ def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.nd
 
 
 def _dealiased_drift(p: TransportProblem):
-    """t -> dealiased drift array (d,) + shape; a Trajectory is dealiased once."""
+    """(s, ts) -> dealiased drift of the one lane, shape (1, d) + shape; a Trajectory is dealiased once."""
     if p.b is None:
         return None
     if isinstance(p.b, VectorField):
-        b = dealias_values(p.b.values, p.grid)
-        return lambda t: b
+        b = dealias_values(p.b.values, p.grid)[None]
+        return lambda s, ts: b
     b = np.empty_like(p.b.values)
     for sl in frame_blocks(len(b), p.grid):
         b[sl] = dealias_values(p.b.values[sl], p.grid)
 
-    def at(t: float) -> np.ndarray:
-        k, w = p.b.locate(t)
-        return b[k] if w == 0.0 else b[k] * (1.0 - w) + b[k + 1] * w
+    def at(s, ts) -> np.ndarray:
+        k, w = p.b.locate(ts[0])
+        return (b[k] if w == 0.0 else b[k] * (1.0 - w) + b[k + 1] * w)[None]
 
     return at
 
 
-def _blocking_guard(spec: GridSpec):
-    """Integrator guard: ResolutionError once the top third of the spectrum holds energy."""
+def _blocking_fractions(spec: GridSpec):
+    """u_hat, lanes stacked (a, ch) + half-spectrum -> each lane's energy share in the top third of the spectrum."""
     top = ~_dealias_mask(spec)
     # weight the half-spectrum so energies count conjugate pairs once each
     w = np.full(top.shape, 2.0)
@@ -112,31 +112,58 @@ def _blocking_guard(spec: GridSpec):
     if spec.n % 2 == 0:
         w[..., -1] = 1.0
 
-    def guard(t: float, u: np.ndarray, u_hat: np.ndarray) -> None:
-        e = (w * np.abs(u_hat) ** 2).sum(axis=0)
-        total = e.sum()
-        frac = e[top].sum() / total if total >= 1e-300 else 0.0
-        if frac > BLOCKING_GATE:
-            raise ResolutionError(
-                f"spectral blocking at t={t:g}: top-third energy "
-                f"fraction {frac:.3e} exceeds {BLOCKING_GATE:g}"
-            )
+    def fractions(u_hat: np.ndarray) -> np.ndarray:
+        e = (w * np.abs(u_hat) ** 2).sum(axis=1)
+        total = e.reshape(len(e), -1).sum(axis=1)
+        return np.divide(e[:, top].sum(axis=1), total, out=np.zeros(len(e)), where=total >= 1e-300)
+
+    return fractions
+
+
+def _blocking_guard(spec: GridSpec):
+    """Integrator guard: ResolutionError for the first lane whose top third of the spectrum holds energy."""
+    fractions = _blocking_fractions(spec)
+
+    def guard(ts, u: np.ndarray, u_hat: np.ndarray):
+        frac = fractions(u_hat)
+        bad = frac > BLOCKING_GATE
+        if not bad.any():
+            return None
+        i = int(np.argmax(bad))
+        return i, ResolutionError(
+            f"spectral blocking at t={ts[i]:g}: top-third energy "
+            f"fraction {frac[i]:.3e} exceeds {BLOCKING_GATE:g}"
+        )
 
     return guard
 
 
+def _transport_rhs(spec: GridSpec, g: Forcing, drift):
+    """Right-hand side of ``heat.integrate`` for d_t u - Lap u + b.grad u = g, on every lane at once.
+
+    ``drift(s, ts)`` gives the dealiased drift of the active lanes at
+    their times, stacked (a, d) + shape, or is None.
+    """
+
+    def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u_hat) if g.is_zero else g.spectra(ts)
+        if drift is not None:
+            out -= advect_hat(drift(s, ts), u_hat, spec)
+        return out
+
+    return rhs
+
+
 def solve_transport(p: TransportProblem) -> Trajectory:
     """Integrating-factor midpoint solve; raises on blocking or divergence."""
-    spec, g = p.grid, p.f
-    drift = _dealiased_drift(p)
+    spec = p.grid
+    advect = _transport_rhs(spec, p.f, _dealiased_drift(p))
 
-    def rhs(t: float, u_hat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u_hat) if g.is_zero else g.env(t) * g.base_hat
-        if drift is not None:
-            out -= advect_hat(drift(t), u_hat, spec)
-        m = p.matrix_at(t)
+    def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
+        out = advect(s, ts, u_hat)
+        m = p.matrix_at(ts[0])
         if m is not None:
-            out -= _apply_matrix_hat(m, u_hat, spec)
+            out[0] -= _apply_matrix_hat(m, u_hat[0], spec)
         return out
 
     u = integrate(p.u0.values, spec, p.T, p.dt, rhs, _blocking_guard(spec))

@@ -16,9 +16,11 @@ from vburgers.fields import (
     gradient,
     gradient_arrays,
     hessian_arrays,
+    irfft,
     laplacian_arrays,
     make_trig_field,
     read_snapshot,
+    rfft,
     time_derivative_frames,
     write_snapshot,
 )
@@ -134,6 +136,18 @@ def test_time_derivative_frames_second_order(grid1d, sin_field):
     d = time_derivative_frames(traj)
     expect = np.exp(2 * dt) * sin_field.values
     assert np.abs(d[2] - expect).max() < 1e-6
+
+
+@pytest.mark.parametrize("d, n", [(1, 128), (2, 32), (3, 16)])
+def test_lane_batched_transforms_equal_per_lane(d, n):
+    # the Picard wavefront transforms every lane of a tick at once and must get each lane's floats
+    spec = GridSpec(d, n, TWO_PI)
+    lanes = np.stack([make_trig_field(spec, seed, kmax=5, amplitude=0.5).values for seed in range(6)])
+    spectra = rfft(lanes, spec)
+    back = irfft(spectra, spec)
+    for j, lane in enumerate(lanes):
+        assert np.array_equal(spectra[j], rfft(lane, spec))
+        assert np.array_equal(back[j], irfft(spectra[j], spec))
 
 
 def test_snapshot_roundtrip(tmp_path, grid2d):

@@ -1,16 +1,37 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vburgers.fields import GridSpec, VectorField, hessian_arrays, make_trig_field, time_derivative_frames
+from vburgers import fields, scheme
+from vburgers.errors import DivergenceError
+from vburgers.fields import (
+    GridSpec,
+    VectorField,
+    frame_blocks,
+    gradient_arrays,
+    hessian_arrays,
+    make_trig_field,
+    time_derivative_frames,
+)
 from vburgers.forcing import TrigForcing, ZeroForcing
-from vburgers.norms import KProfile, compute_k_constants, grad_sup, hessian_sup, parabolic_seminorm_array, sup_norm
-from vburgers.oracle import residual
+from vburgers.heat import duhamel_forced_heat
+from vburgers.norms import (
+    KProfile,
+    compute_k_constants,
+    frame_sups,
+    grad_sup,
+    hessian_sup,
+    parabolic_seminorm_array,
+    sup_norm,
+)
+from vburgers.oracle import COLE_HOPF_LAMBDA, direct_solve, residual
 from vburgers.scheme import (
+    IterationRecord,
     SchemeConfig,
     compute_t_init,
     records_to_csv,
@@ -274,3 +295,207 @@ def test_records_match_per_frame_reference(d, n, T):
     ref["holder_dt"] = parabolic_seminorm_array(dts, g, cfg.dt, cfg.alpha, cfg.seed).value
     for name, expect in ref.items():
         assert np.allclose(getattr(recs[-1], name), expect, rtol=1e-13, atol=0.0), name
+
+
+# ---------------------------------------------------------------------------
+# The sequential loop run_picard replaced: one transport solve per iterate,
+# then the diagnostics of the whole trajectory.  The wavefront must give the
+# same records, fixed point and verdict, bit for bit.
+
+
+def _diagnose_reference(m, traj, prev, alpha, seed, record_holder):
+    spec, u = traj.grid, traj.values
+    dt_u = time_derivative_frames(traj)
+    hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
+    cols = []
+    for sl in frame_blocks(len(u), spec):
+        ub = u[sl]
+        hess = hessian_arrays(ub, spec)
+        if record_holder:
+            hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
+        sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)]
+        if prev is not None:
+            v = ub - prev.values[sl]
+            sups += [frame_sups(v, 1), frame_sups(gradient_arrays(v, spec), 2)]
+        cols.append(sups)
+    sup_u, sup_grad, sup_hess, sup_dt, *update = map(np.concatenate, zip(*cols))
+    sup_v, sup_grad_v = update or (sup_u, sup_grad)
+    holder_hess = holder_dt = 0.0
+    if record_holder:
+        holder_hess = parabolic_seminorm_array(hess_u, spec, traj.dt, alpha, seed).value
+        holder_dt = parabolic_seminorm_array(dt_u, spec, traj.dt, alpha, seed).value
+    return IterationRecord(m, traj.times, sup_u, sup_grad, sup_hess, sup_dt, sup_v, sup_grad_v, holder_hess, holder_dt)
+
+
+def _picard_reference(cfg, u0, g=None, record_holder=False, min_iters=1):
+    if g is None:
+        g = ZeroForcing(cfg.grid)
+    traj = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
+    records = [_diagnose_reference(0, traj, None, cfg.alpha, cfg.seed, record_holder)]
+    for m in range(1, cfg.m_max + 1):
+        new = solve_transport(TransportProblem(u0=u0, b=traj, C=None, f=g, T=cfg.T, dt=cfg.dt))
+        records.append(_diagnose_reference(m, new, traj, cfg.alpha, cfg.seed, record_holder))
+        traj = new
+        if m >= min_iters and float(records[-1].sup_v.max()) < cfg.tol_fp:
+            return records, traj, True
+    return records, traj, False
+
+
+def _assert_same_run(got, want):
+    (recs, fp, conv), (ref_recs, ref_fp, ref_conv) = got, want
+    assert conv == ref_conv
+    assert [r.m for r in recs] == [r.m for r in ref_recs]
+    for rec, ref in zip(recs, ref_recs):
+        for name in ("times",) + scheme.SUP_ROWS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), (rec.m, name)
+        assert (rec.holder_hess, rec.holder_dt) == (ref.holder_hess, ref.holder_dt), rec.m
+    assert (fp.t0, fp.dt) == (ref_fp.t0, ref_fp.dt)
+    assert np.array_equal(fp.values, ref_fp.values)
+
+
+def _cole_hopf_datum(n=128, eps=0.5):
+    g = GridSpec(1, n, TWO_PI)
+    x = g.axis_coords()
+    return VectorField.from_arrays(g, [COLE_HOPF_LAMBDA * (-eps * np.sin(x)) / (1.0 + eps * np.cos(x))])
+
+
+def _wavefront_case(name):
+    """(cfg, u0, forcing, record_holder, min_iters) of one named case."""
+    if name == "criterion01":
+        u0 = _cole_hopf_datum()
+        return SchemeConfig(grid=u0.grid, T=0.25, dt=1e-3, m_max=14, tol_fp=1e-10), u0, None, False, 1
+    d, n, T, kw = {"1d": (1, 64, 0.25, {}), "2d": (2, 16, 1 / 16, {}), "3d": (3, 8, 1 / 32, {})}[name.split("-")[0]]
+    g = GridSpec(d, n, TWO_PI)
+    u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
+    forcing = TrigForcing(g, seed=9, kmax=1, amplitude=0.2) if "forced" in name else None
+    cfg = dict(grid=g, T=T, dt=1 / 256, m_max=8, tol_fp=1e-10)
+    holder, min_iters = "holder" in name, 1
+    if "min-iters" in name:
+        min_iters = 7  # above the first iterate whose update falls below tol_fp
+    if "tol-zero" in name:
+        cfg["tol_fp"] = 0.0
+    if "m-max-below" in name:
+        cfg["m_max"] = 3  # 64 lanes fit 1-D n=64
+    if "m-max-above" in name:
+        cfg.update(grid=GridSpec(2, 32, TWO_PI), T=1 / 32, m_max=9, tol_fp=0.0)  # 4 lanes fit 2-D n=32
+        u0 = make_trig_field(cfg["grid"], seed=4, kmax=2, amplitude=0.4)
+    return SchemeConfig(**cfg), u0, forcing, holder, min_iters
+
+
+_WAVEFRONT_CASES = [
+    "criterion01",
+    "2d",
+    "2d-forced",
+    "3d",
+    "3d-forced",
+    "1d-min-iters",
+    "1d-tol-zero",
+    "1d-m-max-below",
+    "2d-m-max-above",
+    "2d-forced-holder",
+]
+
+
+@pytest.mark.parametrize("name", _WAVEFRONT_CASES)
+def test_wavefront_matches_sequential_loop(name):
+    cfg, u0, forcing, holder, min_iters = _wavefront_case(name)
+    trace = []
+    got = run_picard(cfg, u0, forcing, record_holder=holder, min_iters=min_iters, trace=trace)
+    _assert_same_run(got, _picard_reference(cfg, u0, forcing, holder, min_iters))
+    if name == "criterion01":
+        assert trace[0]["cut"] is not None  # the memory rule fires on its own here
+        exact = direct_solve(u0, None, cfg.T, cfg.dt)
+        assert np.abs(got[1].values - exact.values).max() < 1e-6
+    if holder:
+        assert all(group["lanes"] == 1 for group in trace)
+    if name == "1d-min-iters":
+        assert got[0][-1].m > 1 + next(r.m for r in got[0][1:] if r.sup_v.max() < cfg.tol_fp)
+
+
+def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
+    # no room beyond the drift: the group is cut above its lowest lane that may still be returned
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 0)
+    cfg, u0, forcing, _, _ = _wavefront_case("2d-forced")
+    trace = []
+    got = run_picard(cfg, u0, forcing, trace=trace)
+    assert any(group["cut"] is not None for group in trace)
+    _assert_same_run(got, _picard_reference(cfg, u0, forcing))
+
+
+def test_wavefront_groups_match_sequential_loop(monkeypatch):
+    # two lanes per group: the last lane of each group drives the next
+    monkeypatch.setattr(fields, "LANE_SAMPLES", 2 * 64)
+    cfg, u0, _, _, _ = _wavefront_case("1d-tol-zero")
+    trace = []
+    got = run_picard(cfg, u0, trace=trace)
+    assert [group["lanes"] for group in trace] == [2, 2, 2, 2]
+    assert [group["first_iterate"] for group in trace] == [1, 3, 5, 7]
+    _assert_same_run(got, _picard_reference(cfg, u0))
+
+
+def test_run_picard_trace():
+    cfg, u0, forcing, _, _ = _wavefront_case("criterion01")
+    trace = []
+    traced = run_picard(cfg, u0, forcing, trace=trace)
+    _assert_same_run(traced, run_picard(cfg, u0, forcing))
+    assert [set(group) for group in trace] == [
+        {"first_iterate", "lanes", "ticks", "cut", "peak_kept_frames", "wall_s"}
+    ] * len(trace)
+    steps = round(cfg.T / cfg.dt)
+    ends = []
+    for group in trace:
+        first, lanes = group["first_iterate"], group["lanes"]
+        assert first == (ends[-1] + 1 if ends else 1)
+        assert lanes <= cfg.m_max - first + 1
+        assert steps <= group["ticks"] <= steps + lanes - 1
+        assert group["peak_kept_frames"] > 0 and group["wall_s"] > 0
+        ends.append(group["cut"] if group["cut"] is not None else first + lanes - 1)
+    assert trace[-1]["first_iterate"] <= traced[0][-1].m <= ends[-1]
+
+
+# A coarse grid and a large datum: the Picard iterates grow until iterate
+# ``failing`` diverges at frame ``frame`` (1-D n=16, T=1/8, dt=1/256, kmax 3),
+# while the iterates below it are still marching.
+_DIVERGING = [(60, 6, 4, 13), (100, 6, 2, 12), (40, 6, 4, 28), (150, 1, 3, 29)]
+
+
+@pytest.mark.parametrize("amplitude, seed, failing, frame", _DIVERGING)
+def test_wavefront_error_order(amplitude, seed, failing, frame):
+    g = GridSpec(1, 16, TWO_PI)
+    u0 = make_trig_field(g, seed=seed, kmax=3, amplitude=amplitude)
+
+    def cfg(m_max, tol_fp):
+        return SchemeConfig(grid=g, T=0.125, dt=1 / 256, m_max=m_max, tol_fp=tol_fp)
+
+    _picard_reference(cfg(failing - 1, 0.0), u0)
+    with pytest.raises(DivergenceError) as want:
+        _picard_reference(cfg(failing, 0.0), u0)
+    assert f"t={frame / 256:g}:" in str(want.value)
+    # none converges: the same error, held until the iterates below it end
+    with pytest.raises(DivergenceError) as got:
+        run_picard(cfg(8, 1e-12), u0)
+    assert str(got.value) == str(want.value)
+
+    # an iterate below the failing one converges: the failure never happened
+    refs, _, _ = _picard_reference(cfg(failing - 1, 0.0), u0)
+    converging = cfg(8, max(r.sup_v.max() for r in refs[1:]) * 1.01)
+    want = _picard_reference(converging, u0, min_iters=failing - 1)
+    assert want[2] and want[0][-1].m == failing - 1
+    _assert_same_run(run_picard(converging, u0, min_iters=failing - 1), want)
+
+
+def test_wavefront_peak_memory_within_sequential():
+    # criterion 01's run: the wavefront holds no more than the loop it replaced
+    u0 = _cole_hopf_datum()
+    cfg = SchemeConfig(grid=u0.grid, T=1.0, dt=1e-3, m_max=14, tol_fp=1e-10)
+    warm = SchemeConfig(grid=u0.grid, T=0.01, dt=1e-3, m_max=2, tol_fp=1e-10)
+    peaks = {}
+    for name, run in (("sequential", _picard_reference), ("wavefront", run_picard)):
+        run(warm, u0)
+        tracemalloc.start()
+        try:
+            run(cfg, u0)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["wavefront"] <= peaks["sequential"], peaks

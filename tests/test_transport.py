@@ -7,6 +7,8 @@ from vburgers.fields import (
     ScalarField,
     Trajectory,
     VectorField,
+    _dealias_mask,
+    advect_hat,
     dealias_values,
     gradient_arrays,
     irfft,
@@ -18,7 +20,10 @@ from vburgers.heat import duhamel_forced_heat, heat_apply, heat_multiplier, n_st
 from vburgers.norms import sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve
 from vburgers.transport import (
+    BLOCKING_GATE,
     TransportProblem,
+    _blocking_fractions,
+    _blocking_guard,
     amplification_factors,
     max_principle_slack,
     mp_tolerance,
@@ -286,3 +291,53 @@ def test_forced_duhamel_transform_count(spec, monkeypatch):
     steps = 16
     duhamel_forced_heat(u0, f, steps * _REF_DT, _REF_DT)
     assert len(calls) <= steps + 2
+
+
+# ---------------------------------------------------------------------------
+# lanes: the Picard wavefront steps several problems at once and must get each one's floats
+
+
+def _lane_data(spec, lanes=5):
+    """Lane-stacked dealiased drifts and half-spectra with energy in every band, top third included."""
+    b = np.stack([dealias_values(make_trig_field(spec, 10 + j, kmax=3, amplitude=0.5).values, spec) for j in range(lanes)])
+    u = np.stack([_ref_datum(spec).values * (1.0 + 0.25 * j) for j in range(lanes)])
+    return b, rfft(u, spec)
+
+
+@pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
+def test_advect_hat_lane_stacked_equals_per_lane(spec):
+    b, u_hat = _lane_data(spec)
+    stacked = advect_hat(b, u_hat, spec)
+    for j in range(len(b)):
+        assert np.array_equal(stacked[j], advect_hat(b[j], u_hat[j], spec))
+
+
+def _one_lane_fraction(spec, u_hat):
+    """The blocking guard's fraction as the one-lane guard computed it: channel sum, then whole-spectrum sums."""
+    top = ~_dealias_mask(spec)
+    w = np.full(top.shape, 2.0)
+    w[..., 0] = 1.0
+    if spec.n % 2 == 0:
+        w[..., -1] = 1.0
+    e = (w * np.abs(u_hat) ** 2).sum(axis=0)
+    return e[top].sum() / e.sum()
+
+
+@pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
+def test_blocking_fraction_lane_batched_equals_one_lane(spec):
+    _, u_hat = _lane_data(spec)
+    fractions = _blocking_fractions(spec)(u_hat)
+    assert np.all(fractions > 0)
+    for j in range(len(u_hat)):
+        assert fractions[j] == _one_lane_fraction(spec, u_hat[j])
+
+
+def test_blocking_guard_reports_first_failing_lane():
+    g = GridSpec(1, 32, TWO_PI)
+    x = g.axis_coords()
+    quiet, loud = np.sin(x), np.sin(x) + np.sin(15 * x)
+    u_hat = rfft(np.stack([quiet, loud, loud])[:, None], g)
+    lane, err = _blocking_guard(g)([0.1, 0.2, 0.3], None, u_hat)
+    assert lane == 1 and isinstance(err, ResolutionError)
+    assert "t=0.2:" in str(err) and f"exceeds {BLOCKING_GATE:g}" in str(err)
+    assert _blocking_guard(g)([0.1], None, u_hat[:1]) is None
