@@ -98,36 +98,59 @@ HELD_TRAJECTORIES = 3  # what one solve at a time held beyond its drift: dealias
 _CHUNK_SAMPLES = 2**10  # grid nodes per chunk of a kept trajectory
 
 
-def _block_sups(ub: np.ndarray, vb: np.ndarray | None, spec: GridSpec, hess_out=None) -> list:
-    """Per-frame sup_u, sup_grad_u, sup_hess_u and, given the updates vb, sup_grad_v of a block of frames.
-
-    ``hess_out``, unless None, receives the block's Hessians as (frames, d**3) + grid shape.
-    """
-    hess = hessian_arrays(ub, spec)
-    if hess_out is not None:
-        hess_out[...] = hess.reshape(hess_out.shape)
-    sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3)]
-    if vb is not None:
-        sups.append(frame_sups(gradient_arrays(vb, spec), 2))
-    return sups
-
-
-def _diagnose(m: int, traj: Trajectory, prev: Trajectory | None, cfg: SchemeConfig, record_holder: bool, times):
-    """Record of iterate m from its whole trajectory; its update is traj - prev, or at m = 0 traj itself."""
+def _diagnose(
+    m: int,
+    traj: Trajectory,
+    prev: Trajectory | None,
+    alpha: float,
+    seed: int,
+    record_holder: bool,
+) -> IterationRecord:
     spec, u = traj.grid, traj.values
     dt_u = time_derivative_frames(traj)
     hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
     cols = []
     for sl in frame_blocks(len(u), spec):
         ub = u[sl]
-        vb = None if prev is None else ub - prev.values[sl]
-        sup_u, sup_grad, sup_hess, *grad_v = _block_sups(ub, vb, spec, None if hess_u is None else hess_u[sl])
-        update = [sup_u, sup_grad] if vb is None else [frame_sups(vb, 1)] + grad_v
-        cols.append([sup_u, sup_grad, sup_hess, frame_sups(dt_u[sl], 1)] + update)
-    holder = (0.0, 0.0)
+        hess = hessian_arrays(ub, spec)
+        if record_holder:
+            hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
+        sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)]
+        if prev is not None:
+            v = ub - prev.values[sl]
+            sups += [frame_sups(v, 1), frame_sups(gradient_arrays(v, spec), 2)]
+        cols.append(sups)
+    sup_u, sup_grad, sup_hess, sup_dt, *update = map(np.concatenate, zip(*cols))
+    sup_v, sup_grad_v = update or (sup_u, sup_grad)
+
+    holder_hess = holder_dt = 0.0
     if record_holder:
-        holder = tuple(parabolic_seminorm_array(a, spec, cfg.dt, cfg.alpha, cfg.seed).value for a in (hess_u, dt_u))
-    return IterationRecord(m, times, *map(np.concatenate, zip(*cols)), *holder)
+        holder_hess = parabolic_seminorm_array(hess_u, spec, traj.dt, alpha, seed).value
+        holder_dt = parabolic_seminorm_array(dt_u, spec, traj.dt, alpha, seed).value
+
+    return IterationRecord(
+        m=m,
+        times=traj.times,
+        sup_u=sup_u,
+        sup_grad_u=sup_grad,
+        sup_hess_u=sup_hess,
+        sup_dt_u=sup_dt,
+        sup_v=sup_v,
+        sup_grad_v=sup_grad_v,
+        holder_hess=holder_hess,
+        holder_dt=holder_dt,
+    )
+
+
+def _block_sups(ub: np.ndarray, vb: np.ndarray, spec: GridSpec) -> list:
+    """Per-frame sup_u, sup_grad_u, sup_hess_u and sup_grad_v of buffered frames ub and their updates vb."""
+    hess = hessian_arrays(ub, spec)
+    return [
+        frame_sups(ub, 1),
+        frame_sups(gradient_arrays(ub, spec), 2),
+        frame_sups(hess, 3),
+        frame_sups(gradient_arrays(vb, spec), 2),
+    ]
 
 
 class _Frames:
@@ -350,14 +373,17 @@ class _Wavefront:
             self.fill = 0
 
     def finish(self, times: np.ndarray):
-        """(records, frames of the last lane, converged) once the march is over; raises a lane's error."""
+        """(records, frames of the last lane, converged) once the march is over; raises a lane's error.
+
+        Every record gets a copy of ``times``, the frame times.
+        """
         self._flush()
         if self.converged is None and self.error is not None:
             raise self.error
         records = []
         for j in range(self.lanes):
             sups = [row.copy() for row in self.cols[j, :, j : j + self.steps + 1]]
-            records.append(IterationRecord(self.m0 + 1 + j, times, *sups, 0.0, 0.0))
+            records.append(IterationRecord(self.m0 + 1 + j, times.copy(), *sups, 0.0, 0.0))
         return records, self.kept[self.lanes - 1], self.converged is not None
 
 
@@ -419,9 +445,7 @@ def run_picard(
         g = ZeroForcing(cfg.grid)
     spec, steps = cfg.grid, n_steps(cfg.T, cfg.dt)
     drift = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
-    times = drift.times
-    times.flags.writeable = False  # one array for every record of the run
-    records = [_diagnose(0, drift, None, cfg, record_holder, times)]
+    records = [_diagnose(0, drift, None, cfg.alpha, cfg.seed, record_holder)]
     while True:
         m0 = len(records) - 1
         lanes = 1 if record_holder else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
@@ -430,13 +454,13 @@ def run_picard(
             if isinstance(drift, _Frames):
                 drift = Trajectory(spec, 0.0, cfg.dt, drift.stack())
             new = solve_transport(TransportProblem(u0=u0, b=drift, C=None, f=g, T=cfg.T, dt=cfg.dt))
-            recs = [_diagnose(m0 + 1, new, drift, cfg, record_holder, times)]
+            recs = [_diagnose(m0 + 1, new, drift, cfg.alpha, cfg.seed, record_holder)]
             converged = m0 + 1 >= min_iters and float(recs[0].sup_v.max()) < cfg.tol_fp
             drift, stats = new, {"ticks": steps, "cut": None, "peak_kept_frames": steps + 1}
         else:
             if isinstance(drift, Trajectory):
                 drift = _Frames(spec, drift.values)
-            recs, drift, converged, stats = _march(cfg, u0, g, drift, m0, lanes, min_iters, times)
+            recs, drift, converged, stats = _march(cfg, u0, g, drift, m0, lanes, min_iters, records[0].times)
         if trace is not None:
             trace.append({"first_iterate": m0 + 1, "lanes": lanes, **stats, "wall_s": time.perf_counter() - start})
         records += recs
