@@ -326,16 +326,14 @@ class _Wavefront:
 
         self._buffer(lo, hi, col, u, v)
 
-        may_return = (self.running[lo:hi] < self.cfg.tol_fp).tolist()
         for i, j in enumerate(range(lo, hi)):
-            may_return[i] = may_return[i] and self.m0 + 1 + j >= self.min_iters
             if self.kept[j] is None:
                 continue
-            if may_return[i] or j == self.lanes - 1:
+            if self._may_return(j) or j == self.lanes - 1:
                 self.kept[j].append(u[i])
             else:
                 self.kept[j] = None
-        if s - lo + 1 == steps and may_return[0]:
+        if s - lo + 1 == steps and self._may_return(lo):
             self.converged = lo
             self._cut(lo + 1)
             return self.lanes
