@@ -435,17 +435,12 @@ def time_derivative_frames(traj: Trajectory) -> np.ndarray:
     return time_derivative_arrays(traj.values, traj.dt)
 
 
-def _centered_difference(before: np.ndarray, after: np.ndarray, dt: float) -> np.ndarray:
-    """(after - before) / (2 dt), the interior time derivative of ``time_derivative_arrays``."""
-    return (after - before) / (2 * dt)
-
-
 def time_derivative_arrays(u: np.ndarray, dt: float) -> np.ndarray:
     """``time_derivative_frames`` of frames stacked on the leading axis of ``u``, spaced ``dt`` apart."""
     if len(u) < 3:
         raise ValueError("need at least 3 frames for time differences")
     out = np.empty_like(u)
-    out[1:-1] = _centered_difference(u[:-2], u[2:], dt)
+    out[1:-1] = (u[2:] - u[:-2]) / (2 * dt)
     out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
     out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
     return out

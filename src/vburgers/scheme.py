@@ -22,7 +22,6 @@ from .fields import (
     GridSpec,
     Trajectory,
     VectorField,
-    _centered_difference,
     dealias_values,
     frame_blocks,
     gradient_arrays,
@@ -207,13 +206,14 @@ class _Wavefront:
     A lane keeps its full trajectory only while it may still be returned
     (m >= min_iters and its running update sup below tol_fp) or while it is
     the last lane, the next group's drift.  The group counts the bytes it
-    holds: the kept frames, the drift frames not yet read, its own arrays
-    and their temporaries.  While that exceeds what one solve at a time
-    held, the drift and HELD_TRAJECTORIES more trajectories, the group is
-    cut from the top: the lanes above the highest lane below the last that
+    holds: the kept frames, the drift frames not yet read and its own
+    arrays (rings, series, buffer).  While that exceeds what one solve at a
+    time held, the drift and HELD_TRAJECTORIES more trajectories, the group
+    is cut from the top: the lanes above the highest lane below the last that
     may still be returned are discarded, so the lower lanes that may be
     returned keep their frames.  A lane that fails a check cuts the group
-    at itself; its error stands unless a lane below it converges.
+    at itself; its error stands unless a lane below it converges or a later
+    cut discards that lane, whose iterate the next group then solves again.
     """
 
     def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, m0: int, lanes: int, min_iters: int):
@@ -244,19 +244,17 @@ class _Wavefront:
         self.kept = [_Frames(spec, u0.values[None]) for _ in range(lanes)]
         self.running = np.zeros(lanes)
 
-        cap = max(1, fields.BLOCK_SAMPLES // (2 * spec.num_nodes))
-        self.buf = np.empty((2, cap, spec.d) + spec.shape)  # frames and their updates, BLOCK_SAMPLES nodes
+        # frames and their updates: BLOCK_SAMPLES nodes, and no more than one trajectory, as it counts below
+        cap = max(1, min(fields.BLOCK_SAMPLES // (2 * spec.num_nodes), (steps + 1) // 2))
+        self.buf = np.empty((2, cap, spec.d) + spec.shape)
         self.buf_at = np.empty((2, cap), dtype=np.intp)  # lane and column of each buffered row
         self.fill = 0
 
-        # temporaries: a flush holds about 1 + 3 d**2 frames per buffered frame (the Hessian and its
-        # stacks), a tick up to 12 frames per lane (stage spectra, products, updates)
+        # what one solve at a time held, less the group's own arrays; kept and unread drift frames count against it
         self.frame = u0.values.nbytes
-        temporaries = (1 + 3 * spec.d**2) * cap + 12 * lanes
-        own = sum(sys.getsizeof(a) for a in (self.raw, self.dal, self.cols, self.buf))
-        self.working = own + temporaries * self.frame
-        self.budget = (1 + HELD_TRAJECTORIES) * (steps + 1) * self.frame
-        self.error = self.converged = self.cut = None
+        own = sum(map(sys.getsizeof, (self.raw, self.dal, self.cols, self.buf)))
+        self.budget = (1 + HELD_TRAJECTORIES) * (steps + 1) * self.frame - own
+        self.error = self.converged = self.cut = None  # error: (lane, exception)
         self.peak_kept = self.ticks = 0
 
     def drift_at(self, s: int, ts) -> np.ndarray:
@@ -276,13 +274,15 @@ class _Wavefront:
         for j in range(lanes, self.lanes):
             self.kept[j] = None
         self.lanes = lanes
+        if self.error is not None and self.error[0] >= lanes:
+            self.error = None  # the next group solves the failed iterate again
 
     def take(self, s: int, lo: int, u: np.ndarray, failed) -> int:
         """``heat.integrate``'s emit: file tick s's frames u of lanes lo, lo + 1, ...; return the lane count."""
         self.ticks += 1
         if failed is not None:
-            self.error = failed[1]
             self._cut(failed[0])
+            self.error = failed
             u = u[: failed[0] - lo]
         hi = lo + len(u)
         if hi == lo:
@@ -316,8 +316,7 @@ class _Wavefront:
         mid = min(hi, s)
         if mid > lo:
             dt = self.cfg.dt
-            dts = _centered_difference(self.raw[before, lo:mid], self.raw[now, lo:mid], dt)
-            self.cols[lo:mid, 3, col - 1] = frame_sups(dts, 1)
+            self.cols[lo:mid, 3, col - 1] = frame_sups((self.raw[now, lo:mid] - self.raw[before, lo:mid]) / (2 * dt), 1)
             for j, end, at in ((s - 1, 0, s - 1), (lo, 2, col)):
                 # lane s - 1 wrote its frame 2, lane lo its last
                 if lo <= j < mid and (end == 0 or s - lo + 1 == steps):
@@ -341,7 +340,7 @@ class _Wavefront:
         while True:
             kept = sum(frames.nbytes for frames in self.kept[: self.lanes] if frames is not None)
             self.peak_kept = max(self.peak_kept, kept // self.frame)
-            if kept + self.drift.nbytes + self.working <= self.budget:
+            if kept + self.drift.nbytes <= self.budget:
                 return self.lanes
             # lanes yet to start may be returned too; with none below the last lane, nothing can go
             c = next((c for c in reversed(range(self.lanes - 1)) if self._may_return(c)), None)
@@ -377,7 +376,7 @@ class _Wavefront:
         """
         self._flush()
         if self.converged is None and self.error is not None:
-            raise self.error
+            raise self.error[1]
         records = []
         for j in range(self.lanes):
             sups = [row.copy() for row in self.cols[j, :, j : j + self.steps + 1]]
@@ -424,9 +423,10 @@ def run_picard(
     first m >= min_iters whose update sup is below tol_fp stops the run and
     the lanes above it are discarded; a lane's DivergenceError or
     ResolutionError is raised, with the message a lone solve gives, only if
-    every lane below it ends unconverged.  Records, fixed point and
-    ``converged`` are those of solving the iterates one after another, bit
-    for bit.
+    every lane below it ends unconverged and no later cut discards the
+    lane (the next group then solves its iterate again).  Records, fixed
+    point and ``converged`` are those of solving the iterates one after
+    another, bit for bit.
 
     ``trace``, a list, gets one dict per group: first iterate, lanes, ticks,
     the iterate the memory rule last cut the group above (or None), the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vburgers import fields, scheme
+from vburgers import fields, scheme, transport
 from vburgers.errors import DivergenceError
 from vburgers.fields import (
     GridSpec,
@@ -364,7 +364,7 @@ def _wavefront_case(name):
     if name == "criterion01":
         u0 = _cole_hopf_datum()
         return SchemeConfig(grid=u0.grid, T=0.25, dt=1e-3, m_max=14, tol_fp=1e-10), u0, None, False, 1
-    d, n, T, kw = {"1d": (1, 64, 0.25, {}), "2d": (2, 16, 1 / 16, {}), "3d": (3, 8, 1 / 32, {})}[name.split("-")[0]]
+    d, n, T, kw = {"1d": (1, 64, 0.25, {}), "2d": (2, 16, 1 / 4, {}), "3d": (3, 8, 1 / 4, {})}[name.split("-")[0]]
     g = GridSpec(d, n, TWO_PI)
     u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
     forcing = TrigForcing(g, seed=9, kmax=1, amplitude=0.2) if "forced" in name else None
@@ -408,6 +408,9 @@ def test_wavefront_matches_sequential_loop(name):
         assert np.abs(got[1].values - exact.values).max() < 1e-6
     if holder:
         assert all(group["lanes"] == 1 for group in trace)
+    else:  # the first group marches at least three lanes to its end
+        first = trace[0]["first_iterate"]
+        assert (trace[0]["cut"] or first + trace[0]["lanes"] - 1) - first >= 2
     if name == "1d-min-iters":
         assert got[0][-1].m > 1 + next(r.m for r in got[0][1:] if r.sup_v.max() < cfg.tol_fp)
 
@@ -482,6 +485,43 @@ def test_wavefront_error_order(amplitude, seed, failing, frame):
     want = _picard_reference(converging, u0, min_iters=failing - 1)
     assert want[2] and want[0][-1].m == failing - 1
     _assert_same_run(run_picard(converging, u0, min_iters=failing - 1), want)
+
+
+def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
+    # Lane 5 (iterate 6) fails at tick 20.  Room for every lane until then, none after: the group
+    # is cut above lane 3 (iterate 4), the lowest that may still be returned.  Iterate 4 ends
+    # above tol_fp, the failure went with lane 5, and the next group finds iterate 5 converged.
+    cfg, u0, _, _, _ = _wavefront_case("1d")
+    cfg = SchemeConfig(grid=cfg.grid, T=cfg.T, dt=cfg.dt, m_max=cfg.m_max, tol_fp=1e-9)
+    want = _picard_reference(cfg, u0)
+    assert want[2] and want[0][-1].m == 5
+    groups = []
+
+    def guard_failing_lane_5(spec):
+        guard = transport._blocking_guard(spec)
+        groups.append(spec)
+
+        def check(ts, u, u_hat):
+            if len(groups) == 1 and len(ts) > 5 and round(ts[0] / cfg.dt) == 21:
+                return 5, DivergenceError("lane 5 fails at tick 20")
+            return guard(ts, u, u_hat)
+
+        return check
+
+    take = scheme._Wavefront.take
+
+    def take_without_room(self, s, lo, u, failed):
+        if failed is not None:
+            self.budget = 0
+        return take(self, s, lo, u, failed)
+
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 100)
+    monkeypatch.setattr(scheme, "_blocking_guard", guard_failing_lane_5)
+    monkeypatch.setattr(scheme._Wavefront, "take", take_without_room)
+    trace = []
+    got = run_picard(cfg, u0, trace=trace)
+    assert [(group["first_iterate"], group["cut"]) for group in trace] == [(1, 4), (5, None)]
+    _assert_same_run(got, want)
 
 
 def test_wavefront_peak_memory_within_sequential():
