@@ -140,7 +140,7 @@ def _build_scheme(section: dict, grid: GridSpec) -> SchemeConfig:
     # runs solve in the unit-viscosity frame; other nu go through scheme.rescale_viscosity
     if section.get("nu", 1.0) != 1.0:
         raise ConfigError(f"nu={section['nu']} is not supported by the runner: only nu = 1")
-    return SchemeConfig(grid=grid, **{k: int(v) if k in _INT_KEYS else v for k, v in section.items()})
+    return SchemeConfig(grid=grid, **{k: int(v) if k in _INT_KEYS else v for k, v in section.items() if k != "nu"})
 
 
 def _cole_hopf_potential(grid: GridSpec, epsilon: float) -> ScalarField:
@@ -361,7 +361,7 @@ def _run_checks(cfg: dict, out_dir: str) -> bool:
         holder = "uniform_estimates" in checks
         records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder=holder)
         _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
-        kfn = KProfile(u0, g, scheme_cfg.alpha, scheme_cfg.seed, scheme_cfg.nu)
+        kfn = KProfile(u0, g, scheme_cfg.alpha, scheme_cfg.seed)
         t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=kfn)
         kc = kfn(scheme_cfg.T, scheme_cfg.c)
         res = residual(fixed_point, g).max if len(fixed_point) >= 3 else math.nan

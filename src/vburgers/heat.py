@@ -3,7 +3,7 @@ built on it, and heat-kernel scaling probes."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,18 +143,20 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
 # lacunary probe fields and the derivative-decay scaling probe
 
 
-def lacunary_field(spec: GridSpec, alpha: float, seed: int, j_max: int | None = None) -> ScalarField:
-    """Weierstrass-type field sum_j 2^{-j alpha} cos(2^j k0 x + theta_j).
+def _lacunary_j_max(spec: GridSpec) -> int:
+    """Index of the top lacunary mode: 2^{j_max} = n/4, below the Nyquist n/2."""
+    return int(np.log2(spec.n)) - 2
+
+
+def lacunary_field(spec: GridSpec, alpha: float, seed: int) -> ScalarField:
+    """Weierstrass-type field sum_j 2^{-j alpha} cos(2^j k0 x + theta_j), j = 0 .. j_max.
 
     Varies along the first axis; the largest active wavenumber is
-    2^{j_max} * 2 pi / L with 2^{j_max} <= n/4 by default.
+    2^{j_max} * 2 pi / L with 2^{j_max} = n/4.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if j_max is None:
-        j_max = int(np.log2(spec.n)) - 2
-    if 2**j_max >= spec.n / 2:
-        raise ValueError("largest lacunary mode would alias")
+    j_max = _lacunary_j_max(spec)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, j_max + 1)
     x = spec.axis_coords()
@@ -174,7 +176,6 @@ class ScalingProbeReport:
     norms: tuple
     slope: float
     predicted_slope: float
-    fitted_constant: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.times)
@@ -202,13 +203,11 @@ def holder_scaling_probe(
     t_list,
     spec: GridSpec,
     seed: int,
-    field: ScalarField | None = None,
 ) -> ScalingProbeReport:
-    """Fit the decay exponent of sup|grad^kappa e^{t L} u0| on rough data.
+    """Fit the decay exponent of sup|grad^kappa e^{t L} u0| on the lacunary field.
 
-    With the built-in lacunary field of Hoelder exponent ``alpha`` the fitted
-    log-log slope approaches (alpha - kappa) / 2.  A custom ``field`` skips
-    the resolvable-window gate (smooth data saturate at slope 0).
+    With the lacunary field of Hoelder exponent ``alpha`` the fitted log-log slope approaches
+    (alpha - kappa) / 2.  Probe times below 1/k_top^2 (k_top: its top wavenumber) raise WindowError.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -218,27 +217,23 @@ def holder_scaling_probe(
     if t_arr.size < 2 or np.any(t_arr <= 0):
         raise ValueError("need at least two positive probe times")
 
-    if field is None:
-        probe = lacunary_field(spec, alpha, seed)
-        j_max = int(np.log2(spec.n)) - 2
-        k_top = 2**j_max * 2.0 * np.pi / spec.L
-        if k_top**2 * t_arr.min() < 1.0:
-            raise WindowError(
-                f"min probe time {t_arr.min():g} below resolvable window "
-                f"1/k_top^2 = {1.0 / k_top**2:g}"
-            )
-    else:
-        probe = field
+    k_top = 2 ** _lacunary_j_max(spec) * 2.0 * np.pi / spec.L
+    if k_top**2 * t_arr.min() < 1.0:
+        raise WindowError(
+            f"min probe time {t_arr.min():g} below resolvable window "
+            f"1/k_top^2 = {1.0 / k_top**2:g}"
+        )
 
+    probe = lacunary_field(spec, alpha, seed).values
+    derivative = gradient_arrays if kappa == 1 else hessian_arrays
     # one channel axis for the Hessian's (d, d) axes: its squares are summed in row-major order
-    grid, derivative = probe.grid, gradient_arrays if kappa == 1 else hessian_arrays
     norms = [
-        channel_sup(derivative(heat_apply_values(probe.values, grid, float(t)), grid).reshape((-1,) + grid.shape))
+        channel_sup(derivative(heat_apply_values(probe, spec, float(t)), spec).reshape((-1,) + spec.shape))
         for t in t_arr
     ]
     logs_t = np.log(t_arr)
     logs_n = np.log(norms)
-    slope, intercept = np.polyfit(logs_t, logs_n, 1)
+    slope = np.polyfit(logs_t, logs_n, 1)[0]
     return ScalingProbeReport(
         alpha=alpha,
         kappa=kappa,
@@ -246,5 +241,4 @@ def holder_scaling_probe(
         norms=tuple(float(v) for v in norms),
         slope=float(slope),
         predicted_slope=(alpha - kappa) / 2.0,
-        fitted_constant=float(np.exp(intercept)),
     )

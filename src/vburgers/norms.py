@@ -96,8 +96,6 @@ def opnorm_sup(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class HolderEstimate:
-    alpha: float
-    mode: str
     value: float
     pairs: int
     exhaustive: bool
@@ -202,7 +200,7 @@ def iso_seminorm_array(
     ordered, dpows, exhaustive = _ordered_offsets(spec, seed, per_stratum, False, alpha)
     cap = _pair_cap(v, _diff_max(v, (0,) * spec.d, spatial_axes))
     best = _pruned_max(v, ordered, dpows, cap, 0.0, spatial_axes)
-    return HolderEstimate(alpha, "isotropic", best, len(ordered) * spec.num_nodes, exhaustive)
+    return HolderEstimate(best, len(ordered) * spec.num_nodes, exhaustive)
 
 
 def parabolic_seminorm_array(
@@ -249,7 +247,7 @@ def parabolic_seminorm_array(
         denoms = [p + tdenom for p in dpows]
         best = _pruned_max(a, ordered, denoms, _pair_cap(a, peak), best, spatial_axes)
         pair_count += (len(ordered) + (q > 0)) * (nt - q) * spec.num_nodes
-    return HolderEstimate(alpha, "parabolic", best, pair_count, exhaustive)
+    return HolderEstimate(best, pair_count, exhaustive)
 
 
 def _field_channels(f) -> tuple:
@@ -260,18 +258,14 @@ def _field_channels(f) -> tuple:
     raise TypeError(f"cannot compute seminorm of {type(f).__name__}")
 
 
-def holder_seminorm(samples, alpha: float, mode: str | None = None, seed: int = 0) -> HolderEstimate:
+def holder_seminorm(samples, alpha: float, seed: int = 0) -> HolderEstimate:
     """Sampled Hoelder seminorm, a declared lower bound of the continuum sup.
 
     Spatial fields use the isotropic seminorm with torus-periodic distances;
     trajectories use the parabolic space-time seminorm.
     """
     if isinstance(samples, Trajectory):
-        if mode not in (None, "parabolic"):
-            raise ValueError("trajectories take the parabolic seminorm")
         return parabolic_seminorm_array(samples.values, samples.grid, samples.dt, alpha, seed)
-    if mode not in (None, "isotropic"):
-        raise ValueError("spatial fields take the isotropic seminorm")
     values, grid = _field_channels(samples)
     return iso_seminorm_array(values, grid, alpha, seed)
 
@@ -282,26 +276,21 @@ def holder_seminorm(samples, alpha: float, mode: str | None = None, seed: int = 
 
 @dataclass(frozen=True)
 class KConstants:
-    """Data-dependent reference scales K0, K1, K2, K_{2+alpha}, K at time t."""
+    """Data-dependent reference scales K0, K1, K2, K_{2+alpha} at time t and K = c^2 base, at nu = 1."""
 
     t: float
     c: float
     alpha: float
-    nu: float
     K0: float
     K1: float
     K2: float
     K2plusAlpha: float
-    K: float
 
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("c must be >= 1")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        expected = self.c**2 * self.base
-        if abs(self.K - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("K does not match its defining combination")
 
     @property
     def base(self) -> float:
@@ -314,20 +303,21 @@ class KConstants:
         )
 
     @property
+    def K(self) -> float:
+        return self.c**2 * self.base
+
+    @property
     def Kbar(self) -> float:
         return self.c * self.K
 
     def at_c(self, c: float) -> "KConstants":
         """Same data scales, different multiplicative constant."""
-        return KConstants(
-            self.t, c, self.alpha, self.nu,
-            self.K0, self.K1, self.K2, self.K2plusAlpha, c**2 * self.base,
-        )
+        return replace(self, c=c)
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "t": self.t, "c": self.c, "alpha": self.alpha, "nu": self.nu,
+                "t": self.t, "c": self.c, "alpha": self.alpha, "nu": 1.0,
                 "K0": self.K0, "K1": self.K1, "K2": self.K2,
                 "K2alpha": self.K2plusAlpha, "K": self.K,
             }
@@ -337,12 +327,13 @@ class KConstants:
 class KProfile:
     """K(t) of one datum and forcing: the datum scales once, each distinct t once.
 
-    ``profile(t, c)`` gives the KConstants at time t and constant c.  The
+    ``profile(t, c)`` gives the KConstants at time t and constant c, in the
+    unit-viscosity frame (other nu: ``scheme.rescale_viscosity``).  The
     values are memoized by t at c = 1 and rescaled by ``KConstants.at_c``.
     """
 
-    def __init__(self, u0: VectorField, g: Forcing, alpha: float = 0.5, seed: int = 0, nu: float = 1.0):
-        self.u0, self.g, self.alpha, self.seed, self.nu = u0, g, alpha, seed, nu
+    def __init__(self, u0: VectorField, g: Forcing, alpha: float = 0.5, seed: int = 0):
+        self.u0, self.g, self.alpha, self.seed = u0, g, alpha, seed
         self._memo: dict = {}
 
     @cached_property
@@ -392,15 +383,14 @@ class KProfile:
         K1 = grad_u0 + int_dg
         K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt
         K2a = hess_seminorm + g_seminorm
-        base = K0**2 + K1 + K2 ** (2.0 / 3.0) + K2a ** (2.0 / (3.0 + alpha))
-        return KConstants(t, 1.0, alpha, self.nu, K0, K1, K2, K2a, base)
+        return KConstants(t, 1.0, alpha, K0, K1, K2, K2a)
 
 
 def compute_k_constants(
-    u0: VectorField, g: Forcing, t: float, c: float = 1.0, alpha: float = 0.5, nu: float = 1.0, seed: int = 0
+    u0: VectorField, g: Forcing, t: float, c: float = 1.0, alpha: float = 0.5, seed: int = 0
 ) -> KConstants:
     """The five reference constants at one (t, c); callers needing many t build one KProfile."""
-    return KProfile(u0, g, alpha, seed, nu)(t, c)
+    return KProfile(u0, g, alpha, seed)(t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +424,7 @@ def interpolation_gap(u, alpha: float, variant: str = "space", seed: int = 0) ->
     if variant == "spacetime":
         if not isinstance(u, Trajectory):
             raise TypeError("spacetime variant needs a trajectory")
-        lhs = holder_seminorm(u, alpha, "parabolic", seed).value
+        lhs = holder_seminorm(u, alpha, seed).value
         dts = time_derivative_frames(u)
         sups = []
         for sl in frame_blocks(len(u), u.grid):

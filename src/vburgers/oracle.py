@@ -41,8 +41,6 @@ class ResidualSeries:
 
     times: tuple
     values: tuple
-    dt: float
-    method: str = "centered time differences"
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -65,7 +63,7 @@ def residual(u: Trajectory, g: Forcing | None = None) -> ResidualSeries:
         if g is not None and not g.is_zero:
             res -= g.frames(times[sl])
         out.append(frame_sups(res, 1))
-    return ResidualSeries(tuple(float(t) for t in times), tuple(float(r) for r in np.concatenate(out)), u.dt)
+    return ResidualSeries(tuple(float(t) for t in times), tuple(float(r) for r in np.concatenate(out)))
 
 
 def cole_hopf(

@@ -42,7 +42,6 @@ T_INIT_HORIZON = 1e6  # compute_t_init reports T_INIT_INFINITE when t c K(t) < 1
 @dataclass(frozen=True)
 class SchemeConfig:
     grid: GridSpec
-    nu: float = 1.0
     c: float = 1.0
     alpha: float = 0.5
     beta: float = 0.25
@@ -53,8 +52,6 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
         if self.c < 1:
             raise ValueError("c must be >= 1")
         if not 0 < self.alpha < 1:
@@ -73,7 +70,7 @@ SUP_ROWS = ("sup_u", "sup_grad_u", "sup_hess_u", "sup_dt_u", "sup_v", "sup_grad_
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iterate sup-norm and Hoelder diagnostics along the trajectory."""
+    """Per-iterate sup-norm and Hoelder diagnostics along the trajectory; the seminorms are None unless recorded."""
 
     m: int
     times: np.ndarray
@@ -83,8 +80,8 @@ class IterationRecord:
     sup_dt_u: np.ndarray
     sup_v: np.ndarray
     sup_grad_v: np.ndarray
-    holder_hess: float
-    holder_dt: float
+    holder_hess: float | None
+    holder_dt: float | None
 
     def __post_init__(self):
         for name in SUP_ROWS:
@@ -122,7 +119,7 @@ def _diagnose(
     sup_u, sup_grad, sup_hess, sup_dt, *update = map(np.concatenate, zip(*cols))
     sup_v, sup_grad_v = update or (sup_u, sup_grad)
 
-    holder_hess = holder_dt = 0.0
+    holder_hess = holder_dt = None
     if record_holder:
         holder_hess = parabolic_seminorm_array(hess_u, spec, traj.dt, alpha, seed).value
         holder_dt = parabolic_seminorm_array(dt_u, spec, traj.dt, alpha, seed).value
@@ -380,7 +377,7 @@ class _Wavefront:
         records = []
         for j in range(self.lanes):
             sups = [row.copy() for row in self.cols[j, :, j : j + self.steps + 1]]
-            records.append(IterationRecord(self.m0 + 1 + j, times.copy(), *sups, 0.0, 0.0))
+            records.append(IterationRecord(self.m0 + 1 + j, times.copy(), *sups, None, None))
         return records, self.kept[self.lanes - 1], self.converged is not None
 
 
@@ -406,7 +403,8 @@ def run_picard(
     Returns (records, fixed_point, converged).  The zeroth iterate is the
     forced heat trajectory; iterate m solves transport with the previous
     iterate as drift.  Non-convergence at m_max is reported, not raised.
-    The solve is in the unit-viscosity frame, so ``cfg.nu`` must be 1.
+    The solve is in the unit-viscosity frame (other nu: ``rescale_viscosity``,
+    ``unrescale``).  The records' Hoelder seminorms are None without ``record_holder``.
 
     Iterate 0 runs alone.  The transport iterates march in groups as a
     wavefront on the lane axis of ``heat.integrate`` (see ``_Wavefront``):
@@ -434,11 +432,6 @@ def run_picard(
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configuration")
-    if cfg.nu != 1:
-        raise ValueError(
-            f"run_picard solves in the unit-viscosity frame, got nu={cfg.nu}: map the data with "
-            "scheme.rescale_viscosity, solve with nu = 1 and map back with scheme.unrescale"
-        )
     if g is None:
         g = ZeroForcing(cfg.grid)
     spec, steps = cfg.grid, n_steps(cfg.T, cfg.dt)

@@ -149,8 +149,11 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5) -> dict:
     Four sub-reports: sup of u against K0; sup of the gradient against K;
     sup of time-derivative and Hessian against (c K)^{3/2}; parabolic
     Hoelder seminorms of the second derivatives against (c K)^{(3+alpha)/2}.
-    kfn maps a time to the KConstants computed at c = 1.
+    kfn maps a time to the KConstants computed at c = 1.  The records must
+    carry the seminorms, as ``run_picard(..., record_holder=True)`` makes them.
     """
+    if any(r.holder_hess is None or r.holder_dt is None for r in records):
+        raise ValueError("records carry no Hoelder seminorms: run run_picard with record_holder=True")
     times = records[0].times
     idx = _sample_indices(len(times))
     ts = times[idx]

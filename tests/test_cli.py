@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from vburgers import cli
 from vburgers.cli import REGISTRY, _build, cmd_list, load_config, main
 from vburgers.errors import ConfigError
+from vburgers.scheme import SchemeConfig
 
 
 def base_config(tmp_path, **overrides):
@@ -177,6 +179,21 @@ def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, na
     assert main(["run", base_config(tmp_path, **overrides)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("nu", [1, 1.0])
+def test_run_accepts_unit_viscosity(tmp_path, nu):
+    # the CLI takes nu = 1 only and records the viscosity of the frame every solve runs in
+    assert main(["run", base_config(tmp_path, scheme={"T": 0.125, "dt": 1 / 256, "nu": nu})]) == 0
+    out = tmp_path / "out"
+    assert '"nu": 1.0' in (out / "kconstants.json").read_text()
+    assert json.loads((out / "summary.json").read_text())["k_constants"]["nu"] == 1.0
+
+
+def test_scheme_keys_are_scheme_config_fields():
+    # every scheme key but the input-only nu lands on a SchemeConfig field
+    fields = {f.name for f in dataclasses.fields(SchemeConfig)} - {"grid"}
+    assert fields == cli._SCHEME_KEYS - {"nu"}
 
 
 def test_run_determinism(tmp_path):

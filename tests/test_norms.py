@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from vburgers.norms import (
     _iso_offsets,
     _offset_distance,
 )
+from vburgers.scheme import compute_t_init
 
 TWO_PI = 2 * np.pi
 
@@ -248,7 +250,7 @@ def test_k_constants_at_c_rescaling(grid1d, sin_field):
 
 def test_k_constants_require_c_at_least_one():
     with pytest.raises(ValueError):
-        KConstants(t=1.0, c=0.5, alpha=0.5, nu=1.0, K0=0, K1=0, K2=0, K2plusAlpha=0, K=0)
+        KConstants(t=1.0, c=0.5, alpha=0.5, K0=0, K1=0, K2=0, K2plusAlpha=0)
 
 
 def test_interpolation_gap_constant_field(grid1d):
@@ -271,19 +273,44 @@ def test_interpolation_gap_spacetime_nonnegative(grid1d):
         assert interpolation_gap(traj, 0.5, "spacetime") >= -1e-10 * sup_norm(u)
 
 
+def _scaled_data(d, n, lam):
+    """(u0, g) on the torus of side 2 pi and their images under the scaling of the equation.
+
+    u_lam(x) = lam u(lam x) on the torus of side 2 pi / lam, g_lam(t, x) = lam^3 g(lam^2 t, lam x):
+    the same node samples times lam and lam^3, the envelope read at lam^2 t.
+    """
+    grid, small = GridSpec(d, n, TWO_PI), GridSpec(d, n, TWO_PI / lam)
+    u0 = make_trig_field(grid, seed=7, kmax=2, amplitude=0.5)
+    g = TrigForcing(grid, seed=9, kmax=2, amplitude=0.5)
+    u_lam = VectorField(small, lam * u0.values)
+    g_lam = Forcing(
+        VectorField(small, lam**3 * g.values), lambda t: g.env(lam**2 * t), lambda t: lam**2 * g.env_dt(lam**2 * t)
+    )
+    return (u0, g), (u_lam, g_lam)
+
+
 def test_k_scaling_covariance():
-    # u0 -> lam*u0 with x -> x/lam (grid L -> L/lam): K0 scales by lam, K by lam^2
-    lam = 2.0
-    g1 = GridSpec(1, 128, TWO_PI)
-    g2 = GridSpec(1, 128, TWO_PI / lam)
-    x1 = g1.axis_coords()
-    u1 = VectorField.from_arrays(g1, [np.sin(x1)])
-    x2 = g2.axis_coords()
-    u2 = VectorField.from_arrays(g2, [lam * np.sin(lam * x2)])
-    a = compute_k_constants(u1, ZeroForcing(g1), t=0.5, alpha=0.5)
-    b = compute_k_constants(u2, ZeroForcing(g2), t=0.5 / lam**2, alpha=0.5)
-    assert b.K0 == pytest.approx(lam * a.K0, rel=1e-10)
-    assert b.K == pytest.approx(lam**2 * a.K, rel=2e-2)  # seminorm term sampled
+    # the paper's dimension count: u ~ 1/L and g ~ 1/(L T) make K0 ~ lam, K1 ~ lam^2, K2 ~ lam^3,
+    # K_{2+alpha} ~ lam^{3+alpha} and K ~ lam^2, read at t / lam^2; the sampled pairs are the same
+    alpha = 0.5
+    powers = {"K0": 1, "K1": 2, "K2": 3, "K2plusAlpha": 3 + alpha, "K": 2}
+    for (d, n), lam in itertools.product([(1, 64), (2, 32)], (0.5, 2.0, 3.0)):
+        (u0, g), (u_lam, g_lam) = _scaled_data(d, n, lam)
+        for t in (0.0, 0.3):
+            a = compute_k_constants(u0, g, t, alpha=alpha)
+            b = compute_k_constants(u_lam, g_lam, t / lam**2, alpha=alpha)
+            for name, power in powers.items():
+                assert getattr(b, name) == pytest.approx(lam**power * getattr(a, name), rel=1e-13), (d, lam, t, name)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32)])
+def test_t_init_scaling_covariance(d, n):
+    # t_init is a time: it scales by lam^-2, in closed form without forcing and to the bisection's tolerance with it
+    for lam in (0.5, 2.0, 3.0):
+        (u0, g), (u_lam, g_lam) = _scaled_data(d, n, lam)
+        free, free_lam = compute_t_init(u0, None), compute_t_init(u_lam, None)
+        assert free_lam == pytest.approx(free / lam**2, rel=1e-14), lam
+        assert compute_t_init(u_lam, g_lam) == pytest.approx(compute_t_init(u0, g) / lam**2, rel=1e-9), lam
 
 
 def test_sin_seminorm_feeds_k2alpha(grid1d, sin_field):
@@ -311,12 +338,14 @@ def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
         int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
         sup_g0 = float(sup_g[0])
         samples = Trajectory(g.grid, 0.0, t / 16, [g.at(k * (t / 16)) for k in range(17)])
-        g_seminorm = holder_seminorm(samples, alpha, "parabolic", seed).value
+        g_seminorm = holder_seminorm(samples, alpha, seed).value
     K0, K1 = sup_u0 + int_g, grad_u0 + int_dg
     K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt
     K2a = hess_seminorm + g_seminorm
-    base = K0**2 + K1 + K2 ** (2.0 / 3.0) + K2a ** (2.0 / (3.0 + alpha))
-    return KConstants(t, c, alpha, 1.0, K0, K1, K2, K2a, c**2 * base)
+    kc = KConstants(t, c, alpha, K0, K1, K2, K2a)
+    # K's defining combination, written out apart from KConstants.base
+    assert kc.K == c**2 * (K0**2 + K1 + K2 ** (2.0 / 3.0) + K2a ** (2.0 / (3.0 + alpha)))
+    return kc
 
 
 def _forcing(kind, grid):
@@ -343,7 +372,7 @@ def test_k_profile_matches_per_frame_reference(d, n, kind):
             # |env| sup(base) is not bitwise sup(env base): the sups agree to rounding,
             # the seminorm sees the same samples
             got, ref = profile(t, c), _reference_k(u0, g, t, c, seed=1)
-            assert (got.t, got.c, got.alpha, got.nu) == (ref.t, ref.c, ref.alpha, ref.nu)
+            assert (got.t, got.c, got.alpha) == (ref.t, ref.c, ref.alpha)
             for name in ("K0", "K1", "K2", "K"):
                 assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=4e-15, abs=0.0)
             assert got.K2plusAlpha == ref.K2plusAlpha

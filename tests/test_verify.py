@@ -87,6 +87,16 @@ def test_check_uniform_zero_run(grid1d):
         assert rep.c_star == 1.0
 
 
+def test_check_uniform_needs_recorded_seminorms(picard_run):
+    # records made without record_holder carry no seminorms, and the Hoelder bound cannot pass on them
+    g, u0, _, _, kfn = picard_run
+    cfg = SchemeConfig(grid=g, T=0.25, dt=1 / 256, m_max=8, tol_fp=1e-12, alpha=0.5)
+    recs, _, _ = run_picard(cfg, u0)
+    assert {(r.holder_hess, r.holder_dt) for r in recs} == {(None, None)}
+    with pytest.raises(ValueError, match="record_holder=True"):
+        check_uniform(recs, kfn)
+
+
 def test_heat_iterate_gradient_bound(picard_run):
     # the zeroth iterate obeys the gradient bound by K1 with near-zero slack
     g, u0, recs, fp, kfn = picard_run
