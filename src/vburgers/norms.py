@@ -17,6 +17,18 @@ still count in ``pairs``: they were sampled, their quotients are only
 known not to matter, so the estimate stays a lower bound over the same
 pair set.  Where squares of ``a`` could overflow or go subnormal (and lose
 their relative accuracy), nothing is skipped.
+
+The parabolic pair set (spatial offsets, time offsets, pair count and the
+exhaustive flag) depends only on the grid, the frame count, alpha and the
+sampling, and ``_parabolic_pairs`` chooses it for both parabolic
+seminorms.  ``separable_seminorm`` serves frames of the form env[k] base,
+such as the forcing inside K(t): the largest difference over the pairs of
+time offset q and spatial offset o is A(q) D(o), with A(q) the largest
+envelope difference at lag q (the largest |env| at q = 0) and D(o) the
+largest base difference at offset o (``base_differences``, taken once).
+So one table over the same pairs gives the value ``parabolic_seminorm_array``
+gives on the frame stack, up to the rounding of the factored products, and
+it is the same lower bound.
 """
 from __future__ import annotations
 
@@ -40,6 +52,7 @@ from .fields import (
 from .forcing import Forcing
 
 EXHAUSTIVE_PAIR_LIMIT = 2**24
+PER_STRATUM = 8  # sampled spatial offsets per dyadic stratum, by default
 TIME_PER_STRATUM = 4  # sampled time offsets per dyadic stratum of the parabolic seminorm
 
 
@@ -188,7 +201,7 @@ def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: boo
 
 
 def iso_seminorm_array(
-    values: np.ndarray, spec: GridSpec, alpha: float, seed: int = 0, per_stratum: int = 8
+    values: np.ndarray, spec: GridSpec, alpha: float, seed: int = 0, per_stratum: int = PER_STRATUM
 ) -> HolderEstimate:
     """Isotropic seminorm of a channels-first sample array (ch,) + shape."""
     if not 0 < alpha <= 1:
@@ -203,25 +216,18 @@ def iso_seminorm_array(
     return HolderEstimate(best, len(ordered) * spec.num_nodes, exhaustive)
 
 
-def parabolic_seminorm_array(
-    u: np.ndarray, spec: GridSpec, dt: float, alpha: float, seed: int = 0, per_stratum: int = 8
-) -> HolderEstimate:
-    """Parabolic seminorm of a space-time array (nt, ch) + shape.
+@lru_cache(maxsize=256)
+def _parabolic_pairs(spec: GridSpec, nt: int, alpha: float, seed: int, per_stratum: int) -> tuple:
+    """The pair set of the parabolic seminorm of ``nt`` frames on ``spec``.
 
-    Pairs are graded by the parabolic distance |x - x'| + sqrt|t - t'|;
-    the denominator is |x - x'|^alpha + |t - t'|^{alpha/2}.
+    Returns (spatial offsets, their ``dist**alpha``, time offsets, exhaustive
+    flag, pair count); the spatial offsets ascend in ``dist**alpha`` and the
+    time offsets start at 0.  Memoized: it depends only on its arguments.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    u = np.asarray(u, dtype=np.float64)
-    nt = u.shape[0]
-    spatial_axes = tuple(range(2, spec.d + 2))
-    n_points = nt * spec.num_nodes
-    exhaustive = n_points**2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
-
+    exhaustive = (nt * spec.num_nodes) ** 2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
     ordered, dpows, space_exh = _ordered_offsets(spec, seed, per_stratum, not exhaustive, alpha)
     if exhaustive and space_exh:
-        time_offsets = list(range(nt))
+        time_offsets = tuple(range(nt))
     else:
         exhaustive = False
         rng = np.random.default_rng(seed + 1)
@@ -232,10 +238,27 @@ def parabolic_seminorm_array(
             for _ in range(TIME_PER_STRATUM):
                 qs.add(int(rng.integers(s, hi)))
             s *= 2
-        time_offsets = [0] + sorted(q for q in qs if q < nt)
+        time_offsets = (0,) + tuple(sorted(q for q in qs if q < nt))
+    # each time offset q pairs frames k and k + q: the spatial offsets, plus the zero offset when q > 0
+    pairs = sum((len(ordered) + (q > 0)) * (nt - q) for q in time_offsets) * spec.num_nodes
+    return ordered, dpows, time_offsets, exhaustive, pairs
+
+
+def parabolic_seminorm_array(
+    u: np.ndarray, spec: GridSpec, dt: float, alpha: float, seed: int = 0, per_stratum: int = PER_STRATUM
+) -> HolderEstimate:
+    """Parabolic seminorm of a space-time array (nt, ch) + shape.
+
+    Pairs are graded by the parabolic distance |x - x'| + sqrt|t - t'|;
+    the denominator is |x - x'|^alpha + |t - t'|^{alpha/2}.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    u = np.asarray(u, dtype=np.float64)
+    spatial_axes = tuple(range(2, spec.d + 2))
+    ordered, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, u.shape[0], alpha, seed, per_stratum)
 
     best = 0.0
-    pair_count = 0
     for q in time_offsets:
         tdenom = (q * dt) ** (alpha / 2.0)
         a = u[q:] - u[:-q] if q else u
@@ -246,8 +269,37 @@ def parabolic_seminorm_array(
         # adding tdenom keeps the ascending order of dpows
         denoms = [p + tdenom for p in dpows]
         best = _pruned_max(a, ordered, denoms, _pair_cap(a, peak), best, spatial_axes)
-        pair_count += (len(ordered) + (q > 0)) * (nt - q) * spec.num_nodes
-    return HolderEstimate(best, pair_count, exhaustive)
+    return HolderEstimate(best, pairs, exhaustive)
+
+
+def base_differences(base: np.ndarray, spec: GridSpec, nt: int, alpha: float, seed: int = 0) -> np.ndarray:
+    """D(o) = max_x |base(x) - base(x - o)| over the spatial offsets of the parabolic pair set of ``nt`` frames.
+
+    ``base`` is channels-first, (ch,) + shape.  Entry 0 is max|base|, the
+    zero offset; the others follow the offsets of ``_parabolic_pairs``.
+    """
+    ordered = _parabolic_pairs(spec, nt, alpha, seed, PER_STRATUM)[0]
+    spatial_axes = tuple(range(1, spec.d + 1))
+    return np.array([_diff_max(base, o, spatial_axes) for o in ((0,) * spec.d,) + ordered])
+
+
+def separable_seminorm(
+    env, diffs: np.ndarray, spec: GridSpec, dt: float, alpha: float, seed: int = 0
+) -> HolderEstimate:
+    """Parabolic seminorm of the frames ``env[k] * base``, from ``diffs = base_differences(base, ...)``.
+
+    A(q) = max_k |env[k + q] - env[k]| (A(0) = max_k |env[k]|) times D(o)
+    bounds the pairs of time offset q and spatial offset o; the pairs, their
+    count and the exhaustive flag are those of ``parabolic_seminorm_array``.
+    """
+    env = np.asarray(env, dtype=np.float64)
+    _, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, len(env), alpha, seed, PER_STRATUM)
+    amp = np.array([np.abs(env[q:] - env[:-q]).max() if q else np.abs(env).max() for q in time_offsets])
+    tdenom = np.array([(q * dt) ** (alpha / 2.0) for q in time_offsets])
+    best = (np.outer(amp, diffs[1:]) / np.add.outer(tdenom, dpows)).max(initial=0.0)
+    # the zero spatial offset pairs frames at the same node, for q > 0 only
+    best = max(best, (amp[1:] * diffs[0] / tdenom[1:]).max(initial=0.0))
+    return HolderEstimate(float(best), pairs, exhaustive)
 
 
 def _field_channels(f) -> tuple:
@@ -330,6 +382,13 @@ class KProfile:
     ``profile(t, c)`` gives the KConstants at time t and constant c, in the
     unit-viscosity frame (other nu: ``scheme.rescale_viscosity``).  The
     values are memoized by t at c = 1 and rescaled by ``KConstants.at_c``.
+
+    The forcing g = env(t) base enters through its base, read once: the
+    sups of the base and its derivatives, and its differences over the
+    offsets of the 17-frame parabolic pair set.  A new t then costs 65
+    envelope samples and, for the seminorm of g on [0, t], one table of
+    products (``separable_seminorm``) over the pairs the frame-stack
+    seminorm samples, so K_{2+alpha} stays a lower bound over those pairs.
     """
 
     def __init__(self, u0: VectorField, g: Forcing, alpha: float = 0.5, seed: int = 0):
@@ -338,13 +397,18 @@ class KProfile:
 
     @cached_property
     def _datum(self) -> tuple:
-        """The t-independent terms: sup, sup grad, sup hess and Hessian seminorm of u0; the three sups of g.base."""
+        """The t-independent terms.
+
+        Sup, sup grad, sup hess and Hessian seminorm of u0; the three sups of
+        g.base and its differences for the seminorm of 17 frames.
+        """
         u0, spec = self.u0, self.u0.grid
         hess = hessian_arrays(u0.values, spec)
         seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, self.alpha, self.seed).value
         b = self.g.values
         base_sups = channel_sup(b, 1), channel_sup(gradient_arrays(b, spec), 2), channel_sup(hessian_arrays(b, spec), 3)
-        return (sup_norm(u0), grad_sup(u0), channel_sup(hess, 3), seminorm) + base_sups
+        diffs = base_differences(b, spec, 17, self.alpha, self.seed)
+        return (sup_norm(u0), grad_sup(u0), channel_sup(hess, 3), seminorm) + base_sups + (diffs,)
 
     def __call__(self, t: float, c: float = 1.0) -> KConstants:
         if t < 0:
@@ -360,24 +424,24 @@ class KProfile:
         The sups of g = env(t) base and its derivatives are |env(t)| or
         |env_dt(t)| times the sups of the base.
         """
-        sup_u0, grad_u0, hess_u0, hess_seminorm, sup_b, grad_b, hess_b = self._datum
+        sup_u0, grad_u0, hess_u0, hess_seminorm, sup_b, grad_b, hess_b, diffs = self._datum
         g, alpha = self.g, self.alpha
         sup_g0 = abs(g.env(0.0)) * sup_b
         if g.is_zero or t == 0:
             int_g = int_dg = int_hess_dt = g_seminorm = 0.0
         else:
             times = np.linspace(0.0, t, 65)
-            env = np.abs([g.env(float(s)) for s in times])
-            if not np.all(np.isfinite(env)):
+            signed = np.array([g.env(float(s)) for s in times])
+            if not np.all(np.isfinite(signed)):
                 raise ValueError("non-integrable forcing samples")
-            env_dt = np.abs([g.env_dt(float(s)) for s in times])
+            env, env_dt = np.abs(signed), np.abs([g.env_dt(float(s)) for s in times])
             int_g = float(np.trapezoid(env * sup_b, times))
             int_dg = float(np.trapezoid(env * grad_b, times))
             int_hess_dt = float(np.trapezoid(env * hess_b + env_dt * sup_b, times))
             # the sampled seminorm is a lower bound either way, so it does not
-            # need the quadrature resolution: 17 frames
-            dt = t / 16
-            g_seminorm = parabolic_seminorm_array(g.frames(np.arange(17) * dt), g.grid, dt, alpha, self.seed).value
+            # need the quadrature resolution: every fourth sample, 17 frames
+            # k t/16; signed, since env may change sign
+            g_seminorm = separable_seminorm(signed[::4], diffs, g.grid, t / 16, alpha, self.seed).value
 
         K0 = sup_u0 + int_g
         K1 = grad_u0 + int_dg

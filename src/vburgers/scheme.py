@@ -465,25 +465,18 @@ def run_picard(
 # initial horizon
 
 
-def compute_t_init(
-    u0: VectorField,
-    g: Forcing | None,
-    c: float = 1.0,
-    alpha: float = 0.5,
-    tol: float = 1e-10,
-    kfn=None,
-) -> float:
-    """Root of t * c * K(t) = 1 (bisection on the nondecreasing map).
+def compute_t_init(u0: VectorField, g: Forcing | None, c: float = 1.0, kfn=None) -> float:
+    """Root of t * c * K(t) = 1 (bisection on the nondecreasing map, to |t c K(t) - 1| <= 1e-10).
 
     kfn maps a time to the KConstants computed at c = 1 (default: a KProfile
-    of u0 and g).  Returns the infinite sentinel when the product never
-    reaches 1 up to T_INIT_HORIZON; a constant K (zero forcing) is resolved in
-    closed form.
+    of u0 and g at alpha = 1/2).  Returns the infinite sentinel when the
+    product never reaches 1 up to T_INIT_HORIZON; a constant K (zero
+    forcing) is resolved in closed form.
     """
     if g is None:
         g = ZeroForcing(u0.grid)
     if kfn is None:
-        kfn = KProfile(u0, g, alpha)
+        kfn = KProfile(u0, g)
 
     if g.is_zero:
         k = kfn(0.0).at_c(c).K
@@ -502,7 +495,7 @@ def compute_t_init(
     while True:
         mid = 0.5 * (lo + hi)
         val = f(mid)
-        if abs(val) <= tol or hi - lo <= 1e-16 * max(1.0, mid):
+        if abs(val) <= 1e-10 or hi - lo <= 1e-16 * max(1.0, mid):
             return mid
         if val < 0:
             lo = mid

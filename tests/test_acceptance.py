@@ -283,7 +283,7 @@ def test_criterion_11_t_init_root():
     g = GridSpec(1, 64, TWO_PI)
     u0 = make_trig_field(g, seed=3, kmax=3, amplitude=0.3)
     forcing = TrigForcing(g, seed=11, kmax=2, amplitude=0.2)
-    t_star = compute_t_init(u0, forcing, tol=1e-10)
+    t_star = compute_t_init(u0, forcing)
     resid = abs(t_star * compute_k_constants(u0, forcing, t_star).K - 1.0)
     t_free = compute_t_init(u0, None)
     closed = 1.0 / compute_k_constants(u0, ZeroForcing(g), 0.0).K

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, hessian_arrays, make_trig_field
 from vburgers.forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
 from vburgers.heat import heat_apply, lacunary_field
+from vburgers import norms
 from vburgers.norms import (
     EXHAUSTIVE_PAIR_LIMIT,
     KConstants,
     KProfile,
+    base_differences,
     channel_sup,
     compute_k_constants,
     grad_sup,
@@ -22,6 +25,7 @@ from vburgers.norms import (
     iso_seminorm_array,
     opnorm_sup,
     parabolic_seminorm_array,
+    separable_seminorm,
     sup_norm,
     _iso_offsets,
     _offset_distance,
@@ -355,10 +359,13 @@ def _forcing(kind, grid):
         return ConstantForcing(make_trig_field(grid, seed=4, kmax=2, amplitude=0.3))
     if kind == "trig":
         return TrigForcing(grid, seed=9, kmax=2, amplitude=0.5)
+    if kind == "sign":
+        # env = 1 + 1.5 sin(20 t) is negative on (0.19, 0.28) and every 0.31 after
+        return TrigForcing(grid, seed=9, kmax=2, amplitude=0.5, omega=20.0, mod=1.5)
     return GradientForcing(make_trig_field(grid, seed=6, kmax=2, amplitude=0.4).components[0], omega=1.0, mod=0.5)
 
 
-@pytest.mark.parametrize("kind", ["zero", "constant", "trig", "gradient"])
+@pytest.mark.parametrize("kind", ["zero", "constant", "trig", "gradient", "sign"])
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
 def test_k_profile_matches_per_frame_reference(d, n, kind):
     # d = 2 and 3 split the 65 quadrature frames into several blocks
@@ -369,13 +376,32 @@ def test_k_profile_matches_per_frame_reference(d, n, kind):
     T = 0.25
     for t in (0.0, T / 3, T):
         for c in (1.0, 2.0):
-            # |env| sup(base) is not bitwise sup(env base): the sups agree to rounding,
-            # the seminorm sees the same samples
+            # |env| sup(base) is not bitwise sup(env base), nor the factored seminorm
+            # that of the frames: they agree to rounding over the same samples
             got, ref = profile(t, c), _reference_k(u0, g, t, c, seed=1)
             assert (got.t, got.c, got.alpha) == (ref.t, ref.c, ref.alpha)
             for name in ("K0", "K1", "K2", "K"):
                 assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=4e-15, abs=0.0)
-            assert got.K2plusAlpha == ref.K2plusAlpha
+            assert got.K2plusAlpha == pytest.approx(ref.K2plusAlpha, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "trig", "gradient", "sign"])
+@pytest.mark.parametrize("d, n, exhaustive", [(1, 32, True), (2, 32, False), (3, 8, False)])
+def test_separable_seminorm_matches_frame_stack(d, n, exhaustive, kind):
+    # the reference rounds env[k] base - env[k'] base, the factored form (env[k] - env[k']) D(o):
+    # a few roundings apart on each side, so a few ulps of the value
+    grid = GridSpec(d, n, TWO_PI)
+    g = _forcing(kind, grid)
+    assert kind != "sign" or g.env(0.25) < 0 < g.env(0.0)
+    for seed in (0, 3):
+        diffs = base_differences(g.values, grid, 17, 0.5, seed)
+        for t in (0.01, 0.25, 1.7):
+            dt = t / 16
+            times = np.arange(17) * dt
+            got = separable_seminorm([g.env(float(s)) for s in times], diffs, grid, dt, 0.5, seed)
+            ref = parabolic_seminorm_array(g.frames(times), grid, dt, 0.5, seed)
+            assert got.value == pytest.approx(ref.value, rel=4e-15, abs=0.0), (seed, t)
+            assert (got.pairs, got.exhaustive) == (ref.pairs, exhaustive)
 
 
 def counting_forcing(grid):
@@ -421,3 +447,26 @@ def test_k_profile_new_t_makes_no_transforms(d, n, monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
     profile(0.5)
     assert calls == []
+
+
+def test_k_profile_new_t_builds_no_frame_stack(grid2d, monkeypatch):
+    # the forcing's seminorm comes from its base differences and 17 envelope values
+    u0 = make_trig_field(grid2d, seed=7, kmax=2, amplitude=0.5)
+    profile = KProfile(u0, TrigForcing(grid2d, seed=9, kmax=2, amplitude=0.5))
+    before = profile(0.25)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame stack at a new t")
+
+    monkeypatch.setattr(Forcing, "frames", refuse)
+    monkeypatch.setattr(norms, "parabolic_seminorm_array", refuse)
+    assert profile(0.5).K2plusAlpha > before.K2plusAlpha
+
+
+def test_k_profile_rejects_non_finite_envelope_at_a_seminorm_time(grid1d, random_field):
+    # t / 16 * 3 is a seminorm frame (and the quadrature node 12)
+    g = TrigForcing(grid1d, seed=9, kmax=2, amplitude=0.5)
+    t = 0.25
+    bad = Forcing(g.base, lambda s: math.nan if s == 3 * (t / 16) else g.env(s), g.env_dt)
+    with pytest.raises(ValueError, match="non-integrable"):
+        KProfile(random_field, bad)(t)

@@ -140,14 +140,14 @@ def test_t_init_zero_data_is_infinite(grid1d):
 
 def test_t_init_closed_form_without_forcing(grid1d, sin_field):
     kc = compute_k_constants(sin_field, ZeroForcing(grid1d), t=0.0, c=1.0, alpha=0.5)
-    t = compute_t_init(sin_field, None, c=1.0, alpha=0.5)
+    t = compute_t_init(sin_field, None, c=1.0)
     assert t == pytest.approx(1.0 / kc.K, rel=1e-12)
 
 
 def test_t_init_root_property_with_forcing(grid1d, sin_field):
     g = TrigForcing(grid1d, seed=2, kmax=2, amplitude=0.3)
     c = 1.0
-    t = compute_t_init(sin_field, g, c=c, alpha=0.5)
+    t = compute_t_init(sin_field, g, c=c)
     kc = compute_k_constants(sin_field, g, t, c=c, alpha=0.5)
     assert abs(t * c * kc.K - 1.0) < 1e-6  # root of a monotone map, bisected
 
