@@ -289,8 +289,9 @@ def separable_seminorm(
     """Parabolic seminorm of the frames ``env[k] * base``, from ``diffs = base_differences(base, ...)``.
 
     A(q) = max_k |env[k + q] - env[k]| (A(0) = max_k |env[k]|) times D(o)
-    bounds the pairs of time offset q and spatial offset o; the pairs, their
-    count and the exhaustive flag are those of ``parabolic_seminorm_array``.
+    is the largest difference over the pairs of time offset q and spatial
+    offset o; the pairs, their count and the exhaustive flag are those of
+    ``parabolic_seminorm_array``.
     """
     env = np.asarray(env, dtype=np.float64)
     _, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, len(env), alpha, seed, PER_STRATUM)
