@@ -15,7 +15,6 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
-    advect,
     gradient,
     make_trig_field,
     read_snapshot,

@@ -339,12 +339,6 @@ def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
     return irfft(advect_hat(b, rfft(u, spec), spec), spec)
 
 
-def advect(b: VectorField, u: VectorField) -> VectorField:
-    """Dealiased transport nonlinearity (b . grad) u."""
-    spec = u.grid
-    return VectorField(spec, advect_arrays(dealias_values(b.values, spec), u.values, spec))
-
-
 # ---------------------------------------------------------------------------
 # off-grid evaluation (trigonometric interpolation)
 

@@ -128,9 +128,15 @@ def _diff_max(a: np.ndarray, offset, spatial_axes) -> float:
 
     The channel axis is the one just before the spatial axes.
     """
-    diff = a - np.roll(a, shift=offset, axis=spatial_axes) if any(offset) else a
+    if any(offset):
+        # one temporary of a's size, reused for the difference and its square
+        sq = np.roll(a, shift=offset, axis=spatial_axes)
+        np.subtract(a, sq, out=sq)
+        np.square(sq, out=sq)
+    else:
+        sq = np.square(a)
     # sqrt is monotone, so one root of the largest squared distance is the same value
-    return float(np.sqrt((diff**2).sum(axis=spatial_axes[0] - 1).max()))
+    return float(np.sqrt(sq.sum(axis=spatial_axes[0] - 1).max()))
 
 
 def _pair_cap(a: np.ndarray, peak: float) -> float:

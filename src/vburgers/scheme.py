@@ -33,7 +33,7 @@ from .fields import (
 from .forcing import Forcing, ZeroForcing
 from .heat import duhamel_forced_heat, integrate, n_steps
 from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
-from .transport import TransportProblem, _blocking_guard, _transport_rhs, solve_transport
+from .transport import _blocking_guard, _transport_rhs
 
 T_INIT_INFINITE = math.inf
 T_INIT_HORIZON = 1e6  # compute_t_init reports T_INIT_INFINITE when t c K(t) < 1 up to here
@@ -94,14 +94,8 @@ HELD_TRAJECTORIES = 3  # what one solve at a time held beyond its drift: dealias
 _CHUNK_SAMPLES = 2**10  # grid nodes per chunk of a kept trajectory
 
 
-def _diagnose(
-    m: int,
-    traj: Trajectory,
-    prev: Trajectory | None,
-    alpha: float,
-    seed: int,
-    record_holder: bool,
-) -> IterationRecord:
+def _diagnose(traj: Trajectory, alpha: float, seed: int, record_holder: bool) -> IterationRecord:
+    """The record of iterate 0, whose update is the iterate itself."""
     spec, u = traj.grid, traj.values
     dt_u = time_derivative_frames(traj)
     hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
@@ -111,42 +105,13 @@ def _diagnose(
         hess = hessian_arrays(ub, spec)
         if record_holder:
             hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
-        sups = [frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)]
-        if prev is not None:
-            v = ub - prev.values[sl]
-            sups += [frame_sups(v, 1), frame_sups(gradient_arrays(v, spec), 2)]
-        cols.append(sups)
-    sup_u, sup_grad, sup_hess, sup_dt, *update = map(np.concatenate, zip(*cols))
-    sup_v, sup_grad_v = update or (sup_u, sup_grad)
+        cols.append([frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)])
+    sup_u, sup_grad, sup_hess, sup_dt = map(np.concatenate, zip(*cols))
 
-    holder_hess = holder_dt = None
+    holder = [None, None]
     if record_holder:
-        holder_hess = parabolic_seminorm_array(hess_u, spec, traj.dt, alpha, seed).value
-        holder_dt = parabolic_seminorm_array(dt_u, spec, traj.dt, alpha, seed).value
-
-    return IterationRecord(
-        m=m,
-        times=traj.times,
-        sup_u=sup_u,
-        sup_grad_u=sup_grad,
-        sup_hess_u=sup_hess,
-        sup_dt_u=sup_dt,
-        sup_v=sup_v,
-        sup_grad_v=sup_grad_v,
-        holder_hess=holder_hess,
-        holder_dt=holder_dt,
-    )
-
-
-def _block_sups(ub: np.ndarray, vb: np.ndarray, spec: GridSpec) -> list:
-    """Per-frame sup_u, sup_grad_u, sup_hess_u and sup_grad_v of buffered frames ub and their updates vb."""
-    hess = hessian_arrays(ub, spec)
-    return [
-        frame_sups(ub, 1),
-        frame_sups(gradient_arrays(ub, spec), 2),
-        frame_sups(hess, 3),
-        frame_sups(gradient_arrays(vb, spec), 2),
-    ]
+        holder = [parabolic_seminorm_array(a, spec, traj.dt, alpha, seed).value for a in (hess_u, dt_u)]
+    return IterationRecord(0, traj.times, sup_u, sup_grad, sup_hess, sup_dt, sup_u, sup_grad, *holder)
 
 
 class _Frames:
@@ -189,37 +154,63 @@ class _Frames:
 class _Wavefront:
     """Picard iterates m0 + 1 .. m0 + L marching together on the lane axis of ``heat.integrate``.
 
-    Lane j solves iterate m0 + 1 + j.  Its drift is lane j - 1, or for lane
-    0 ``drift``, the frames of iterate m0 (released as they are read).  At
-    tick s lane j takes step k = s - j and writes its frame k + 1.  Rings
-    of three frames are slotted by tick, s % 3, so all lanes of a tick read
-    and write the same slots: lane j's dealiased drift frames k and k + 1,
+    ``records`` are those of iterates 0 .. m0.  Lane j solves iterate
+    m0 + 1 + j.  Its drift is lane j - 1, or for lane 0 ``drift``, the
+    frames of iterate m0 (released as they are read, and dealiased a block
+    ahead).  At tick s lane j takes step k = s - j and writes its frame
+    k + 1.  Rings of three frames are slotted by tick, s % 3, so all lanes
+    of a tick read and write the same slots: lane j's dealiased drift frames k and k + 1,
     written by the lane below two ticks and one tick earlier, sit in slots
     (s - 2) % 3 and (s - 1) % 3.  Per-lane series are kept by column
     k + 1 + j, so a tick fills one column; lane j's frames are columns j to
     j + n_steps.  The update and time-derivative sups are taken at once,
     the spatial derivatives in buffered blocks of BLOCK_SAMPLES / 2 nodes.
+    Frame 0 of every iterate is the datum: its sups are those in iterate
+    0's record, and its update is zero.
 
     A lane keeps its full trajectory only while it may still be returned
     (m >= min_iters and its running update sup below tol_fp) or while it is
     the last lane, the next group's drift.  The group counts the bytes it
     holds: the kept frames, the drift frames not yet read and its own
-    arrays (rings, series, buffer).  While that exceeds what one solve at a
-    time held, the drift and HELD_TRAJECTORIES more trajectories, the group
-    is cut from the top: the lanes above the highest lane below the last that
-    may still be returned are discarded, so the lower lanes that may be
-    returned keep their frames.  A lane that fails a check cuts the group
-    at itself; its error stands unless a lane below it converges or a later
-    cut discards that lane, whose iterate the next group then solves again.
+    arrays (rings, series, buffer).  What one solve at a time held, the
+    drift and HELD_TRAJECTORIES more trajectories, sizes the group: L is
+    the most lanes, up to m_max - m0 and fields.LANE_SAMPLES grid nodes'
+    worth, whose own arrays and first frames fit next to the drift.  While
+    the group holds more than that, it is cut from the top: the lanes
+    above the highest lane below the last that may still be returned are
+    discarded, so the lower lanes that may be returned keep their frames.
+    A lane that fails a check cuts the group at itself; its error stands
+    unless a lane below it converges or a later cut discards that lane,
+    whose iterate the next group then solves again.
+
+    With ``record_holder`` the group has one lane, the last, so it keeps
+    its whole trajectory.  Its Hessians are kept as the buffer flushes
+    them, and ``finish`` takes the parabolic seminorms of those and of the
+    time derivatives of its frames.
     """
 
-    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, m0: int, lanes: int, min_iters: int):
+    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, records: list, min_iters: int, record_holder: bool):
         spec = self.spec = cfg.grid
-        self.cfg, self.drift, self.m0, self.lanes, self.min_iters = cfg, drift, m0, lanes, min_iters
+        self.cfg, self.drift, self.min_iters, self.times = cfg, drift, min_iters, records[0].times
+        m0 = self.m0 = len(records) - 1
         steps = self.steps = n_steps(cfg.T, cfg.dt)
         # locate(k dt) is frame k; locate(k dt + dt/2) weighs frames k and k + 1 by these
         w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
         self.w_mid = np.array(w_mid).reshape((-1,) + (1,) * (spec.d + 1))
+
+        # the lanes whose rings, series, share of the buffer and first frame fit next to the drift
+        self.frame = u0.values.nbytes
+        cap = max(1, min(fields.BLOCK_SAMPLES // (2 * spec.num_nodes), (steps + 1) // 2))
+        held = (1 + HELD_TRAJECTORIES) * (steps + 1) * self.frame
+
+        def own(lanes: int) -> int:
+            return (6 * lanes + 2 * cap) * self.frame + 8 * lanes * len(SUP_ROWS) * (steps + lanes)
+
+        kept = _Frames(spec, u0.values[None])
+        lanes = 1 if record_holder else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
+        while lanes > 1 and own(lanes) + lanes * kept.nbytes + drift.nbytes > held:
+            lanes -= 1
+        self.lanes, self.budget = lanes, held - own(lanes)
 
         # frame 0 of every iterate is the datum, as if lane j wrote it at tick j - 1
         ring = (3, lanes, spec.d) + spec.shape
@@ -227,30 +218,29 @@ class _Wavefront:
         self.dal = np.empty(ring)  # lane j's dealiased drift frames
         lane = self.lane_ids = np.arange(lanes)
         self.raw[(lane - 1) % 3, lane] = u0.values
-        first = dealias_values(np.stack([drift[0], drift[1]]), spec)
-        self.dal[(lane - 2) % 3, lane] = first[0]
-        self.dal[2, 0] = first[1]
+        # lane 0's drift frames are dealiased ahead, a lane's share of BLOCK_SAMPLES nodes at a time: like the
+        # transform temporaries, a block that does not grow with the trajectory and is not counted in ``own``
+        self.ahead_len = max(1, min(steps + 1, fields.BLOCK_SAMPLES // (lanes * spec.num_nodes)))
+        self.ahead_at = -self.ahead_len
+        self.dal[(lane - 2) % 3, lane] = self._drift_dealiased(0)
+        self.dal[2, 0] = self._drift_dealiased(1)
         drift.release(0)
 
-        # its update is zero; column j is lane j's frame 0
-        self.cols = np.empty((lanes, len(SUP_ROWS), steps + lanes))
-        zero = np.zeros((1,) + u0.values.shape)
-        sup0 = _block_sups(u0.values[None], zero, spec) + [frame_sups(zero, 1)]
-        for row, val in zip((0, 1, 2, 5, 4), sup0):
-            self.cols[lane, row, lane] = val
-        self.kept = [_Frames(spec, u0.values[None]) for _ in range(lanes)]
+        # column j is lane j's frame 0: iterate 0's sups, a zero update and a time derivative still to come
+        self.cols = np.zeros((lanes, len(SUP_ROWS), steps + lanes))
+        for row in (0, 1, 2):
+            self.cols[lane, row, lane] = getattr(records[0], SUP_ROWS[row])[0]
+        self.kept = [kept] + [_Frames(spec, u0.values[None]) for _ in range(lanes - 1)]
         self.running = np.zeros(lanes)
+        self.hess = None
+        if record_holder:
+            self.hess = np.empty((steps + 1, spec.d**3) + spec.shape)
+            self.hess[0] = hessian_arrays(u0.values, spec).reshape((-1,) + spec.shape)
 
-        # frames and their updates: BLOCK_SAMPLES nodes, and no more than one trajectory, as it counts below
-        cap = max(1, min(fields.BLOCK_SAMPLES // (2 * spec.num_nodes), (steps + 1) // 2))
+        # frames and their updates: BLOCK_SAMPLES nodes, and no more than one trajectory, as ``own`` counts
         self.buf = np.empty((2, cap, spec.d) + spec.shape)
         self.buf_at = np.empty((2, cap), dtype=np.intp)  # lane and column of each buffered row
         self.fill = 0
-
-        # what one solve at a time held, less the group's own arrays; kept and unread drift frames count against it
-        self.frame = u0.values.nbytes
-        own = sum(map(sys.getsizeof, (self.raw, self.dal, self.cols, self.buf)))
-        self.budget = (1 + HELD_TRAJECTORIES) * (steps + 1) * self.frame - own
         self.error = self.converged = self.cut = None  # error: (lane, exception)
         self.peak_kept = self.ticks = 0
 
@@ -263,6 +253,14 @@ class _Wavefront:
             return frame_k
         w = self.w_mid[s - lanes.stop + 1 : s - lo + 1][::-1]
         return frame_k * (1.0 - w) + self.dal[(s - 1) % 3, lanes] * w
+
+    def _drift_dealiased(self, k: int) -> np.ndarray:
+        """Lane 0's dealiased drift frame k; frames are read in order."""
+        if k >= self.ahead_at + self.ahead_len:
+            self.ahead_at = k
+            frames = [self.drift[i] for i in range(k, min(k + self.ahead_len, self.steps + 1))]
+            self.ahead = dealias_values(np.stack(frames), self.spec)
+        return self.ahead[k - self.ahead_at]
 
     def _may_return(self, j: int) -> bool:
         return self.m0 + 1 + j >= self.min_iters and self.running[j] < self.cfg.tol_fp
@@ -298,16 +296,14 @@ class _Wavefront:
         self.cols[lo:hi, 4, col] = sup_v
         np.maximum(self.running[lo:hi], sup_v, out=self.running[lo:hi])
 
-        # dealias what the lanes above read next: lane 0's drift frame s + 2, the other lanes' new frames
-        head = lo == 0 and s + 2 <= steps
-        feed = max(lo, min(hi, self.lanes - 1))
-        src = u[: feed - lo]
-        if head:
-            src = np.concatenate([self.drift[s + 2][None], src])
-        if len(src):
-            self.dal[now, lo + 1 - head : feed + 1] = dealias_values(src, spec)
+        # what the lanes read next: lane 0 its drift frame s + 2, the lanes above the new frames, dealiased
         if lo == 0:
+            if s + 2 <= steps:
+                self.dal[now, 0] = self._drift_dealiased(s + 2)
             self.drift.release(s + 1)
+        feed = max(lo, min(hi, self.lanes - 1))
+        if feed > lo:
+            self.dal[now, lo + 1 : feed + 1] = dealias_values(u[: feed - lo], spec)
 
         # time derivatives of the lanes with three frames: centered at the frame before, one-sided at the ends
         mid = min(hi, s)
@@ -360,34 +356,30 @@ class _Wavefront:
 
     def _flush(self) -> None:
         if self.fill:
-            j, col = self.buf_at[:, : self.fill]
-            sups = _block_sups(self.buf[0, : self.fill], self.buf[1, : self.fill], self.spec)
+            spec, (j, col), (u, v) = self.spec, self.buf_at[:, : self.fill], self.buf[:, : self.fill]
+            hess = hessian_arrays(u, spec)
+            sups = [frame_sups(u, 1), frame_sups(gradient_arrays(u, spec), 2), frame_sups(hess, 3), frame_sups(gradient_arrays(v, spec), 2)]
             for row, val in zip((0, 1, 2, 5), sups):
                 self.cols[j, row, col] = val
+            if self.hess is not None:  # one lane: column col is its frame col
+                self.hess[col] = hess.reshape((-1, spec.d**3) + spec.shape)
             self.fill = 0
 
-    def finish(self, times: np.ndarray):
-        """(records, frames of the last lane, converged) once the march is over; raises a lane's error.
-
-        Every record gets a copy of ``times``, the frame times.
-        """
+    def finish(self):
+        """(records, frames of the last lane, converged) once the march is over; raises a lane's error."""
         self._flush()
+        self.raw = self.dal = self.buf = self.ahead = None  # room for the seminorms
         if self.converged is None and self.error is not None:
             raise self.error[1]
-        records = []
+        cfg, records = self.cfg, []
         for j in range(self.lanes):
             sups = [row.copy() for row in self.cols[j, :, j : j + self.steps + 1]]
-            records.append(IterationRecord(self.m0 + 1 + j, times.copy(), *sups, None, None))
+            holder = [None, None]
+            if self.hess is not None:
+                dt_u = time_derivative_arrays(self.kept[j].stack(), cfg.dt)
+                holder = [parabolic_seminorm_array(a, self.spec, cfg.dt, cfg.alpha, cfg.seed).value for a in (self.hess, dt_u)]
+            records.append(IterationRecord(self.m0 + 1 + j, self.times.copy(), *sups, *holder))
         return records, self.kept[self.lanes - 1], self.converged is not None
-
-
-def _march(cfg: SchemeConfig, u0: VectorField, g: Forcing, drift: _Frames, m0: int, lanes: int, min_iters: int, times):
-    """One group on the lane axis: (records, frames of its last lane, converged, trace entry)."""
-    spec = cfg.grid
-    front = _Wavefront(cfg, u0, drift, m0, lanes, min_iters)
-    integrate(u0.values, spec, cfg.T, cfg.dt, _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec), lanes, front.take)
-    records, frames, converged = front.finish(times)
-    return records, frames, converged, {"ticks": front.ticks, "cut": front.cut, "peak_kept_frames": front.peak_kept}
 
 
 def run_picard(
@@ -410,16 +402,16 @@ def run_picard(
     wavefront on the lane axis of ``heat.integrate`` (see ``_Wavefront``):
     at tick s, iterate m0 + 1 + j takes step s - j, reading frames s - j
     and s - j + 1 of iterate m0 + j, which the two ticks before produced.
-    A group has m_max - m0 lanes, at most fields.LANE_SAMPLES grid nodes'
-    worth, and one lane with ``record_holder`` (each lane would hold its
-    Hessian and time-derivative stacks); a group of one lane is one
-    ``solve_transport`` and the diagnostics of its whole trajectory.  A
-    lane keeps its full trajectory only while it may still be returned or
-    is the group's last lane (the next group's drift); while the group
-    holds more than one solve at a time did, it is cut from the top, down
-    to the highest lane below the last that may still be returned.  The
-    first m >= min_iters whose update sup is below tol_fp stops the run and
-    the lanes above it are discarded; a lane's DivergenceError or
+    A group has at most m_max - m0 lanes, fields.LANE_SAMPLES grid nodes'
+    worth, and no more than fit, with their own arrays, in what one solve
+    at a time held; with ``record_holder`` it has one lane, which keeps its
+    Hessians and its trajectory for the Hoelder seminorms.  A lane keeps
+    its full trajectory only while it may still be returned or is the
+    group's last lane (the next group's drift); while the group holds more
+    than one solve at a time did, it is cut from the top, down to the
+    highest lane below the last that may still be returned.  The first
+    m >= min_iters whose update sup is below tol_fp stops the run and the
+    lanes above it are discarded; a lane's DivergenceError or
     ResolutionError is raised, with the message a lone solve gives, only if
     every lane below it ends unconverged and no later cut discards the
     lane (the next group then solves its iterate again).  Records, fixed
@@ -434,31 +426,21 @@ def run_picard(
         raise ValueError("initial data grid does not match the configuration")
     if g is None:
         g = ZeroForcing(cfg.grid)
-    spec, steps = cfg.grid, n_steps(cfg.T, cfg.dt)
+    spec = cfg.grid
     drift = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
-    records = [_diagnose(0, drift, None, cfg.alpha, cfg.seed, record_holder)]
-    while True:
-        m0 = len(records) - 1
-        lanes = 1 if record_holder else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
+    records = [_diagnose(drift, cfg.alpha, cfg.seed, record_holder)]
+    drift, converged = _Frames(spec, drift.values), False
+    while not converged and len(records) - 1 < cfg.m_max:
         start = time.perf_counter()
-        if lanes == 1:
-            if isinstance(drift, _Frames):
-                drift = Trajectory(spec, 0.0, cfg.dt, drift.stack())
-            new = solve_transport(TransportProblem(u0=u0, b=drift, C=None, f=g, T=cfg.T, dt=cfg.dt))
-            recs = [_diagnose(m0 + 1, new, drift, cfg.alpha, cfg.seed, record_holder)]
-            converged = m0 + 1 >= min_iters and float(recs[0].sup_v.max()) < cfg.tol_fp
-            drift, stats = new, {"ticks": steps, "cut": None, "peak_kept_frames": steps + 1}
-        else:
-            if isinstance(drift, Trajectory):
-                drift = _Frames(spec, drift.values)
-            recs, drift, converged, stats = _march(cfg, u0, g, drift, m0, lanes, min_iters, records[0].times)
+        front = _Wavefront(cfg, u0, drift, records, min_iters, record_holder)
+        lanes = front.lanes
+        integrate(u0.values, spec, cfg.T, cfg.dt, _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec), lanes, front.take)
+        recs, drift, converged = front.finish()
         if trace is not None:
-            trace.append({"first_iterate": m0 + 1, "lanes": lanes, **stats, "wall_s": time.perf_counter() - start})
+            stats = {"ticks": front.ticks, "cut": front.cut, "peak_kept_frames": front.peak_kept}
+            trace.append({"first_iterate": front.m0 + 1, "lanes": lanes, **stats, "wall_s": time.perf_counter() - start})
         records += recs
-        if converged or len(records) - 1 == cfg.m_max:
-            if isinstance(drift, _Frames):
-                drift = Trajectory(spec, 0.0, cfg.dt, drift.stack())
-            return records, drift, converged
+    return records, Trajectory(spec, 0.0, cfg.dt, drift.stack()), converged
 
 
 # ---------------------------------------------------------------------------

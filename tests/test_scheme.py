@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -234,14 +235,14 @@ def test_rescaled_solution_solves_physical_equation():
     recs, fp, conv = run_picard(cfg, u0t, gt)
     phys, _ = unrescale(fp, nu)
     # residual of d_t u - nu Lap u + u.grad u: compare against unit-frame residual
-    from vburgers.fields import advect, laplacian_arrays, time_derivative_frames
+    from vburgers.fields import advect_arrays, dealias_values, laplacian_arrays, time_derivative_frames
 
     dts = time_derivative_frames(phys)
     worst = 0.0
     for k in range(1, len(phys) - 1):
         f = phys.frame(k)
         lap = np.stack([laplacian_arrays(c.values, g) for c in f.components])
-        adv = advect(f, f).values
+        adv = advect_arrays(dealias_values(f.values, g), f.values, g)
         worst = max(worst, np.abs(dts[k] - nu * lap + adv).max())
     assert worst < 1e-4
 
@@ -356,7 +357,8 @@ def _wavefront_case(name):
     if name == "criterion01":
         u0 = _cole_hopf_datum()
         return SchemeConfig(grid=u0.grid, T=0.25, dt=1e-3, m_max=14, tol_fp=1e-10), u0, None, False, 1
-    d, n, T, kw = {"1d": (1, 64, 0.25, {}), "2d": (2, 16, 1 / 4, {}), "3d": (3, 8, 1 / 4, {})}[name.split("-")[0]]
+    # 3-D n=16 holds fields.LANE_SAMPLES grid nodes: its groups have one lane
+    d, n, T = {"1d": (1, 64, 0.25), "2d": (2, 16, 1 / 4), "3d": (3, 8, 1 / 4), "3d16": (3, 16, 1 / 32)}[name.split("-")[0]]
     g = GridSpec(d, n, TWO_PI)
     u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
     forcing = TrigForcing(g, seed=9, kmax=1, amplitude=0.2) if "forced" in name else None
@@ -369,7 +371,7 @@ def _wavefront_case(name):
     if "m-max-below" in name:
         cfg["m_max"] = 3  # 64 lanes fit 1-D n=64
     if "m-max-above" in name:
-        cfg.update(grid=GridSpec(2, 32, TWO_PI), T=1 / 32, m_max=9, tol_fp=0.0)  # 4 lanes fit 2-D n=32
+        cfg.update(grid=GridSpec(2, 32, TWO_PI), T=1 / 16, m_max=9, tol_fp=0.0)  # 4 lanes fit 2-D n=32 at 16 steps
         u0 = make_trig_field(cfg["grid"], seed=4, kmax=2, amplitude=0.4)
     return SchemeConfig(**cfg), u0, forcing, holder, min_iters
 
@@ -385,6 +387,9 @@ _WAVEFRONT_CASES = [
     "1d-m-max-below",
     "2d-m-max-above",
     "2d-forced-holder",
+    "1d-holder",
+    "3d-forced-holder",
+    "3d16",
 ]
 
 
@@ -398,7 +403,7 @@ def test_wavefront_matches_sequential_loop(name):
         assert trace[0]["cut"] is not None  # the memory rule fires on its own here
         exact = direct_solve(u0, None, cfg.T, cfg.dt)
         assert np.abs(got[1].values - exact.values).max() < 1e-6
-    if holder:
+    if holder or name == "3d16":
         assert all(group["lanes"] == 1 for group in trace)
     else:  # the first group marches at least three lanes to its end
         first = trace[0]["first_iterate"]
@@ -408,8 +413,9 @@ def test_wavefront_matches_sequential_loop(name):
 
 
 def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
-    # no room beyond the drift: the group is cut above its lowest lane that may still be returned
-    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 0)
+    # room for the lanes' own arrays, not for their trajectories: a group is cut above its lowest lane that may
+    # still be returned
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 2)
     cfg, u0, forcing, _, _ = _wavefront_case("2d-forced")
     trace = []
     got = run_picard(cfg, u0, forcing, trace=trace)
@@ -417,13 +423,15 @@ def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
     _assert_same_run(got, _picard_reference(cfg, u0, forcing))
 
 
-def test_wavefront_groups_match_sequential_loop(monkeypatch):
+@pytest.mark.parametrize("m_max, lanes", [(8, [2, 2, 2, 2]), (7, [2, 2, 2, 1])], ids=["pairs", "lone-last"])
+def test_wavefront_groups_match_sequential_loop(monkeypatch, m_max, lanes):
     # two lanes per group: the last lane of each group drives the next
     monkeypatch.setattr(fields, "LANE_SAMPLES", 2 * 64)
     cfg, u0, _, _, _ = _wavefront_case("1d-tol-zero")
+    cfg = dataclasses.replace(cfg, m_max=m_max)
     trace = []
     got = run_picard(cfg, u0, trace=trace)
-    assert [group["lanes"] for group in trace] == [2, 2, 2, 2]
+    assert [group["lanes"] for group in trace] == lanes
     assert [group["first_iterate"] for group in trace] == [1, 3, 5, 7]
     _assert_same_run(got, _picard_reference(cfg, u0))
 
@@ -516,18 +524,50 @@ def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
     _assert_same_run(got, want)
 
 
-def test_wavefront_peak_memory_within_sequential():
-    # criterion 01's run: the wavefront holds no more than the loop it replaced
-    u0 = _cole_hopf_datum()
-    cfg = SchemeConfig(grid=u0.grid, T=1.0, dt=1e-3, m_max=14, tol_fp=1e-10)
-    warm = SchemeConfig(grid=u0.grid, T=0.01, dt=1e-3, m_max=2, tol_fp=1e-10)
+@pytest.mark.parametrize("name", ["criterion01", "2d-forced-holder"])
+def test_wavefront_peak_memory_within_sequential(name):
+    # criterion 01's run and a run that records the Hoelder seminorms: the wavefront holds no more than the
+    # loop it replaced
+    cfg, u0, forcing, holder, _ = _wavefront_case(name)
+    if name == "criterion01":
+        cfg = dataclasses.replace(cfg, T=1.0)
+    warm = dataclasses.replace(cfg, T=10 * cfg.dt, m_max=2)
     peaks = {}
-    for name, run in (("sequential", _picard_reference), ("wavefront", run_picard)):
-        run(warm, u0)
+    for kind, run in (("sequential", _picard_reference), ("wavefront", run_picard)):
+        run(warm, u0, forcing, holder)
         tracemalloc.start()
         try:
-            run(cfg, u0)
-            peaks[name] = tracemalloc.get_traced_memory()[1]
+            run(cfg, u0, forcing, holder)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks["wavefront"] <= peaks["sequential"], peaks
+
+
+@pytest.mark.parametrize("config", ["2d-n16-short", "verify-2d-forced"])
+def test_wavefront_starts_only_lanes_that_fit(monkeypatch, config):
+    # a group starts the lanes whose own arrays fit, so none is cut at its first tick
+    if config == "2d-n16-short":
+        cfg, u0, forcing, _, _ = _wavefront_case("2d-forced")
+        cfg = dataclasses.replace(cfg, T=1 / 16)
+    else:  # bench/workloads.py's verify_2d_forced config, without the Hoelder seminorms
+        g = GridSpec(2, 32, TWO_PI)
+        u0 = make_trig_field(g, seed=5, kmax=3, amplitude=0.3)
+        forcing = TrigForcing(g, seed=11, kmax=2, amplitude=0.2)
+        cfg = SchemeConfig(grid=g, T=1 / 16, dt=1 / 128)
+    first_ticks = []
+    take = scheme._Wavefront.take
+
+    def take_recording(self, s, lo, u, failed):
+        lanes = self.lanes
+        out = take(self, s, lo, u, failed)
+        if s == 0:
+            first_ticks.append((lanes, out))
+        return out
+
+    monkeypatch.setattr(scheme._Wavefront, "take", take_recording)
+    trace = []
+    got = run_picard(cfg, u0, forcing, trace=trace)
+    assert len(first_ticks) == len(trace) > 1
+    assert all(before == after for before, after in first_ticks), first_ticks
+    _assert_same_run(got, _picard_reference(cfg, u0, forcing))
