@@ -116,6 +116,8 @@ def load_config(path: str) -> dict:
     for chk in checks:
         if chk not in REGISTRY:
             raise ConfigError(f"unknown check {chk!r}; see the registry ('list' verb)")
+        if "cole_hopf" in REGISTRY[chk][2] and raw["data"]["kind"] != "cole_hopf":
+            raise ConfigError(f"{chk} requires the cole_hopf data scenario")
     return raw
 
 
@@ -205,6 +207,12 @@ def _emit_report(out_dir: str, stem: str, report) -> bool:
     return report.passed
 
 
+def _emit_verdict(out_dir: str, stem: str, passed: bool, **fields) -> bool:
+    """Write ``stem.json``: the fields in order, then the verdict."""
+    _atomic_write(os.path.join(out_dir, stem + ".json"), json.dumps({**fields, "verdict": "pass" if passed else "fail"}))
+    return passed
+
+
 # ---------------------------------------------------------------------------
 # experiment execution
 
@@ -263,11 +271,7 @@ def _schauder(run: _Run, out_dir: str) -> bool:
         constants.append(rep.c_star)
     pos = [c for c in constants if c > 0]
     passed = bool(pos) and max(pos) / min(pos) < 2.0
-    _atomic_write(
-        os.path.join(out_dir, "schauder_sweep.json"),
-        json.dumps({"j": js, "implied_constants": constants, "verdict": "pass" if passed else "fail"}),
-    )
-    return passed
+    return _emit_verdict(out_dir, "schauder_sweep", passed, j=js, implied_constants=constants)
 
 
 def _interpolation(run: _Run, out_dir: str) -> bool:
@@ -276,23 +280,14 @@ def _interpolation(run: _Run, out_dir: str) -> bool:
     gaps_space, gaps_time = [], []
     for i in range(n_fields):
         u = make_trig_field(grid, cfg.seed + i, max(2, grid.n // 8), 1.0)
-        gaps_space.append(interpolation_gap(u, cfg.alpha, "space", seed=cfg.seed))
+        gaps_space.append(interpolation_gap(u, cfg.alpha, seed=cfg.seed))
         traj = Trajectory(grid, 0.0, 0.01, np.stack([heat_apply_values(u.values, grid, 0.01 * k) for k in range(5)]))
-        gaps_time.append(interpolation_gap(traj, cfg.alpha, "spacetime", seed=cfg.seed))
-    worst = min(min(gaps_space), min(gaps_time))
-    passed = worst >= -1e-10
-    _atomic_write(
-        os.path.join(out_dir, "interpolation.json"),
-        json.dumps(
-            {
-                "n_fields": n_fields,
-                "worst_gap_space": min(gaps_space),
-                "worst_gap_spacetime": min(gaps_time),
-                "verdict": "pass" if passed else "fail",
-            }
-        ),
+        gaps_time.append(interpolation_gap(traj, cfg.alpha, seed=cfg.seed))
+    worst_space, worst_time = min(gaps_space), min(gaps_time)
+    return _emit_verdict(
+        out_dir, "interpolation", min(worst_space, worst_time) >= -1e-10,
+        n_fields=n_fields, worst_gap_space=worst_space, worst_gap_spacetime=worst_time,
     )
-    return passed
 
 
 def _heat_scaling(run: _Run, out_dir: str) -> bool:
@@ -306,60 +301,61 @@ def _heat_scaling(run: _Run, out_dir: str) -> bool:
 
 
 def _oracle_compare(run: _Run, out_dir: str) -> bool:
-    if run.phi0 is None:
-        raise ConfigError("oracle_compare requires the cole_hopf data scenario")
     exact = cole_hopf(run.phi0, None, run.scheme.T, run.scheme.dt)
     diff = float(frame_sups(run.fixed_point.values - exact.values, 1).max())
-    passed = diff <= 1e-5
-    _atomic_write(
-        os.path.join(out_dir, "oracle_compare.json"),
-        json.dumps({"sup_difference": diff, "tolerance": 1e-5, "verdict": "pass" if passed else "fail"}),
-    )
-    return passed
+    return _emit_verdict(out_dir, "oracle_compare", diff <= 1e-5, sup_difference=diff, tolerance=1e-5)
 
 
-# check name -> (one-line description, runner(run, out_dir) -> passed)
+# check name -> (one-line description, runner(run, out_dir) -> passed, needs), where the needs are
+# "records" (the Picard run and K(t)), "holder" (records carrying the Hoelder seminorms) and
+# "cole_hopf" (the cole_hopf data scenario, checked at load)
 REGISTRY = {
     "uniform_estimates": (
         "iterate-uniform sup bounds on u, its gradient and its second derivatives against the reference constants",
         _uniform_estimates,
+        {"records", "holder"},
     ),
     "short_time": (
         "per-iterate contraction of the updates inside the short-time window, with fitted decay exponents",
         _short_time,
+        {"records"},
     ),
     "gronwall": (
         "stability of transport solutions under coefficient perturbations via the exponential amplification bound",
         _gronwall,
+        set(),
     ),
     "schauder": (
         "local gradient estimates on parabolic balls; implied constants probed across scales",
         _schauder,
+        set(),
     ),
     "interpolation": (
         "sup-gradient interpolation control of Hoelder seminorms on randomized fields",
         _interpolation,
+        set(),
     ),
     "heat_scaling": (
         "smoothing rate of the heat semigroup on a rough lacunary datum (log-log slope fit)",
         _heat_scaling,
+        set(),
     ),
     "oracle_compare": (
         "fixed point of the iteration against the exact logarithmic-gradient solution",
         _oracle_compare,
+        {"records", "cole_hopf"},
     ),
 }
-_PICARD_CHECKS = {"uniform_estimates", "short_time", "oracle_compare"}
 
 
 def _run_checks(cfg: dict, out_dir: str) -> bool:
     scheme_cfg, u0, phi0, g = _build(cfg)
-    checks = list(cfg["checks"])
+    checks = cfg["checks"]
 
+    needs = set().union(*(REGISTRY[chk][2] for chk in checks))
     records = fixed_point = kfn = None
-    if _PICARD_CHECKS & set(checks):
-        holder = "uniform_estimates" in checks
-        records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder=holder)
+    if "records" in needs:
+        records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder="holder" in needs)
         _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
         kfn = KProfile(u0, g, scheme_cfg.alpha, scheme_cfg.seed)
         t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=kfn)
@@ -400,7 +396,7 @@ def cmd_run(path: str) -> int:
 
 def cmd_list() -> int:
     for name in sorted(REGISTRY):
-        desc, runner = REGISTRY[name]
+        desc, runner, _ = REGISTRY[name]
         print(f"{name}: {desc} [{runner.__module__}.{runner.__name__}]")
     return 0
 

@@ -313,8 +313,9 @@ def hessian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     """All second derivatives, shape lead + (d, d) + grid.shape."""
     fh = rfft(values, spec)
     ks = _wavenumbers_half(spec)
-    rows = [np.stack([irfft(-ka * kb * fh, spec) for kb in ks], axis=-spec.d - 1) for ka in ks]
-    return np.stack(rows, axis=-spec.d - 2)
+    # one copy of the d * d entries, row-major in (a, b)
+    flat = np.stack([irfft(-ka * kb * fh, spec) for ka in ks for kb in ks], axis=-spec.d - 1)
+    return flat.reshape(flat.shape[: -spec.d - 1] + (spec.d, spec.d) + spec.shape)
 
 
 def advect_hat(b: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:

@@ -468,12 +468,15 @@ def compute_k_constants(
 # interpolation inequalities
 
 
-def interpolation_gap(u, alpha: float, variant: str = "space", seed: int = 0) -> float:
+def interpolation_gap(u, alpha: float, seed: int = 0) -> float:
     """RHS - LHS of the Hoelder interpolation inequality.
 
-    space:     ||u||_alpha <= 2^{1-alpha} ||u||_inf^{1-alpha} ||grad u||_inf^alpha
-    spacetime: ||u||_alpha <= 2 (||u||_inf^{1-a} ||grad u||_inf^a
-                                 + ||u||_inf^{1-a/2} ||d_t u||_inf^{a/2})
+    A spatial field takes the spatial form and a trajectory the space-time
+    form, as in ``holder_seminorm``:
+
+    field:      ||u||_alpha <= 2^{1-alpha} ||u||_inf^{1-alpha} ||grad u||_inf^alpha
+    trajectory: ||u||_alpha <= 2 (||u||_inf^{1-a} ||grad u||_inf^a
+                                  + ||u||_inf^{1-a/2} ||d_t u||_inf^{a/2})
 
     The 2^{1-alpha} comes from interpolating the chord bound
     |u(x) - u(y)| <= min(2 sup|u|, sup|grad u| |x - y|) and is sharp
@@ -483,25 +486,16 @@ def interpolation_gap(u, alpha: float, variant: str = "space", seed: int = 0) ->
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if variant == "space":
-        if isinstance(u, Trajectory):
-            raise TypeError("space variant needs a spatial field")
+    lhs = holder_seminorm(u, alpha, seed).value
+    if not isinstance(u, Trajectory):
         values, grid = _field_channels(u)
-        lhs = iso_seminorm_array(values, grid, alpha, seed).value
         s = channel_sup(values, 1)
         gsup = channel_sup(gradient_arrays(values, grid), 2)
-        rhs = 2.0 ** (1.0 - alpha) * s ** (1.0 - alpha) * gsup**alpha
-        return rhs - lhs
-    if variant == "spacetime":
-        if not isinstance(u, Trajectory):
-            raise TypeError("spacetime variant needs a trajectory")
-        lhs = holder_seminorm(u, alpha, seed).value
-        dts = time_derivative_frames(u)
-        sups = []
-        for sl in frame_blocks(len(u), u.grid):
-            ub = u.values[sl]
-            sups.append([frame_sups(ub, 1), frame_sups(gradient_arrays(ub, u.grid), 2), frame_sups(dts[sl], 1)])
-        s, gsup, tsup = (float(np.max(col)) for col in zip(*sups))
-        rhs = 2.0 * (s ** (1.0 - alpha) * gsup**alpha + s ** (1.0 - alpha / 2.0) * tsup ** (alpha / 2.0))
-        return rhs - lhs
-    raise ValueError(f"unknown variant {variant!r}")
+        return 2.0 ** (1.0 - alpha) * s ** (1.0 - alpha) * gsup**alpha - lhs
+    dts = time_derivative_frames(u)
+    sups = []
+    for sl in frame_blocks(len(u), u.grid):
+        ub = u.values[sl]
+        sups.append([frame_sups(ub, 1), frame_sups(gradient_arrays(ub, u.grid), 2), frame_sups(dts[sl], 1)])
+    s, gsup, tsup = (float(np.max(col)) for col in zip(*sups))
+    return 2.0 * (s ** (1.0 - alpha) * gsup**alpha + s ** (1.0 - alpha / 2.0) * tsup ** (alpha / 2.0)) - lhs

@@ -103,6 +103,11 @@ def _make_report(name, params, times, lhs, rhs, c_star, tol=1e-12) -> BoundRepor
     return BoundReport(name, dict(params), times, lhs, rhs, float(c_star), verdict, worst_t, worst_ratio)
 
 
+def _fitted_report(name, params, times, lhs, rhs_fn, c) -> BoundReport:
+    """Report of lhs against rhs_fn(c), with c* fitted from c = 1 up and the check tolerance."""
+    return _make_report(name, params, times, lhs, rhs_fn(c), fit_c_star(lhs, rhs_fn, lo=1.0), CHECK_TOL)
+
+
 def fit_c_star(lhs, rhs_fn, lo: float = 1e-4) -> float:
     """Minimal c with lhs <= rhs_fn(c) everywhere, assuming rhs nondecreasing in c.
 
@@ -164,26 +169,12 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5) -> dict:
     lhs_2 = np.array([max(max(r.sup_hess_u[k], r.sup_dt_u[k]) for r in records) for k in idx])
 
     rhs_u = np.array([kc.K0 for kc in kcs])
-    rep_u = _make_report(
-        "uniform_sup", {"c": c, "alpha": alpha}, ts, lhs_u, rhs_u,
-        fit_c_star(lhs_u, lambda _: rhs_u), CHECK_TOL,
-    )
 
     def rhs_g(cc):
         return np.array([kc.at_c(cc).K for kc in kcs])
 
-    rep_g = _make_report(
-        "uniform_grad", {"c": c, "alpha": alpha}, ts, lhs_g, rhs_g(c),
-        fit_c_star(lhs_g, rhs_g, lo=1.0), CHECK_TOL,
-    )
-
     def rhs_2(cc):
         return np.array([kc.at_c(cc).Kbar ** 1.5 for kc in kcs])
-
-    rep_2 = _make_report(
-        "uniform_second", {"c": c, "alpha": alpha}, ts, lhs_2, rhs_2(c),
-        fit_c_star(lhs_2, rhs_2, lo=1.0), CHECK_TOL,
-    )
 
     kc_T = kcs[-1]
     lhs_h = np.array([max(max(r.holder_hess, r.holder_dt) for r in records)])
@@ -191,11 +182,13 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5) -> dict:
     def rhs_h(cc):
         return np.array([kc_T.at_c(cc).Kbar ** ((3.0 + alpha) / 2.0)])
 
-    rep_h = _make_report(
-        "uniform_holder", {"c": c, "alpha": alpha}, ts[-1:], lhs_h, rhs_h(c),
-        fit_c_star(lhs_h, rhs_h, lo=1.0), CHECK_TOL,
-    )
-    return {"sup": rep_u, "grad": rep_g, "second": rep_2, "holder": rep_h}
+    params = {"c": c, "alpha": alpha}
+    return {
+        "sup": _fitted_report("uniform_sup", params, ts, lhs_u, lambda _: rhs_u, c),
+        "grad": _fitted_report("uniform_grad", params, ts, lhs_g, rhs_g, c),
+        "second": _fitted_report("uniform_second", params, ts, lhs_2, rhs_2, c),
+        "holder": _fitted_report("uniform_holder", params, ts[-1:], lhs_h, rhs_h, c),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +254,10 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25) -> dict:
     exp_gv = fit_exponent(lhs_gv, ROUNDING_FLOOR * max(float(r.sup_grad_u.max()) for r in records))
 
     params = {"c": c, "beta": beta, "T": T, "m_list": sorted(set(int(m) for m in rows_m))}
-    rep_v = _make_report(
-        "short_time_sup", {**params, "fitted_exponent": exp_v}, rows_t, lhs_v, rhs_v(c),
-        fit_c_star(lhs_v, rhs_v, lo=1.0), CHECK_TOL,
-    )
-    rep_gv = _make_report(
-        "short_time_grad", {**params, "fitted_exponent": exp_gv}, rows_t, lhs_gv, rhs_gv(c),
-        fit_c_star(lhs_gv, rhs_gv, lo=1.0), CHECK_TOL,
-    )
-    return {"sup": rep_v, "grad": rep_gv}
+    return {
+        "sup": _fitted_report("short_time_sup", {**params, "fitted_exponent": exp_v}, rows_t, lhs_v, rhs_v, c),
+        "grad": _fitted_report("short_time_grad", {**params, "fitted_exponent": exp_gv}, rows_t, lhs_gv, rhs_gv, c),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +465,6 @@ def check_schauder_instance(
     u_arr = u.values
     grad_arr = gradient_arrays(u_arr, grid).reshape((len(u), ncomp * d) + grid.shape)
     lap_arr = laplacian_arrays(u_arr, grid)
-    hess_arr = gradient_arrays(grad_arr, grid).reshape((len(u), ncomp * d * d) + grid.shape)
     dt_arr = time_derivative_frames(u)
 
     def sample(arrs, ts, pts):
@@ -506,16 +493,23 @@ def check_schauder_instance(
     b_center = _coeff_at(b, ball.t0, np.asarray([ball.x0]), d)[0]
     R_b = 1.0 / (1.0 + M ** (j / 2.0) * float(np.linalg.norm(b_center)))
 
+    # the estimated quantities on the shrunk ball: the gradient, or the time derivative and the Hessian
+    if which.startswith("grad"):
+        inner_arrs = [grad_arr]
+    else:
+        inner_arrs = [dt_arr, gradient_arrays(grad_arr, grid).reshape((len(u), ncomp * d * d) + grid.shape)]
+    samples = [sample(arr, ts_in, pts_in) for arr in inner_arrs]
+    if which.endswith("sup"):
+        lhs = max(float(np.sqrt((vals**2).sum(-1)).max()) for vals in samples)
+    else:
+        lhs = max(_pair_seminorm(vals, pts_in, ts_in, alpha) for vals in samples)
+
     if which == "grad_sup":
-        g_in = sample(grad_arr, ts_in, pts_in)
-        lhs = float(np.sqrt((g_in**2).sum(-1)).max())
         rhs = M ** (j / 2.0) / R_b * (
             M ** (j * alpha / 2.0) * norm_f
             + (M ** (j * alpha) / R_b * norm_b**2 + M ** (j * alpha / 2.0) * norm_a + M ** (-j)) * sup_u
         )
     elif which == "grad_holder":
-        g_in = sample(grad_arr, ts_in, pts_in)
-        lhs = _pair_seminorm(g_in, pts_in, ts_in, alpha)
         rhs = M ** (-j * alpha / 2.0) * R_b ** (-(1.0 + alpha) / 2.0) * (
             M ** (j * (1 + alpha) / 2.0) * norm_f
             + (
@@ -526,17 +520,11 @@ def check_schauder_instance(
             * sup_u
         )
     elif which == "second_sup":
-        dt_in = sample(dt_arr, ts_in, pts_in)
-        h_in = sample(hess_arr, ts_in, pts_in)
-        lhs = max(float(np.sqrt((dt_in**2).sum(-1)).max()), float(np.sqrt((h_in**2).sum(-1)).max()))
         rhs = (1.0 / R_b) * (
             M ** (j * alpha / 2.0) * norm_f
             + (M ** (j * alpha) / R_b * norm_b**2 + M ** (j * alpha / 2.0) * norm_a + M ** (-j)) * sup_u
         )
     else:
-        dt_in = sample(dt_arr, ts_in, pts_in)
-        h_in = sample(hess_arr, ts_in, pts_in)
-        lhs = max(_pair_seminorm(dt_in, pts_in, ts_in, alpha), _pair_seminorm(h_in, pts_in, ts_in, alpha))
         rhs = M ** (-j * alpha / 2.0) * R_b ** (-(1.0 + alpha_prime / 2.0)) * (
             M ** (j * alpha / 2.0) * norm_f
             + (

@@ -167,14 +167,14 @@ def test_criterion_06_interpolation_battery():
         alpha = float(rng.uniform(0.15, 0.85))
         u = make_trig_field(g, seed=seed, kmax=5, amplitude=float(rng.uniform(0.2, 2.0)))
         scale = 1.0 + sup_norm(u)
-        gap = interpolation_gap(u, alpha, "space", seed=seed)
+        gap = interpolation_gap(u, alpha, seed=seed)
         worst = min(worst, gap / scale)
         if gap < -1e-10 * scale:
             violations += 1
         v = make_trig_field(g_t, seed=seed + 5000, kmax=4, amplitude=1.0)
         frames = tuple(heat_apply(v, 0.02 * k) for k in range(6))
         traj = Trajectory(g_t, 0.0, 0.02, frames)
-        gap = interpolation_gap(traj, alpha, "spacetime", seed=seed)
+        gap = interpolation_gap(traj, alpha, seed=seed)
         if gap < -1e-10 * (1.0 + sup_norm(v)):
             violations += 1
         worst = min(worst, gap / (1.0 + sup_norm(v)))

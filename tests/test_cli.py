@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from vburgers import cli
 from vburgers.cli import REGISTRY, _build, cmd_list, load_config, main
 from vburgers.errors import ConfigError
-from vburgers.scheme import SchemeConfig
+from vburgers.scheme import SchemeConfig, run_picard
+
+
+COLE_HOPF_DATA = {"kind": "cole_hopf", "epsilon": 0.3}
 
 
 def base_config(tmp_path, **overrides):
@@ -118,15 +121,67 @@ def test_run_pass_exit_zero(tmp_path, capsys):
         assert (out / name).exists(), name
 
 
-def test_gronwall_only_skips_picard(tmp_path, monkeypatch):
-    # the Gronwall check solves its own transport pair from u0, g and the scheme
+@pytest.mark.parametrize(
+    "check, overrides, written",
+    [
+        ("gronwall", {}, ["gronwall.csv", "gronwall.json"]),
+        # the heat trajectory solves the equation on the balls to 1e-5 only with a finer step
+        ("schauder", {"scheme": {"T": 0.125, "dt": 1 / 1024}},
+         ["schauder_j3.csv", "schauder_j3.json", "schauder_j4.csv", "schauder_j4.json", "schauder_sweep.json"]),
+        ("interpolation", {}, ["interpolation.json"]),
+        # the probe times start at 1e-4, which resolves only on n >= 400
+        ("heat_scaling", {"grid": {"d": 1, "n": 512, "L": 6.283185307179586}},
+         ["heat_scaling_k1.json", "heat_scaling_k2.json"]),
+    ],
+    ids=["gronwall", "schauder", "interpolation", "heat_scaling"],
+)
+def test_gronwall_only_skips_picard(tmp_path, monkeypatch, check, overrides, written):
+    # a check without the "records" need (Gronwall solves its own transport pair) runs no Picard iteration
     def no_picard(*args, **kwargs):
         raise AssertionError("run_picard called")
 
+    assert "records" not in REGISTRY[check][2]
     monkeypatch.setattr(cli, "run_picard", no_picard)
-    path = base_config(tmp_path, checks=["gronwall"], forcing={"kind": "trig", "seed": 2, "kmax": 2, "amplitude": 0.2})
+    forcing = {"kind": "trig", "seed": 2, "kmax": 2, "amplitude": 0.2}
+    path = base_config(tmp_path, checks=[check], forcing=forcing, **overrides)
     assert main(["run", path]) == 0
-    assert sorted(os.listdir(tmp_path / "out")) == ["gronwall.csv", "gronwall.json"]
+    assert sorted(os.listdir(tmp_path / "out")) == written
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [["uniform_estimates"], ["short_time"], ["oracle_compare"], ["short_time", "uniform_estimates"]],
+    ids=["uniform", "short_time", "oracle", "short_time+uniform"],
+)
+def test_records_carry_holder_exactly_for_uniform_estimates(tmp_path, monkeypatch, checks):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["record_holder"])
+        return run_picard(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_picard", spy)
+    overrides = {"data": COLE_HOPF_DATA} if "oracle_compare" in checks else {}
+    path = base_config(tmp_path, checks=checks, **overrides)
+    assert main(["run", path]) == 0
+    assert calls == ["uniform_estimates" in checks]
+
+
+def test_oracle_compare_passes_on_cole_hopf_data(tmp_path):
+    path = base_config(tmp_path, checks=["oracle_compare"], data=COLE_HOPF_DATA)
+    assert main(["run", path]) == 0
+    report = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
+    assert list(report) == ["sup_difference", "tolerance", "verdict"]
+    assert report["verdict"] == "pass" and report["sup_difference"] <= report["tolerance"]
+
+
+def test_oracle_compare_without_cole_hopf_data_exits_two_before_any_work(tmp_path, capsys):
+    # the cole_hopf need is checked at load, so no Picard run writes its records first
+    (tmp_path / "out").mkdir()
+    assert main(["run", base_config(tmp_path, checks=["short_time", "oracle_compare"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "cole_hopf" in err
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_run_config_error_exit_two(tmp_path, capsys):

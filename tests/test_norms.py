@@ -259,14 +259,14 @@ def test_k_constants_require_c_at_least_one():
 
 def test_interpolation_gap_constant_field(grid1d):
     v = VectorField.constant(grid1d, [1.0])
-    assert interpolation_gap(v, 0.5, "space") == pytest.approx(0.0, abs=1e-14)
+    assert interpolation_gap(v, 0.5) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_interpolation_gap_space_nonnegative():
     g = GridSpec(1, 64, TWO_PI)
     for seed in range(40):
         u = make_trig_field(g, seed=seed, kmax=8, amplitude=1.0)
-        assert interpolation_gap(u, 0.5, "space") >= -1e-10 * sup_norm(u)
+        assert interpolation_gap(u, 0.5) >= -1e-10 * sup_norm(u)
 
 
 def test_interpolation_gap_spacetime_nonnegative(grid1d):
@@ -274,7 +274,7 @@ def test_interpolation_gap_spacetime_nonnegative(grid1d):
         u = make_trig_field(grid1d, seed=seed, kmax=6, amplitude=1.0)
         frames = tuple(heat_apply(u, 0.02 * k) for k in range(5))
         traj = Trajectory(grid1d, 0.0, 0.02, frames)
-        assert interpolation_gap(traj, 0.5, "spacetime") >= -1e-10 * sup_norm(u)
+        assert interpolation_gap(traj, 0.5) >= -1e-10 * sup_norm(u)
 
 
 def _scaled_data(d, n, lam):

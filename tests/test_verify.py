@@ -48,8 +48,9 @@ def test_fit_c_star_behaviour():
     c = fit_c_star(lhs, lambda cc: cc * np.ones(2))
     assert c == pytest.approx(3.0, rel=1e-2)
     assert fit_c_star(np.zeros(3), lambda cc: cc * np.ones(3)) == 1.0
-    assert fit_c_star(lhs, lambda cc: np.ones(2)) == math.inf  # c-independent, fails
-    assert fit_c_star(np.array([0.5]), lambda cc: np.ones(1)) == 1.0  # c-independent, holds
+    for lo in (1e-4, 1.0):  # a c-independent RHS reads 1.0 or inf whatever the range starts at
+        assert fit_c_star(lhs, lambda cc: np.ones(2), lo=lo) == math.inf  # fails
+        assert fit_c_star(np.array([0.5]), lambda cc: np.ones(1), lo=lo) == 1.0  # holds
 
 
 def test_bound_report_serialization():
