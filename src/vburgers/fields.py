@@ -95,6 +95,13 @@ def _ksq_half(spec: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _ik_half(spec: GridSpec) -> tuple:
+    """(i k per axis, i k per axis times the two-thirds mask) on the half-spectrum."""
+    ik = tuple(1j * k for k in _wavenumbers_half(spec))
+    return ik, tuple(m * _dealias_mask(spec) for m in ik)
+
+
+@lru_cache(maxsize=None)
 def _dealias_mask(spec: GridSpec) -> np.ndarray:
     """Two-thirds rule mask on the half-spectrum: keep |k_int| <= n/3."""
     cut = spec.n // 3
@@ -114,12 +121,22 @@ def rfft_shape(spec: GridSpec) -> tuple:
 
 
 def rfft(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Real FFT over the trailing d (spatial) axes; leading axes are batch/channels."""
-    return np.fft.rfftn(values, s=spec.shape, axes=tuple(range(-spec.d, 0)))
+    """Real FFT over the trailing d (spatial) axes; leading axes are batch/channels.
+
+    The one-axis transforms that ``np.fft.rfftn`` makes, in its order (same
+    bits), without its per-call argument handling.
+    """
+    out = np.fft.rfft(values, spec.n)
+    for axis in range(-2, -spec.d - 1, -1):
+        out = np.fft.fft(out, spec.n, axis)
+    return out
 
 
 def irfft(spectrum: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.fft.irfftn(spectrum, s=spec.shape, axes=tuple(range(-spec.d, 0)))
+    """Inverse of ``rfft``: the one-axis transforms of ``np.fft.irfftn``, in its order."""
+    for axis in range(-spec.d, -1):
+        spectrum = np.fft.ifft(spectrum, spec.n, axis)
+    return np.fft.irfft(spectrum, spec.n)
 
 
 def dealias_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -296,22 +313,23 @@ def gradient(f: ScalarField) -> VectorField:
 
 # The array helpers below take sample arrays lead + grid.shape with any
 # leading (batch, channel) axes and put new derivative axes just before the
-# spatial ones.
+# spatial ones.  ``fh``, if given, is ``rfft(values, spec)``, transformed
+# once by a caller that takes several derivatives of the same values.
 
 
-def gradient_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+def gradient_arrays(values: np.ndarray, spec: GridSpec, fh: np.ndarray | None = None) -> np.ndarray:
     """Gradient, shape lead + (d,) + grid.shape."""
-    fh = rfft(values, spec)
-    return np.stack([irfft(1j * k * fh, spec) for k in _wavenumbers_half(spec)], axis=-spec.d - 1)
+    fh = rfft(values, spec) if fh is None else fh
+    return np.stack([irfft(ik * fh, spec) for ik in _ik_half(spec)[0]], axis=-spec.d - 1)
 
 
-def laplacian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return irfft(-_ksq_half(spec) * rfft(values, spec), spec)
+def laplacian_arrays(values: np.ndarray, spec: GridSpec, fh: np.ndarray | None = None) -> np.ndarray:
+    return irfft(-_ksq_half(spec) * (rfft(values, spec) if fh is None else fh), spec)
 
 
-def hessian_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+def hessian_arrays(values: np.ndarray, spec: GridSpec, fh: np.ndarray | None = None) -> np.ndarray:
     """All second derivatives, shape lead + (d, d) + grid.shape."""
-    fh = rfft(values, spec)
+    fh = rfft(values, spec) if fh is None else fh
     ks = _wavenumbers_half(spec)
     # one copy of the d * d entries, row-major in (a, b)
     flat = np.stack([irfft(-ka * kb * fh, spec) for ka in ks for kb in ks], axis=-spec.d - 1)
@@ -325,19 +343,12 @@ def advect_hat(b: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
     (lead + (ch,) + half-spectrum) is masked here and so is the product
     (two-thirds rule on both factors and on the result).
     """
-    mask = _dealias_mask(spec)
-    u_hat = u_hat * mask
     acc = np.zeros(u_hat.shape[: -spec.d] + spec.shape)
     spatial = (slice(None),) * spec.d
-    for i, ki in enumerate(_wavenumbers_half(spec)):
+    for i, ik_masked in enumerate(_ik_half(spec)[1]):
         # component i of b with a unit channel axis: lead + (1,) + shape
-        acc += b[(Ellipsis, i, None) + spatial] * irfft(1j * ki * u_hat, spec)
-    return rfft(acc, spec) * mask
-
-
-def advect_arrays(b: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(b . grad) u on physical arrays lead + (d,) + shape and lead + (ch,) + shape (see ``advect_hat``)."""
-    return irfft(advect_hat(b, rfft(u, spec), spec), spec)
+        acc += b[(Ellipsis, i, None) + spatial] * irfft(ik_masked * u_hat, spec)
+    return rfft(acc, spec) * _dealias_mask(spec)
 
 
 # ---------------------------------------------------------------------------

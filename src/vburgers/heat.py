@@ -65,7 +65,7 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
         u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
     Only the stored states are inverse-transformed.  ``rhs`` None is pure
-    heat flow.
+    heat flow.  ``rhs`` returns a new array, which is scaled in place.
 
     The state carries a leading lane axis: ``lanes`` problems that share
     u0 march staggered by one step, lane j taking step s - j at tick s, so
@@ -87,6 +87,7 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
     steps = n_steps(T, dt)
     e_full = heat_multiplier(spec, dt)
     e_half = heat_multiplier(spec, dt / 2.0)
+    dt_e_half = dt * e_half
     ceiling = 1e10 * (float(np.abs(u0).max()) + 1.0)
     u_hat = np.repeat(rfft(u0, spec)[None], lanes, axis=0)
     out = None
@@ -104,13 +105,18 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
     while 0 < lanes and s < steps + lanes - 1:
         lo, hi = max(0, s - steps + 1), min(lanes, s + 1)
         ts = [(s - j) * dt for j in range(lo, hi)]
-        uh = u_hat[lo:hi]
+        uh = u_hat[lo:hi]  # the formulas above in place: the same operands, so the same bits
         if rhs is None:
-            uh = e_full * uh
+            uh *= e_full
         else:
-            s_hat = e_half * (uh + (dt / 2.0) * rhs(s, ts, uh))
-            uh = e_full * uh + dt * e_half * rhs(s, [t + dt / 2.0 for t in ts], s_hat)
-        u_hat[lo:hi] = uh
+            s_hat = rhs(s, ts, uh)
+            s_hat *= dt / 2.0
+            s_hat += uh
+            s_hat *= e_half
+            r = rhs(s, [t + dt / 2.0 for t in ts], s_hat)
+            r *= dt_e_half
+            uh *= e_full
+            uh += r
         u = irfft(uh, spec)
         peak = np.abs(u).reshape(len(u), -1).max(axis=1)
         finite = peak <= ceiling

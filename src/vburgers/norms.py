@@ -73,7 +73,7 @@ def frame_sups(arr: np.ndarray, n_channel_axes: int = 1) -> np.ndarray:
     """Per-frame ``channel_sup`` of a stack (nt,) + channel axes + grid shape."""
     sq = arr**2
     for _ in range(n_channel_axes):
-        sq = sq.sum(axis=1)
+        sq = sq.sum(axis=1) if sq.shape[1] > 1 else sq[:, 0]  # a unit axis sums to itself
     return np.sqrt(sq.reshape(len(arr), -1).max(axis=1))
 
 

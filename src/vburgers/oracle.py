@@ -17,9 +17,7 @@ from .fields import (
     Trajectory,
     VectorField,
     _dealias_mask,
-    advect_arrays,
     advect_hat,
-    dealias_values,
     frame_blocks,
     gradient_arrays,
     irfft,
@@ -59,7 +57,9 @@ def residual(u: Trajectory, g: Forcing | None = None) -> ResidualSeries:
     out = []
     for sl in frame_blocks(len(u), spec):
         ub = u.values[sl]
-        res = dt_u[sl] - laplacian_arrays(ub, spec) + advect_arrays(dealias_values(ub, spec), ub, spec)
+        uh = rfft(ub, spec)
+        b = irfft(uh * _dealias_mask(spec), spec)
+        res = dt_u[sl] - laplacian_arrays(ub, spec, uh) + irfft(advect_hat(b, uh, spec), spec)
         if g is not None and not g.is_zero:
             res -= g.frames(times[sl])
         out.append(frame_sups(res, 1))

@@ -27,6 +27,7 @@ from .fields import (
     gradient_arrays,
     hessian_arrays,
     locate,
+    rfft,
     time_derivative_arrays,
     time_derivative_frames,
 )
@@ -94,6 +95,15 @@ HELD_TRAJECTORIES = 3  # what one solve at a time held beyond its drift: dealias
 _CHUNK_SAMPLES = 2**10  # grid nodes per chunk of a kept trajectory
 
 
+def _block_sups(u: np.ndarray, spec: GridSpec) -> tuple:
+    """(Hessians, [sup u, sup grad u, sup hess u]) of a block of frames, forward-transformed once."""
+    uh = rfft(u, spec)
+    sup_grad = frame_sups(gradient_arrays(u, spec, uh), 2)
+    hess = hessian_arrays(u, spec, uh)
+    del uh  # the spectrum is not held while the Hessians are reduced: peak memory stays that of two transforms
+    return hess, [frame_sups(u, 1), sup_grad, frame_sups(hess, 3)]
+
+
 def _diagnose(traj: Trajectory, alpha: float, seed: int, record_holder: bool) -> IterationRecord:
     """The record of iterate 0, whose update is the iterate itself."""
     spec, u = traj.grid, traj.values
@@ -101,11 +111,10 @@ def _diagnose(traj: Trajectory, alpha: float, seed: int, record_holder: bool) ->
     hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
     cols = []
     for sl in frame_blocks(len(u), spec):
-        ub = u[sl]
-        hess = hessian_arrays(ub, spec)
+        hess, sups = _block_sups(u[sl], spec)
         if record_holder:
             hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
-        cols.append([frame_sups(ub, 1), frame_sups(gradient_arrays(ub, spec), 2), frame_sups(hess, 3), frame_sups(dt_u[sl], 1)])
+        cols.append(sups + [frame_sups(dt_u[sl], 1)])
     sup_u, sup_grad, sup_hess, sup_dt = map(np.concatenate, zip(*cols))
 
     holder = [None, None]
@@ -197,6 +206,7 @@ class _Wavefront:
         # locate(k dt) is frame k; locate(k dt + dt/2) weighs frames k and k + 1 by these
         w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
         self.w_mid = np.array(w_mid).reshape((-1,) + (1,) * (spec.d + 1))
+        self.w_mid_c = 1.0 - self.w_mid
 
         # the lanes whose rings, series, share of the buffer and first frame fit next to the drift
         self.frame = u0.values.nbytes
@@ -251,8 +261,8 @@ class _Wavefront:
         frame_k = self.dal[(s - 2) % 3, lanes]
         if locate(ts[0], 0.0, self.cfg.dt, self.steps + 1)[1] == 0.0:
             return frame_k
-        w = self.w_mid[s - lanes.stop + 1 : s - lo + 1][::-1]
-        return frame_k * (1.0 - w) + self.dal[(s - 1) % 3, lanes] * w
+        ks = slice(s - lanes.stop + 1, s - lo + 1)
+        return frame_k * self.w_mid_c[ks][::-1] + self.dal[(s - 1) % 3, lanes] * self.w_mid[ks][::-1]
 
     def _drift_dealiased(self, k: int) -> np.ndarray:
         """Lane 0's dealiased drift frame k; frames are read in order."""
@@ -357,8 +367,8 @@ class _Wavefront:
     def _flush(self) -> None:
         if self.fill:
             spec, (j, col), (u, v) = self.spec, self.buf_at[:, : self.fill], self.buf[:, : self.fill]
-            hess = hessian_arrays(u, spec)
-            sups = [frame_sups(u, 1), frame_sups(gradient_arrays(u, spec), 2), frame_sups(hess, 3), frame_sups(gradient_arrays(v, spec), 2)]
+            hess, sups = _block_sups(u, spec)
+            sups.append(frame_sups(gradient_arrays(v, spec), 2))
             for row, val in zip((0, 1, 2, 5), sups):
                 self.cols[j, row, col] = val
             if self.hess is not None:  # one lane: column col is its frame col

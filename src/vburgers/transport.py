@@ -80,8 +80,8 @@ class TransportProblem:
 
 def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Half-spectrum of C u: a constant matrix acts on the spectrum, a field of matrices node-wise."""
-    if m.ndim == 2:
-        return np.tensordot(m, u_hat, axes=(1, 0))
+    if m.ndim == 2:  # np.tensordot(m, u_hat, axes=(1, 0)) without its argument handling
+        return np.dot(m, u_hat.reshape(len(u_hat), -1)).reshape(u_hat.shape)
     return rfft(np.einsum("ij...,j...->i...", m, irfft(u_hat, spec)), spec)
 
 
@@ -113,7 +113,10 @@ def _blocking_fractions(spec: GridSpec):
         w[..., -1] = 1.0
 
     def fractions(u_hat: np.ndarray) -> np.ndarray:
-        e = (w * np.abs(u_hat) ** 2).sum(axis=1)
+        e = np.abs(u_hat)  # w |u_hat|^2, in place
+        e *= e
+        e *= w
+        e = e.sum(axis=1) if e.shape[1] > 1 else e[:, 0]
         total = e.reshape(len(e), -1).sum(axis=1)
         return np.divide(e[:, top].sum(axis=1), total, out=np.zeros(len(e)), where=total >= 1e-300)
 
@@ -146,10 +149,8 @@ def _transport_rhs(spec: GridSpec, g: Forcing, drift):
     """
 
     def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u_hat) if g.is_zero else g.spectra(ts)
-        if drift is not None:
-            out -= advect_hat(drift(s, ts), u_hat, spec)
-        return out
+        a = np.zeros_like(u_hat) if drift is None else advect_hat(drift(s, ts), u_hat, spec)
+        return np.subtract(0.0 if g.is_zero else g.spectra(ts), a, out=a)
 
     return rhs
 
@@ -158,10 +159,11 @@ def solve_transport(p: TransportProblem) -> Trajectory:
     """Integrating-factor midpoint solve; raises on blocking or divergence."""
     spec = p.grid
     advect = _transport_rhs(spec, p.f, _dealiased_drift(p))
+    constant = None if p.C is None or callable(p.C) else p.matrix_at(0.0)  # an array C, converted once
 
     def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
         out = advect(s, ts, u_hat)
-        m = p.matrix_at(ts[0])
+        m = p.matrix_at(ts[0]) if constant is None else constant
         if m is not None:
             out[0] -= _apply_matrix_hat(m, u_hat[0], spec)
         return out
@@ -174,7 +176,8 @@ def _log_amplification(p: TransportProblem, times: np.ndarray) -> np.ndarray:
     """log A(0, t): the trapezoid integral of the sup operator norm of the matrix term."""
     out = np.zeros(times.size)
     if p.C is not None:
-        norms = np.array([opnorm_sup(p.matrix_at(float(t))) for t in times])
+        sampled = times if callable(p.C) else times[:1]  # a constant matrix has one norm
+        norms = np.broadcast_to([opnorm_sup(p.matrix_at(float(t))) for t in sampled], times.shape)
         out[1:] = np.cumsum(0.5 * (norms[1:] + norms[:-1]) * np.diff(times))
     return out
 

@@ -24,6 +24,7 @@ from .fields import (
     frame_blocks,
     gradient_arrays,
     laplacian_arrays,
+    rfft,
     time_derivative_frames,
 )
 from .norms import channel_sup, frame_sups, opnorm_sup
@@ -294,20 +295,22 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
         for sl in frame_blocks(nt, p.grid)
     ]
     sup_phi, grad_phi, lhs = map(np.concatenate, zip(*sups))
+
+    def c_diff(t):
+        cm, c0 = p_bar.matrix_at(t), p.matrix_at(t)
+        if cm is None and c0 is None:
+            return 0.0
+        z = np.zeros((p.grid.d,) * 2)
+        return opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
+
+    sampled = times if callable(p.C) or callable(p_bar.C) else times[:1]  # constant matrices differ by one norm
+    c_diffs = np.broadcast_to([c_diff(t) for t in sampled], times.shape)
     integrand = np.empty(nt)
     for k, t in enumerate(times):
-        cm = p_bar.matrix_at(t)
         db = np.asarray(drift_arr(p_bar, t) - drift_arr(p, t))
         b_diff = np.sqrt((db**2).sum(axis=0)).max() if db.ndim else float(abs(db))
-        c0 = p.matrix_at(t)
-        if cm is None and c0 is None:
-            c_diff = 0.0
-        else:
-            d = p.grid.d
-            z = np.zeros((d, d))
-            c_diff = opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
         f_diff = channel_sup(g_bar.env(t) * g_bar.values - g.env(t) * g.values)
-        integrand[k] = b_diff * grad_phi[k] + c_diff * sup_phi[k] + f_diff
+        integrand[k] = b_diff * grad_phi[k] + c_diffs[k] * sup_phi[k] + f_diff
 
     rhs = _amplified_integral(_log_amplification(p_bar, times), integrand, times)
 
@@ -463,8 +466,9 @@ def check_schauder_instance(
 
     times = u.times
     u_arr = u.values
-    grad_arr = gradient_arrays(u_arr, grid).reshape((len(u), ncomp * d) + grid.shape)
-    lap_arr = laplacian_arrays(u_arr, grid)
+    u_hat = rfft(u_arr, grid)
+    grad_arr = gradient_arrays(u_arr, grid, u_hat).reshape((len(u), ncomp * d) + grid.shape)
+    lap_arr = laplacian_arrays(u_arr, grid, u_hat)
     dt_arr = time_derivative_frames(u)
 
     def sample(arrs, ts, pts):

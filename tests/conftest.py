@@ -25,3 +25,23 @@ def sin_field(grid1d):
 @pytest.fixture
 def random_field(grid1d):
     return make_trig_field(grid1d, seed=7, kmax=4, amplitude=0.5)
+
+
+@pytest.fixture
+def transform_calls(monkeypatch) -> list:
+    """Names of the fields.rfft / fields.irfft calls made while the test runs.
+
+    Each makes one numpy real one-axis transform, ``np.fft.rfft`` or ``np.fft.irfft``, looked up per call.
+    """
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return calls

@@ -11,7 +11,9 @@ from vburgers.fields import (
     ScalarField,
     Trajectory,
     VectorField,
-    advect_arrays,
+    _dealias_mask,
+    _wavenumbers_half,
+    advect_hat,
     dealias_values,
     evaluate_many,
     gradient,
@@ -82,7 +84,7 @@ def test_advect_matches_closed_form(grid1d):
     x = grid1d.axis_coords()
     b = VectorField.from_arrays(grid1d, [np.cos(x)])
     u = VectorField.from_arrays(grid1d, [np.sin(x)])
-    out = advect_arrays(dealias_values(b.values, grid1d), u.values, grid1d)  # cos * d(sin)/dx = cos^2
+    out = irfft(advect_hat(dealias_values(b.values, grid1d), rfft(u.values, grid1d), grid1d), grid1d)  # cos * d(sin)/dx = cos^2
     assert np.allclose(out[0], np.cos(x) ** 2, atol=1e-10)
 
 
@@ -90,7 +92,7 @@ def test_advect_dealiases_quadratic_products(grid1d):
     # the product of two band-limited fields has no energy above the cutoff
     b = make_trig_field(grid1d, 1, grid1d.n // 3, 1.0)
     u = make_trig_field(grid1d, 2, grid1d.n // 3, 1.0)
-    out = advect_arrays(dealias_values(b.values, grid1d), u.values, grid1d)
+    out = irfft(advect_hat(dealias_values(b.values, grid1d), rfft(u.values, grid1d), grid1d), grid1d)
     spec = np.fft.rfft(out[0])
     cutoff = grid1d.n // 3
     assert np.abs(spec[cutoff + 1 :]).max() < 1e-10 * max(1.0, np.abs(spec).max())
@@ -149,6 +151,51 @@ def test_lane_batched_transforms_equal_per_lane(d, n):
     for j, lane in enumerate(lanes):
         assert np.array_equal(spectra[j], rfft(lane, spec))
         assert np.array_equal(back[j], irfft(spectra[j], spec))
+
+
+_BITWISE_GRIDS = [GridSpec(1, 32, TWO_PI), GridSpec(2, 16, TWO_PI), GridSpec(3, 8, TWO_PI)]
+
+
+def _bitwise_values(spec, lead):
+    """Samples lead + grid.shape with energy in every band."""
+    return np.random.default_rng(spec.d).standard_normal(lead + spec.shape)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=lambda lead: f"lead{len(lead)}")
+@pytest.mark.parametrize("spec", _BITWISE_GRIDS, ids=lambda s: f"d{s.d}")
+def test_transforms_equal_numpy_nd_wrappers(spec, lead):
+    # fields.rfft / irfft make the one-axis transforms of np.fft.rfftn / irfftn, in their order
+    axes = tuple(range(-spec.d, 0))
+    values = _bitwise_values(spec, lead)
+    spectrum = rfft(values, spec)
+    assert spectrum.tobytes() == np.fft.rfftn(values, s=spec.shape, axes=axes).tobytes()
+    assert irfft(spectrum, spec).tobytes() == np.fft.irfftn(spectrum, s=spec.shape, axes=axes).tobytes()
+
+
+@pytest.mark.parametrize("spec", _BITWISE_GRIDS, ids=lambda s: f"d{s.d}")
+def test_derivatives_of_a_given_spectrum(spec):
+    values = _bitwise_values(spec, (4, spec.d))
+    fh = rfft(values, spec)
+    for derivative in (gradient_arrays, hessian_arrays, laplacian_arrays):
+        assert derivative(values, spec, fh).tobytes() == derivative(values, spec).tobytes(), derivative.__name__
+
+
+def _advect_hat_masking_first(b, u_hat, spec):
+    """``advect_hat`` as it masked u_hat before multiplying by i k."""
+    mask = _dealias_mask(spec)
+    u_hat = u_hat * mask
+    acc = np.zeros(u_hat.shape[: -spec.d] + spec.shape)
+    spatial = (slice(None),) * spec.d
+    for i, ki in enumerate(_wavenumbers_half(spec)):
+        acc += b[(Ellipsis, i, None) + spatial] * irfft(1j * ki * u_hat, spec)
+    return rfft(acc, spec) * mask
+
+
+@pytest.mark.parametrize("spec", _BITWISE_GRIDS, ids=lambda s: f"d{s.d}")
+def test_advect_hat_equals_masking_first(spec):
+    b = dealias_values(_bitwise_values(spec, (3, spec.d)), spec)
+    u_hat = rfft(_bitwise_values(spec, (3, 2)) * 0.5, spec)
+    assert advect_hat(b, u_hat, spec).tobytes() == _advect_hat_masking_first(b, u_hat, spec).tobytes()
 
 
 def test_snapshot_roundtrip(tmp_path, grid2d):

@@ -18,6 +18,7 @@ from vburgers.norms import (
     base_differences,
     channel_sup,
     compute_k_constants,
+    frame_sups,
     grad_sup,
     hessian_sup,
     holder_seminorm,
@@ -42,6 +43,25 @@ def test_sup_norm_euclidean(grid2d):
 
 def test_grad_sup_sin(sin_field):
     assert grad_sup(sin_field) == pytest.approx(1.0, abs=1e-12)
+
+
+def _frame_sups_summing(arr, n_channel_axes):
+    """``frame_sups`` summing over every channel axis, unit axes included."""
+    sq = arr**2
+    for _ in range(n_channel_axes):
+        sq = sq.sum(axis=1)
+    return np.sqrt(sq.reshape(len(arr), -1).max(axis=1))
+
+
+@pytest.mark.parametrize("channels", [(1,), (1, 1), (1, 1, 1), (2, 1), (1, 3), (2, 2, 2)])
+def test_frame_sups_skip_unit_channel_axes(channels):
+    rng = np.random.default_rng(len(channels))
+    for shape in ((32,), (8, 8)):
+        arr = rng.standard_normal((5,) + channels + shape)
+        arr[2] = 0.0
+        arr[3, ..., 0] = -0.0
+        got = frame_sups(arr, len(channels))
+        assert got.tobytes() == _frame_sups_summing(arr, len(channels)).tobytes()
 
 
 def test_opnorm_is_largest_singular_value():

@@ -235,14 +235,14 @@ def test_rescaled_solution_solves_physical_equation():
     recs, fp, conv = run_picard(cfg, u0t, gt)
     phys, _ = unrescale(fp, nu)
     # residual of d_t u - nu Lap u + u.grad u: compare against unit-frame residual
-    from vburgers.fields import advect_arrays, dealias_values, laplacian_arrays, time_derivative_frames
+    from vburgers.fields import advect_hat, dealias_values, irfft, laplacian_arrays, rfft, time_derivative_frames
 
     dts = time_derivative_frames(phys)
     worst = 0.0
     for k in range(1, len(phys) - 1):
         f = phys.frame(k)
         lap = np.stack([laplacian_arrays(c.values, g) for c in f.components])
-        adv = advect_arrays(dealias_values(f.values, g), f.values, g)
+        adv = irfft(advect_hat(dealias_values(f.values, g), rfft(f.values, g), g), g)
         worst = max(worst, np.abs(dts[k] - nu * lap + adv).max())
     assert worst < 1e-4
 
@@ -542,6 +542,45 @@ def test_wavefront_peak_memory_within_sequential(name):
         finally:
             tracemalloc.stop()
     assert peaks["wavefront"] <= peaks["sequential"], peaks
+
+
+@pytest.mark.parametrize("holder", [False, True], ids=["lanes", "holder"])
+def test_picard_transforms_each_frame_block_once(monkeypatch, transform_calls, holder):
+    # counts, not time: a buffered block is forward-transformed once for its frames and once for their updates,
+    # and the Hessian and gradient of the frames share that spectrum (1-D: one inverse transform each)
+    flushes, diagnosed = [], []
+    flush, diagnose = scheme._Wavefront._flush, scheme._diagnose
+
+    def counted_flush(self):
+        rows, start = self.fill, len(transform_calls)
+        flush(self)
+        if rows:
+            flushes.append(transform_calls[start:])
+
+    def counted_diagnose(traj, *args):
+        start = len(transform_calls)
+        record = diagnose(traj, *args)
+        diagnosed.append(transform_calls[start:].count("rfft"))
+        return record
+
+    monkeypatch.setattr(scheme._Wavefront, "_flush", counted_flush)
+    monkeypatch.setattr(scheme, "_diagnose", counted_diagnose)
+    cfg, u0, _, _, _ = _wavefront_case("criterion01")
+    trace = []
+    run_picard(cfg, u0, record_holder=holder, trace=trace)
+    steps = round(cfg.T / cfg.dt)
+    assert flushes and all(calls == ["rfft", "irfft", "irfft", "rfft", "irfft"] for calls in flushes)
+    assert diagnosed == [len(frame_blocks(steps + 1, cfg.grid))]  # iterate 0: once per block of frames
+
+    # the rest: the data of each solve (and of the Hessian series with record_holder), the product at both stages
+    # of a tick, the frames a tick's lanes read next, and lane 0's drift a block ahead
+    rest = transform_calls.count("rfft") - 2 * len(flushes) - diagnosed[0]
+    bound = 1
+    for group in trace:
+        lanes, ticks = group["lanes"], group["ticks"]
+        ahead = max(1, min(steps + 1, fields.BLOCK_SAMPLES // (lanes * cfg.grid.num_nodes)))
+        bound += 1 + holder + 2 * ticks + (ticks if lanes > 1 else 0) + math.ceil((steps + 1) / ahead)
+    assert bound - len(trace) <= rest <= bound, (rest, bound)
 
 
 @pytest.mark.parametrize("config", ["2d-n16-short", "verify-2d-forced"])

@@ -22,6 +22,7 @@ from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve
 from vburgers.transport import (
     BLOCKING_GATE,
     TransportProblem,
+    _apply_matrix_hat,
     _blocking_fractions,
     _blocking_guard,
     amplification_factors,
@@ -119,6 +120,20 @@ def test_amplification_factors_constant_matrix(grid1d, random_field):
     times = np.linspace(0, 1, 11)
     amp = amplification_factors(p, times)
     assert np.allclose(amp, np.exp(lam * times), rtol=1e-10)
+
+
+def test_constant_matrix_equals_per_stage_matrix():
+    # an array C is converted once per solve and has one operator norm: the same bits as a callable
+    # returning it, whose matrix and norm are taken at every stage and frame
+    spec = GridSpec(2, 16, TWO_PI)
+    m = np.array([[0.4, 0.1], [-0.2, 0.3]])
+    u0 = _ref_datum(spec)
+    u_hat = rfft(u0.values, spec)
+    assert _apply_matrix_hat(m, u_hat, spec).tobytes() == np.tensordot(m, u_hat, axes=(1, 0)).tobytes()
+    const, per_stage = (TransportProblem(u0=u0, b=u0, C=C, T=_REF_T, dt=_REF_DT) for C in (m, lambda t: m))
+    assert solve_transport(const).values.tobytes() == solve_transport(per_stage).values.tobytes()
+    times = np.arange(n_steps(_REF_T, _REF_DT) + 1) * _REF_DT
+    assert amplification_factors(const, times).tobytes() == amplification_factors(per_stage, times).tobytes()
 
 
 def test_time_varying_drift_accepts_trajectory(grid1d, random_field):
@@ -252,29 +267,13 @@ def test_forced_cole_hopf_matches_physical_midpoint(spec):
     _assert_rel_close(traj.values, COLE_HOPF_LAMBDA * gradient_arrays(np.log(phis[:, 0]), spec))
 
 
-def _count_transforms(monkeypatch) -> list:
-    """Record every numpy real transform; fields.rfft / fields.irfft look them up on every call."""
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    return calls
-
-
 @pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
-def test_transport_step_transform_count(spec, monkeypatch):
+def test_transport_step_transform_count(spec, transform_calls):
     # a step transforms each drift axis and the product at both stages, and the new state once;
     # a forcing adds one transform per solve, of its base
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
     b = make_trig_field(spec, seed=4, kmax=2, amplitude=0.4)
-    calls = _count_transforms(monkeypatch)
+    calls = transform_calls
     steps = 16
     for f in (None, TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)):
         calls.clear()
@@ -283,11 +282,12 @@ def test_transport_step_transform_count(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", _REF_GRIDS, ids=lambda s: f"d{s.d}")
-def test_forced_duhamel_transform_count(spec, monkeypatch):
+def test_forced_duhamel_transform_count(spec, transform_calls):
     # the data and the forcing base once each, then one inverse transform per stored state
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
     f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
-    calls = _count_transforms(monkeypatch)
+    calls = transform_calls
+    calls.clear()
     steps = 16
     duhamel_forced_heat(u0, f, steps * _REF_DT, _REF_DT)
     assert len(calls) <= steps + 2

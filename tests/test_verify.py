@@ -181,6 +181,18 @@ def test_check_gronwall_exponential_amplification(grid1d):
     assert rep.passed
 
 
+def test_check_gronwall_constant_matrices_equal_per_frame(grid1d, random_field):
+    # constant matrices differ by one operator norm: the same report as callables, normed at every frame
+    c, c_bar = 0.3 * np.eye(1), 0.5 * np.eye(1)
+    reports = []
+    for wrap in (lambda a: a, lambda a: (lambda t: a)):
+        p = TransportProblem(u0=random_field, b=None, C=wrap(c), f=None, T=0.25, dt=1 / 256)
+        pb = TransportProblem(u0=random_field, b=random_field, C=wrap(c_bar), f=None, T=0.25, dt=1 / 256)
+        reports.append(check_gronwall(p, pb))
+    const, per_frame = reports
+    assert const.rhs.tobytes() == per_frame.rhs.tobytes() and const.lhs.tobytes() == per_frame.lhs.tobytes()
+
+
 def test_parabolic_ball_validation(grid1d, random_field):
     traj = heat_trajectory(grid1d, random_field.components[0].values, 1.0, T=0.5)
     with pytest.raises(WindowError):
