@@ -206,7 +206,6 @@ class _Wavefront:
         # locate(k dt) is frame k; locate(k dt + dt/2) weighs frames k and k + 1 by these
         w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
         self.w_mid = np.array(w_mid).reshape((-1,) + (1,) * (spec.d + 1))
-        self.w_mid_c = 1.0 - self.w_mid
 
         # the lanes whose rings, series, share of the buffer and first frame fit next to the drift
         self.frame = u0.values.nbytes
@@ -261,8 +260,8 @@ class _Wavefront:
         frame_k = self.dal[(s - 2) % 3, lanes]
         if locate(ts[0], 0.0, self.cfg.dt, self.steps + 1)[1] == 0.0:
             return frame_k
-        ks = slice(s - lanes.stop + 1, s - lo + 1)
-        return frame_k * self.w_mid_c[ks][::-1] + self.dal[(s - 1) % 3, lanes] * self.w_mid[ks][::-1]
+        w = self.w_mid[s - lanes.stop + 1 : s - lo + 1][::-1]
+        return frame_k * (1.0 - w) + self.dal[(s - 1) % 3, lanes] * w
 
     def _drift_dealiased(self, k: int) -> np.ndarray:
         """Lane 0's dealiased drift frame k; frames are read in order."""

@@ -53,6 +53,8 @@ class TransportProblem:
             self.f = ZeroForcing(grid)
         elif self.f.grid != grid:
             raise ValueError("source grid mismatch")
+        if self.C is not None and not callable(self.C):
+            self.C = np.asarray(self.C, dtype=np.float64)  # an array C, converted once
 
     @property
     def grid(self) -> GridSpec:
@@ -71,11 +73,13 @@ class TransportProblem:
         return self.b.values_at(t)
 
     def matrix_at(self, t: float) -> np.ndarray | None:
-        if self.C is None:
-            return None
         if callable(self.C):
             return np.asarray(self.C(t), dtype=np.float64)
-        return np.asarray(self.C, dtype=np.float64)
+        return self.C
+
+    def matrix_times(self, times: np.ndarray) -> np.ndarray:
+        """The times of ``times`` at which C must be sampled: all of them, or the first for a constant C."""
+        return times if callable(self.C) else times[:1]
 
 
 def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -159,11 +163,10 @@ def solve_transport(p: TransportProblem) -> Trajectory:
     """Integrating-factor midpoint solve; raises on blocking or divergence."""
     spec = p.grid
     advect = _transport_rhs(spec, p.f, _dealiased_drift(p))
-    constant = None if p.C is None or callable(p.C) else p.matrix_at(0.0)  # an array C, converted once
 
     def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
         out = advect(s, ts, u_hat)
-        m = p.matrix_at(ts[0]) if constant is None else constant
+        m = p.matrix_at(ts[0])
         if m is not None:
             out[0] -= _apply_matrix_hat(m, u_hat[0], spec)
         return out
@@ -176,8 +179,7 @@ def _log_amplification(p: TransportProblem, times: np.ndarray) -> np.ndarray:
     """log A(0, t): the trapezoid integral of the sup operator norm of the matrix term."""
     out = np.zeros(times.size)
     if p.C is not None:
-        sampled = times if callable(p.C) else times[:1]  # a constant matrix has one norm
-        norms = np.broadcast_to([opnorm_sup(p.matrix_at(float(t))) for t in sampled], times.shape)
+        norms = np.broadcast_to([opnorm_sup(p.matrix_at(float(t))) for t in p.matrix_times(times)], times.shape)
         out[1:] = np.cumsum(0.5 * (norms[1:] + norms[:-1]) * np.diff(times))
     return out
 

@@ -303,7 +303,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
         z = np.zeros((p.grid.d,) * 2)
         return opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
 
-    sampled = times if callable(p.C) or callable(p_bar.C) else times[:1]  # constant matrices differ by one norm
+    sampled = max(p.matrix_times(times), p_bar.matrix_times(times), key=len)  # constant matrices differ by one norm
     c_diffs = np.broadcast_to([c_diff(t) for t in sampled], times.shape)
     integrand = np.empty(nt)
     for k, t in enumerate(times):

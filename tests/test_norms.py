@@ -455,18 +455,16 @@ def test_k_profile_repeated_t_makes_no_forcing_calls(grid1d, random_field):
 
 
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
-def test_k_profile_new_t_makes_no_transforms(d, n, monkeypatch):
+def test_k_profile_new_t_makes_no_transforms(d, n, transform_calls):
     # the forcing's derivative sups come from its base, once per profile
     grid = GridSpec(d, n, TWO_PI)
     u0 = make_trig_field(grid, seed=7, kmax=2, amplitude=0.5)
     profile = KProfile(u0, TrigForcing(grid, seed=9, kmax=2, amplitude=0.5))
     profile(0.25)
-    calls = []
-    for name in ("rfftn", "irfftn"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    assert transform_calls  # the counter sees the first profile's transforms
+    transform_calls.clear()
     profile(0.5)
-    assert calls == []
+    assert transform_calls == []
 
 
 def test_k_profile_new_t_builds_no_frame_stack(grid2d, monkeypatch):
