@@ -65,7 +65,7 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
         u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
     Only the stored states are inverse-transformed.  ``rhs`` None is pure
-    heat flow.  ``rhs`` returns a new array, which is scaled in place.
+    heat flow.
 
     The state carries a leading lane axis: ``lanes`` problems that share
     u0 march staggered by one step, lane j taking step s - j at tick s, so
@@ -105,18 +105,13 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
     while 0 < lanes and s < steps + lanes - 1:
         lo, hi = max(0, s - steps + 1), min(lanes, s + 1)
         ts = [(s - j) * dt for j in range(lo, hi)]
-        uh = u_hat[lo:hi]  # the formulas above in place: the same operands, so the same bits
+        uh = u_hat[lo:hi]
         if rhs is None:
-            uh *= e_full
+            uh = e_full * uh
         else:
-            s_hat = rhs(s, ts, uh)
-            s_hat *= dt / 2.0
-            s_hat += uh
-            s_hat *= e_half
-            r = rhs(s, [t + dt / 2.0 for t in ts], s_hat)
-            r *= dt_e_half
-            uh *= e_full
-            uh += r
+            s_hat = e_half * (uh + (dt / 2.0) * rhs(s, ts, uh))
+            uh = e_full * uh + dt_e_half * rhs(s, [t + dt / 2.0 for t in ts], s_hat)
+        u_hat[lo:hi] = uh
         u = irfft(uh, spec)
         peak = np.abs(u).reshape(len(u), -1).max(axis=1)
         finite = peak <= ceiling
