@@ -123,7 +123,7 @@ def test_amplification_factors_constant_matrix(grid1d, random_field):
 
 
 def test_constant_matrix_equals_per_stage_matrix():
-    # an array C is converted once per solve and has one operator norm: the same bits as a callable
+    # an array C is converted once, when the problem is built, and has one operator norm: the same bits as a callable
     # returning it, whose matrix and norm are taken at every stage and frame
     spec = GridSpec(2, 16, TWO_PI)
     m = np.array([[0.4, 0.1], [-0.2, 0.3]])
