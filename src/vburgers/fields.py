@@ -8,10 +8,12 @@ A scalar field, a vector field and a trajectory each hold one read-only
 float64 array: ``grid.shape``, ``(d,) + grid.shape`` and
 ``(nt, d) + grid.shape``.  The field classes are the API's edges; the
 solvers and checks work on the arrays (the ``*_arrays`` helpers take any
-leading frame and channel axes).  Every operation returns a new object.
+leading frame and channel axes).  Every operation returns a new object; a
+trajectory's frames are read-only views of its array.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -143,15 +145,23 @@ def dealias_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return irfft(rfft(values, spec) * _dealias_mask(spec), spec)
 
 
-def _frozen_samples(values, shape: tuple) -> np.ndarray:
-    """A read-only float64 copy of ``values``, checked for its shape and for finite samples."""
-    v = np.array(values, dtype=np.float64)
+def _frozen_samples(values, shape: tuple, copy: bool = True) -> np.ndarray:
+    """A read-only float64 copy of ``values`` (itself if float64 and not ``copy``), checked for shape and finiteness."""
+    v = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
     if v.shape != shape:
         raise ValueError(f"sample shape {v.shape} != {shape}")
     if not np.isfinite(v).all():
         raise ValueError("field contains non-finite samples")
     v.flags.writeable = False
     return v
+
+
+def _adopt(cls, grid: GridSpec, values: np.ndarray, shape: tuple | None = None):
+    """A ``cls`` field on ``values``, uncopied: a new array checked for ``shape``, or (None) a checked frame's view."""
+    field = object.__new__(cls)
+    object.__setattr__(field, "grid", grid)
+    object.__setattr__(field, "values", values if shape is None else _frozen_samples(values, shape, copy=False))
+    return field
 
 
 @dataclass(frozen=True)
@@ -163,13 +173,13 @@ class ScalarField:
         object.__setattr__(self, "values", _frozen_samples(self.values, self.grid.shape))
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.values + other.values)
+        return _adopt(ScalarField, self.grid, self.values + other.values, self.values.shape)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.values - other.values)
+        return _adopt(ScalarField, self.grid, self.values - other.values, self.values.shape)
 
     def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(a))
+        return _adopt(ScalarField, self.grid, self.values * float(a), self.values.shape)
 
     __rmul__ = __mul__
 
@@ -206,13 +216,13 @@ class VectorField:
         return tuple(ScalarField(self.grid, c) for c in self.values)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.values + other.values)
+        return _adopt(VectorField, self.grid, self.values + other.values, self.values.shape)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.values - other.values)
+        return _adopt(VectorField, self.grid, self.values - other.values, self.values.shape)
 
     def __mul__(self, a: float) -> "VectorField":
-        return VectorField(self.grid, self.values * float(a))
+        return _adopt(VectorField, self.grid, self.values * float(a), self.values.shape)
 
     __rmul__ = __mul__
 
@@ -222,7 +232,8 @@ class Trajectory:
     """Fields on a uniform time grid, held as one read-only (nt, d) + grid.shape array.
 
     ``values`` may also be a sequence of VectorFields, stacked once.  An
-    array is wrapped without a copy; VectorFields are built only on request.
+    array is wrapped without a copy; VectorFields are built only on request,
+    as read-only views of its frames.
     """
 
     grid: GridSpec
@@ -259,7 +270,8 @@ class Trajectory:
         return self.t0 + self.dt * (len(self) - 1)
 
     def frame(self, k: int) -> VectorField:
-        return VectorField(self.grid, self.values[k])
+        """Frame k, a read-only view of ``values[k]``."""
+        return _adopt(VectorField, self.grid, self.values[k])
 
     @property
     def frames(self) -> tuple:
@@ -283,7 +295,7 @@ class Trajectory:
 def locate(t: float, t0: float, dt: float, nt: int) -> tuple:
     """``Trajectory.locate`` on the time grid t0 + k dt, k < nt, for frames held elsewhere."""
     s = (t - t0) / dt
-    k = min(max(int(np.floor(s)), 0), nt - 1)
+    k = min(max(math.floor(s), 0), nt - 1)
     w = s - k
     if k == nt - 1 or w <= 1e-12:
         return k, 0.0

@@ -14,6 +14,7 @@ from .fields import (
     Trajectory,
     VectorField,
     _ksq_half,
+    frame_blocks,
     gradient_arrays,
     hessian_arrays,
     irfft,
@@ -52,6 +53,17 @@ def n_steps(T: float, dt: float) -> int:
     return n
 
 
+def _first_failure(ts, u: np.ndarray, u_hat: np.ndarray, ceiling: float, guard):
+    """None or (i, error) for the first failing state i of a tick's lanes or a block's frames, at times ``ts``."""
+    peak = np.abs(u).reshape(len(u), -1).max(axis=1)
+    finite = peak <= ceiling
+    n_ok = len(u) if np.count_nonzero(finite) == len(u) else int(np.argmin(finite))
+    failed = None if guard is None or n_ok == 0 else guard(ts[:n_ok], u[:n_ok], u_hat[:n_ok])
+    if failed is None and n_ok < len(u):
+        failed = n_ok, DivergenceError(f"solution diverged at t={ts[n_ok]:g}: sup {peak[n_ok]:.3g} above {ceiling:.3g}")
+    return failed
+
+
 def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, lanes: int = 1, emit=None):
     """Integrating-factor midpoint solve of d_t u = Lap u + rhs(t, u) on [0, T].
 
@@ -77,8 +89,13 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
     times the data scale is a DivergenceError, then ``guard(ts, u, u_hat)``,
     unless None, returns None or (i, error) for the first failing lane i.
 
-    With ``emit`` None there is one lane: the states are returned and a
-    failed check raises.  Otherwise nothing is stored: ``emit(s, lo, u,
+    With ``emit`` None there is one lane and the states are returned.  They
+    are held as spectra one ``fields.frame_blocks`` block of frames at a
+    time, and each block is inverse-transformed in one call and checked
+    frame by frame in order: a failed check raises the error of its first
+    failing state, after marching at most to the end of its block (the
+    floating-point warnings of that march are silenced; a non-finite state
+    fails the check).  Otherwise nothing is stored: ``emit(s, lo, u,
     failed)`` takes tick s's new states u of lanes lo, lo + 1, ... (lane j's
     frame s - j + 1) and None or (j, error) for the first failing lane j,
     whose states and those of the lanes above it it must discard, and
@@ -90,42 +107,42 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
     dt_e_half = dt * e_half
     ceiling = 1e10 * (float(np.abs(u0).max()) + 1.0)
     u_hat = np.repeat(rfft(u0, spec)[None], lanes, axis=0)
-    out = None
+
+    def step(s, ts, uh):
+        if rhs is None:
+            return e_full * uh
+        s_hat = e_half * (uh + (dt / 2.0) * rhs(s, ts, uh))
+        return e_full * uh + dt_e_half * rhs(s, [t + dt / 2.0 for t in ts], s_hat)
+
     if emit is None:
         out = np.empty((steps + 1,) + u0.shape)
         out[0] = u0
-
-        def emit(s, lo, u, failed):
+        blocks = frame_blocks(steps, spec)
+        held = np.empty((blocks[0].stop,) + u_hat.shape[1:], dtype=u_hat.dtype)
+        for sl in blocks:
+            hats = held[: sl.stop - sl.start]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in range(sl.start, sl.stop):
+                    u_hat = step(s, [s * dt], u_hat)
+                    hats[s - sl.start] = u_hat[0]
+                u = irfft(hats, spec)
+            failed = _first_failure([s * dt + dt for s in range(sl.start, sl.stop)], u, hats, ceiling, guard)
             if failed is not None:
                 raise failed[1]
-            out[s + 1] = u[0]
-            return 1
+            out[sl.start + 1 : sl.stop + 1] = u
+        return out
 
     s = 0
     while 0 < lanes and s < steps + lanes - 1:
         lo, hi = max(0, s - steps + 1), min(lanes, s + 1)
         ts = [(s - j) * dt for j in range(lo, hi)]
-        uh = u_hat[lo:hi]
-        if rhs is None:
-            uh = e_full * uh
-        else:
-            s_hat = e_half * (uh + (dt / 2.0) * rhs(s, ts, uh))
-            uh = e_full * uh + dt_e_half * rhs(s, [t + dt / 2.0 for t in ts], s_hat)
-        u_hat[lo:hi] = uh
+        uh = u_hat[lo:hi] = step(s, ts, u_hat[lo:hi])
         u = irfft(uh, spec)
-        peak = np.abs(u).reshape(len(u), -1).max(axis=1)
-        finite = peak <= ceiling
-        n_ok = len(u) if finite.all() else int(np.argmin(finite))
-        failed = None if guard is None or n_ok == 0 else guard([t + dt for t in ts[:n_ok]], u[:n_ok], uh[:n_ok])
-        if failed is None and n_ok < len(u):
-            failed = n_ok, DivergenceError(
-                f"solution diverged at t={ts[n_ok] + dt:g}: sup {peak[n_ok]:.3g} above {ceiling:.3g}"
-            )
+        failed = _first_failure([t + dt for t in ts], u, uh, ceiling, guard)
         if failed is not None:
             failed = lo + failed[0], failed[1]
         lanes = emit(s, lo, u, failed)
         s += 1
-    return out
 
 
 def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Trajectory:

@@ -90,9 +90,11 @@ def cole_hopf(
             return rfft((f(ts[0]) if callable(f) else f).values * irfft(phi_hat, spec), spec)
 
     def positive(ts, phi: np.ndarray, phi_hat: np.ndarray):
-        if np.any(phi <= 0):
-            return 0, OracleError(f"phi lost positivity at t={ts[0]:g}")
-        return None
+        bad = phi.reshape(len(phi), -1).min(axis=1) <= 0
+        if not np.count_nonzero(bad):
+            return None
+        i = int(np.argmax(bad))
+        return i, OracleError(f"phi lost positivity at t={ts[i]:g}")
 
     phis = integrate(phi0.values[None], spec, T, dt, rhs, positive)
     u = np.empty((len(phis), spec.d) + spec.shape)

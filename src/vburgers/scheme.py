@@ -258,7 +258,7 @@ class _Wavefront:
         lo = max(0, s - self.steps + 1)
         lanes = slice(lo, lo + len(ts))
         frame_k = self.dal[(s - 2) % 3, lanes]
-        if locate(ts[0], 0.0, self.cfg.dt, self.steps + 1)[1] == 0.0:
+        if ts[0] == (s - lo) * self.cfg.dt:  # the first stage, at lane lo's frame time
             return frame_k
         w = self.w_mid[s - lanes.stop + 1 : s - lo + 1][::-1]
         return frame_k * (1.0 - w) + self.dal[(s - 1) % 3, lanes] * w
@@ -271,8 +271,9 @@ class _Wavefront:
             self.ahead = dealias_values(np.stack(frames), self.spec)
         return self.ahead[k - self.ahead_at]
 
-    def _may_return(self, j: int) -> bool:
-        return self.m0 + 1 + j >= self.min_iters and self.running[j] < self.cfg.tol_fp
+    def _may_return(self, lo: int, hi: int) -> np.ndarray:
+        """Whether each of lanes lo .. hi - 1 may still be returned."""
+        return (self.running[lo:hi] < self.cfg.tol_fp) & (self.lane_ids[lo:hi] >= self.min_iters - self.m0 - 1)
 
     def _cut(self, lanes: int) -> None:
         for j in range(lanes, self.lanes):
@@ -295,15 +296,22 @@ class _Wavefront:
         now, last, before = s % 3, (s - 1) % 3, (s - 2) % 3
         self.raw[now, lo:hi] = u
 
-        # updates: against the lane below's frame of the tick before, lane 0's against its drift
-        v = np.empty_like(u)
+        # updates against the lane below's frame of the tick before (lane 0's against its drift), and the time
+        # derivatives of the lanes with three frames, centered at the frame before: one sup call for both
+        n, mid, dt = hi - lo, min(hi, s), self.cfg.dt
+        work = np.empty((n + max(0, mid - lo), spec.d) + spec.shape)
+        v = work[:n]
         if lo == 0:
             np.subtract(u[0], self.drift[s + 1], out=v[0])
         b = max(lo, 1)
         np.subtract(u[b - lo :], self.raw[last, b - 1 : hi - 1], out=v[b - lo :])
-        sup_v = frame_sups(v, 1)
-        self.cols[lo:hi, 4, col] = sup_v
-        np.maximum(self.running[lo:hi], sup_v, out=self.running[lo:hi])
+        if mid > lo:
+            np.subtract(self.raw[now, lo:mid], self.raw[before, lo:mid], out=work[n:])
+            work[n:] /= 2 * dt
+        sups = frame_sups(work, 1)
+        self.cols[lo:hi, 4, col] = sups[:n]
+        self.cols[lo:mid, 3, col - 1] = sups[n:]
+        np.maximum(self.running[lo:hi], sups[:n], out=self.running[lo:hi])
 
         # what the lanes read next: lane 0 its drift frame s + 2, the lanes above the new frames, dealiased
         if lo == 0:
@@ -314,27 +322,22 @@ class _Wavefront:
         if feed > lo:
             self.dal[now, lo + 1 : feed + 1] = dealias_values(u[: feed - lo], spec)
 
-        # time derivatives of the lanes with three frames: centered at the frame before, one-sided at the ends
-        mid = min(hi, s)
-        if mid > lo:
-            dt = self.cfg.dt
-            self.cols[lo:mid, 3, col - 1] = frame_sups((self.raw[now, lo:mid] - self.raw[before, lo:mid]) / (2 * dt), 1)
-            for j, end, at in ((s - 1, 0, s - 1), (lo, 2, col)):
-                # lane s - 1 wrote its frame 2, lane lo its last
-                if lo <= j < mid and (end == 0 or s - lo + 1 == steps):
-                    window = self.raw[[before, last, now], j : j + 1]
-                    self.cols[j, 3, at] = frame_sups(time_derivative_arrays(window, dt)[end], 1)[0]
+        # the one-sided time derivatives at the ends: lane s - 1 wrote its frame 2, lane lo its last
+        for j, end, at in ((s - 1, 0, s - 1), (lo, 2, col)):
+            if lo <= j < mid and (end == 0 or s - lo + 1 == steps):
+                window = self.raw[[before, last, now], j : j + 1]
+                self.cols[j, 3, at] = frame_sups(time_derivative_arrays(window, dt)[end], 1)[0]
 
         self._buffer(lo, hi, col, u, v)
 
+        may = self._may_return(lo, hi)
         for i, j in enumerate(range(lo, hi)):
-            if self.kept[j] is None:
-                continue
-            if self._may_return(j) or j == self.lanes - 1:
-                self.kept[j].append(u[i])
-            else:
-                self.kept[j] = None
-        if s - lo + 1 == steps and self._may_return(lo):
+            if self.kept[j] is not None:
+                if may[i] or j == self.lanes - 1:
+                    self.kept[j].append(u[i])
+                else:
+                    self.kept[j] = None
+        if s - lo + 1 == steps and may[0]:
             self.converged = lo
             self._cut(lo + 1)
             return self.lanes
@@ -345,9 +348,10 @@ class _Wavefront:
             if kept + self.drift.nbytes <= self.budget:
                 return self.lanes
             # lanes yet to start may be returned too; with none below the last lane, nothing can go
-            c = next((c for c in reversed(range(self.lanes - 1)) if self._may_return(c)), None)
-            if c is None:
+            returnable = np.flatnonzero(self._may_return(0, self.lanes - 1))
+            if len(returnable) == 0:
                 return self.lanes
+            c = int(returnable[-1])
             self.cut = self.m0 + 1 + c
             self._cut(c + 1)
 
@@ -367,11 +371,12 @@ class _Wavefront:
         if self.fill:
             spec, (j, col), (u, v) = self.spec, self.buf_at[:, : self.fill], self.buf[:, : self.fill]
             hess, sups = _block_sups(u, spec)
+            if self.hess is not None:  # one lane: column col is its frame col
+                self.hess[col] = hess.reshape((-1, spec.d**3) + spec.shape)
+            del hess  # not held while the updates are differentiated
             sups.append(frame_sups(gradient_arrays(v, spec), 2))
             for row, val in zip((0, 1, 2, 5), sups):
                 self.cols[j, row, col] = val
-            if self.hess is not None:  # one lane: column col is its frame col
-                self.hess[col] = hess.reshape((-1, spec.d**3) + spec.shape)
             self.fill = 0
 
     def finish(self):

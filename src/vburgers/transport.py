@@ -22,6 +22,7 @@ from .fields import (
     frame_blocks,
     irfft,
     rfft,
+    rfft_shape,
 )
 from .forcing import Forcing, ZeroForcing
 from .heat import integrate, n_steps
@@ -109,9 +110,9 @@ def _dealiased_drift(p: TransportProblem):
 
 def _blocking_fractions(spec: GridSpec):
     """u_hat, lanes stacked (a, ch) + half-spectrum -> each lane's energy share in the top third of the spectrum."""
-    top = ~_dealias_mask(spec)
+    top = ~_dealias_mask(spec) if spec.d > 1 else slice(spec.n // 3 + 1, None)  # 1-D: the top modes, contiguous
     # weight the half-spectrum so energies count conjugate pairs once each
-    w = np.full(top.shape, 2.0)
+    w = np.full(rfft_shape(spec), 2.0)
     w[..., 0] = 1.0
     if spec.n % 2 == 0:
         w[..., -1] = 1.0
@@ -134,7 +135,7 @@ def _blocking_guard(spec: GridSpec):
     def guard(ts, u: np.ndarray, u_hat: np.ndarray):
         frac = fractions(u_hat)
         bad = frac > BLOCKING_GATE
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return None
         i = int(np.argmax(bad))
         return i, ResolutionError(

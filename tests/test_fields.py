@@ -290,6 +290,47 @@ def test_vector_field_is_one_read_only_array(grid2d):
         assert np.array_equal(traj.frame(k).values, traj.values[k])
 
 
+def test_trajectory_frames_are_read_only_views(grid2d):
+    values = np.stack([make_trig_field(grid2d, seed=k, kmax=2, amplitude=0.5).values for k in range(3)])
+    traj = Trajectory(grid2d, 0.0, 0.1, values)
+    frames = traj.frames
+    assert len(frames) == len(traj)
+    for k, frame in enumerate(frames):
+        for view in (frame, traj.frame(k)):
+            assert isinstance(view, VectorField) and view.grid == grid2d
+            assert np.shares_memory(view.values, traj.values) and np.array_equal(view.values, traj.values[k])
+            assert not view.values.flags.writeable
+            with pytest.raises(ValueError):
+                view.values[0, 0, 0] = 1.0
+
+
+def test_field_arithmetic_checks_its_result(grid1d):
+    a = make_trig_field(grid1d, seed=1, kmax=3, amplitude=0.5)
+    b = make_trig_field(grid1d, seed=2, kmax=3, amplitude=0.5)
+    sa, sb = a.components[0], b.components[0]
+    results = [
+        (a + b, a.values + b.values), (a - b, a.values - b.values), (a * 2.5, a.values * 2.5),
+        (2.5 * a, a.values * 2.5), (sa + sb, sa.values + sb.values), (sa - sb, sa.values - sb.values),
+        (sa * 2.5, sa.values * 2.5),
+    ]
+    for got, want in results:
+        assert got.grid == grid1d and np.array_equal(got.values, want)
+        assert not got.values.flags.writeable
+        assert not np.shares_memory(got.values, a.values) and not np.shares_memory(got.values, sb.values)
+    big = VectorField.constant(grid1d, [1e308])
+    big_scalar = big.components[0]
+    for overflow in (
+        lambda: big - big * -1.0,  # 1e308 - (-1e308)
+        lambda: big + big,
+        lambda: big * 10.0,
+        lambda: big_scalar - big_scalar * -1.0,
+        lambda: big_scalar + big_scalar,
+        lambda: big_scalar * 10.0,
+    ):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            overflow()
+
+
 def test_snapshot_magic(tmp_path, random_field):
     p = tmp_path / "f.bfld"
     write_snapshot(random_field, p)

@@ -1,17 +1,24 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from vburgers.errors import DivergenceError, WindowError
-from vburgers.fields import GridSpec, ScalarField, VectorField
-from vburgers.forcing import ConstantForcing, TrigForcing, ZeroForcing
+from vburgers import fields, heat, oracle, transport
+from vburgers.errors import DivergenceError, OracleError, ResolutionError, WindowError
+from vburgers.fields import GridSpec, ScalarField, VectorField, irfft, make_trig_field, rfft
+from vburgers.forcing import ConstantForcing, Forcing, TrigForcing, ZeroForcing
 from vburgers.heat import (
     duhamel_forced_heat,
     heat_apply,
+    heat_multiplier,
     holder_scaling_probe,
+    integrate,
     lacunary_field,
+    n_steps,
 )
+from vburgers.oracle import cole_hopf, direct_solve
+from vburgers.transport import TransportProblem, solve_transport
 
 
 def test_heat_decays_single_mode(grid1d):
@@ -112,3 +119,136 @@ def test_heat_commutes_with_gradient(grid1d):
     a = gradient(ScalarField(grid1d, heat_apply(VectorField(grid1d, f.values[None]), 0.3).components[0].values))
     b = heat_apply(gradient(f), 0.3)
     assert np.allclose(a.values, b.values, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stored path of integrate: spectra held a block at a time, inverse-transformed and checked per block
+
+
+def _march_reference(u0, spec, T, dt, rhs, guard):
+    """``integrate``'s stored states one tick at a time: each state inverse-transformed and checked as it is made."""
+    e_full, e_half = heat_multiplier(spec, dt), heat_multiplier(spec, dt / 2.0)
+    dt_e_half = dt * e_half
+    ceiling = 1e10 * (float(np.abs(u0).max()) + 1.0)
+    u_hat, states = rfft(u0, spec)[None], [u0]
+    for s in range(n_steps(T, dt)):
+        t = s * dt
+        if rhs is None:
+            u_hat = e_full * u_hat
+        else:
+            s_hat = e_half * (u_hat + (dt / 2.0) * rhs(s, [t], u_hat))
+            u_hat = e_full * u_hat + dt_e_half * rhs(s, [t + dt / 2.0], s_hat)
+        u = irfft(u_hat, spec)
+        peak = float(np.abs(u).max())
+        if not peak <= ceiling:
+            raise DivergenceError(f"solution diverged at t={t + dt:g}: sup {peak:.3g} above {ceiling:.3g}")
+        failed = None if guard is None else guard([t + dt], u, u_hat)
+        if failed is not None:
+            raise failed[1]
+        states.append(u[0])
+    return np.stack(states)
+
+
+def _spy_integrate(monkeypatch, module) -> list:
+    """The arguments of every ``integrate`` call that ``module`` makes while the test runs, and its states."""
+    calls, real = [], module.integrate
+
+    def spy(*args):
+        calls.append([args, None])
+        calls[-1][1] = real(*args)
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, "integrate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("block_frames", [None, 5], ids=["default-blocks", "5-frame-blocks"])
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
+def test_stored_states_equal_a_per_tick_march(monkeypatch, d, n, block_frames):
+    spec = GridSpec(d, n, 2 * np.pi)
+    if block_frames is not None:  # 16 steps: blocks of 5, 5, 5 and 1 frames
+        monkeypatch.setattr(fields, "BLOCK_SAMPLES", block_frames * spec.num_nodes)
+    u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
+    forcing = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
+    T, dt = 1 / 16, 1 / 256
+    drift = duhamel_forced_heat(u0, forcing, T, dt)
+    solves = [
+        (heat, lambda: duhamel_forced_heat(u0, forcing, T, dt)),
+        (transport, lambda: solve_transport(TransportProblem(u0=u0, b=drift, f=forcing, T=T, dt=dt))),
+        (oracle, lambda: direct_solve(u0, forcing, T, dt)),
+    ]
+    if d < 3:
+        phi0 = ScalarField(spec, 1.0 + 0.3 * np.cos(spec.mesh()[0]))
+        potential = ScalarField(spec, 0.2 * np.sin(spec.mesh()[-1]))
+        solves.append((oracle, lambda: cole_hopf(phi0, lambda t: potential * (1.0 + t), T, dt)))
+    for module, solve in solves:
+        calls = _spy_integrate(monkeypatch, module)
+        solve()
+        args, states = calls[-1]
+        assert states.tobytes() == _march_reference(*args).tobytes()
+
+
+def _diverging_transport():
+    # Picard iterate 2 of a large 1-D datum diverges at frame 12: case (100, 6, 2, 12) of test_scheme's _DIVERGING
+    spec = GridSpec(1, 16, 2 * np.pi)
+    u0 = make_trig_field(spec, seed=6, kmax=3, amplitude=100)
+    T, dt = 0.125, 1 / 256
+    first = solve_transport(TransportProblem(u0=u0, b=duhamel_forced_heat(u0, ZeroForcing(spec), T, dt), T=T, dt=dt))
+    return transport, DivergenceError, lambda: solve_transport(TransportProblem(u0=u0, b=first, T=T, dt=dt))
+
+
+def _blocking_transport():
+    # a forcing in the top third of the spectrum fills it until the guard fires at frame 14
+    spec = GridSpec(1, 16, 2 * np.pi)
+    u0 = VectorField.from_arrays(spec, [np.sin(spec.axis_coords())])
+    forcing = Forcing(VectorField.from_arrays(spec, [0.05 * np.cos(7 * spec.axis_coords())]))
+    return transport, ResolutionError, lambda: solve_transport(TransportProblem(u0=u0, f=forcing, T=0.5, dt=1 / 256))
+
+
+def _cole_hopf_losing_positivity():
+    spec = GridSpec(1, 32, 2 * np.pi)
+    x = spec.axis_coords()
+    phi0, potential = ScalarField(spec, 1.0 + 0.9 * np.cos(x)), ScalarField(spec, 200.0 - 200.0 * np.cos(x))
+    return oracle, OracleError, lambda: cole_hopf(phi0, potential, T=0.5, dt=1e-3)
+
+
+@pytest.mark.parametrize("case", [_diverging_transport, _blocking_transport, _cole_hopf_losing_positivity])
+def test_stored_solve_raises_the_per_tick_error(monkeypatch, case):
+    module, error, solve = case()
+    calls = _spy_integrate(monkeypatch, module)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # marching past the failing frame to the end of its block warns nothing
+        with pytest.raises(error) as got:
+            solve()
+    with np.errstate(all="ignore"), pytest.raises(error) as want:
+        _march_reference(*calls[-1][0])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("failing", [9, 12, 16], ids=["first-of-block", "middle", "last-of-block"])
+@pytest.mark.parametrize("kind", ["guard", "divergence"])
+def test_stored_failure_at_any_frame_of_a_block(monkeypatch, kind, failing):
+    # 24 steps in blocks of 8 frames: frames 9 to 16 form the second block
+    spec, T, dt = GridSpec(1, 16, 2 * np.pi), 24 / 256, 1 / 256
+    monkeypatch.setattr(fields, "BLOCK_SAMPLES", 8 * spec.num_nodes)
+    u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5).values
+    ticks = []
+
+    def rhs(s, ts, u_hat):
+        ticks.append(s)
+        # a state past the double range at frame ``failing`` when diverging; nothing otherwise
+        return u_hat * (1e308 if kind == "divergence" and s == failing - 1 else 0.0)
+
+    def guard(ts, u, u_hat):
+        late = [i for i, t in enumerate(ts) if kind == "guard" and round(t / dt) >= failing]
+        return (late[0], ValueError(f"guard fails at t={ts[late[0]]:g}")) if late else None
+
+    error = DivergenceError if kind == "divergence" else ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as got:
+            integrate(u0, spec, T, dt, rhs, guard)
+    assert failing - 1 <= max(ticks) < 16  # marched to the failing frame, and no further than its block
+    with np.errstate(all="ignore"), pytest.raises(error) as want:
+        _march_reference(u0, spec, T, dt, rhs, guard)
+    assert str(got.value) == str(want.value) and f"t={failing * dt:g}" in str(got.value)

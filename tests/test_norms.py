@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +32,8 @@ from vburgers.norms import (
     _iso_offsets,
     _offset_distance,
 )
-from vburgers.scheme import compute_t_init
+from vburgers.scheme import SchemeConfig, compute_t_init, run_picard
+from vburgers.verify import check_short_time, check_uniform
 
 TWO_PI = 2 * np.pi
 
@@ -335,6 +337,45 @@ def test_t_init_scaling_covariance(d, n):
         free, free_lam = compute_t_init(u0, None), compute_t_init(u_lam, None)
         assert free_lam == pytest.approx(free / lam**2, rel=1e-14), lam
         assert compute_t_init(u_lam, g_lam) == pytest.approx(compute_t_init(u0, g) / lam**2, rel=1e-9), lam
+
+
+@pytest.mark.parametrize("holder", [False, True], ids=["lanes", "holder"])
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
+def test_picard_run_scaling_covariance(d, n, forced, holder):
+    # the paper's dimension count end to end, at lam = 2 where every map is a power of two: on the torus of
+    # side pi, with 2 u0, g_lam, T / 4, dt / 4 and 2 tol_fp, run_picard marches the same iterates, its six
+    # sup rows come out times 2, 4, 8, 8, 2 and 4 and its fixed point times 2, bit for bit; the Hoelder
+    # seminorms scale by 2^(3 + alpha) and the verify reports read the same ratios and exponents
+    lam, alpha, seed = 2.0, 0.5, 0
+    (u0, g), (u_lam, g_lam) = _scaled_data(d, n, lam)
+    if not forced:
+        g, g_lam = ZeroForcing(u0.grid), ZeroForcing(u_lam.grid)
+    cfg = SchemeConfig(grid=u0.grid, T=1 / 8, dt=1 / 128, m_max=12, tol_fp=1e-8, alpha=alpha, seed=seed)
+    cfg_lam = dataclasses.replace(cfg, grid=u_lam.grid, T=cfg.T / lam**2, dt=cfg.dt / lam**2, tol_fp=cfg.tol_fp * lam)
+    runs = [run_picard(c, u, f, record_holder=holder) for c, u, f in ((cfg, u0, g), (cfg_lam, u_lam, g_lam))]
+    (recs, fp, conv), (recs_lam, fp_lam, conv_lam) = runs
+    assert conv and conv_lam and [r.m for r in recs] == [r.m for r in recs_lam] and len(recs) > 3
+    powers = {"sup_u": 1, "sup_grad_u": 2, "sup_hess_u": 3, "sup_dt_u": 3, "sup_v": 1, "sup_grad_v": 2}
+    for rec, rec_lam in zip(recs, recs_lam):
+        assert (rec_lam.times * lam**2).tobytes() == rec.times.tobytes()
+        for name, power in powers.items():
+            assert getattr(rec_lam, name).tobytes() == (lam**power * getattr(rec, name)).tobytes(), (rec.m, name)
+        if holder:
+            for name in ("holder_hess", "holder_dt"):
+                assert getattr(rec_lam, name) == pytest.approx(lam ** (3 + alpha) * getattr(rec, name), rel=1e-13)
+    assert fp_lam.values.tobytes() == (lam * fp.values).tobytes()
+
+    kfns = [KProfile(u, f, alpha, seed) for u, f in ((u0, g), (u_lam, g_lam))]
+    checks = [check_short_time] + ([lambda r, k: check_uniform(r, k, alpha=alpha)] if holder else [])
+    for check in checks:
+        reports, reports_lam = check(recs, kfns[0]), check(recs_lam, kfns[1])
+        for key, rep in reports.items():
+            rep_lam = reports_lam[key]
+            assert rep_lam.worst_ratio == pytest.approx(rep.worst_ratio, rel=1e-13), key
+            if "fitted_exponent" in rep.params:
+                assert math.isfinite(rep.params["fitted_exponent"])
+                assert rep_lam.params["fitted_exponent"] == pytest.approx(rep.params["fitted_exponent"], rel=1e-13), key
 
 
 def test_sin_seminorm_feeds_k2alpha(grid1d, sin_field):

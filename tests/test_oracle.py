@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vburgers import oracle
 from vburgers.errors import OracleError, ResolutionError
 from vburgers.fields import GridSpec, ScalarField, VectorField, gradient, make_trig_field
 from vburgers.forcing import GradientForcing, ZeroForcing
@@ -99,3 +100,23 @@ def test_residual_refines_with_dt():
     r1 = residual(direct_solve(u0, None, T=0.25, dt=2e-3), None).max
     r2 = residual(direct_solve(u0, None, T=0.25, dt=1e-3), None).max
     assert r2 < r1 / 3.0
+
+
+def test_cole_hopf_positivity_guard_names_the_first_failing_lane(monkeypatch):
+    # heat.integrate's guard contract: (i, error) for the first failing state i, at that state's time
+    guards, real = [], oracle.integrate
+
+    def spy(u0, spec, T, dt, rhs, guard, *args):
+        guards.append(guard)
+        return real(u0, spec, T, dt, rhs, guard, *args)
+
+    monkeypatch.setattr(oracle, "integrate", spy)
+    g = GridSpec(1, 32, TWO_PI)
+    cole_hopf(_phi0(g), None, T=0.01, dt=1e-3)
+    positive = guards[0]
+    phi = np.ones((5, 1) + g.shape)
+    assert positive([0.1, 0.2, 0.3, 0.4, 0.5], phi, None) is None
+    phi[2, 0, 7] = -1e-3
+    phi[4, 0, 1] = 0.0
+    lane, err = positive([0.1, 0.2, 0.3, 0.4, 0.5], phi, None)
+    assert lane == 2 and isinstance(err, OracleError) and str(err) == "phi lost positivity at t=0.3"
