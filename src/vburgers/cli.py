@@ -126,7 +126,11 @@ def _build(cfg: dict):
     try:
         grid = _build_grid(cfg["grid"])
         u0, phi0 = _build_data(cfg["data"], grid)
-        return _build_scheme(cfg["scheme"], grid), u0, phi0, _build_forcing(cfg["forcing"], grid)
+        scheme = _build_scheme(cfg["scheme"], grid)
+        picard = [chk for chk in cfg["checks"] if "records" in REGISTRY[chk][2]]
+        if picard and n_steps(scheme.T, scheme.dt) < 2:
+            raise ConfigError(f"{picard[0]} needs T >= 2 dt: the Picard records' time derivatives take three frames")
+        return scheme, u0, phi0, _build_forcing(cfg["forcing"], grid)
     except (ValueError, OverflowError) as e:  # the constructors' own checks; ResolutionError is a ValueError
         raise ConfigError(str(e)) from e
 

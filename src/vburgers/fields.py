@@ -315,6 +315,11 @@ def frame_blocks(nt: int, spec: GridSpec) -> list:
     return [slice(k, min(k + step, nt)) for k in range(0, nt, step)]
 
 
+def tick_steps(steps: int, lanes: int, spec: GridSpec) -> int:
+    """Steps per lane and tick of ``heat.integrate``: a tick's frames fill half a block, and half the trajectory."""
+    return max(1, min(BLOCK_SAMPLES // (2 * spec.num_nodes), (steps + 1) // 2) // lanes)
+
+
 # ---------------------------------------------------------------------------
 # spectral differential operators
 

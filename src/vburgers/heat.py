@@ -14,11 +14,11 @@ from .fields import (
     Trajectory,
     VectorField,
     _ksq_half,
-    frame_blocks,
     gradient_arrays,
     hessian_arrays,
     irfft,
     rfft,
+    tick_steps,
 )
 from .forcing import Forcing
 from .norms import channel_sup
@@ -54,7 +54,7 @@ def n_steps(T: float, dt: float) -> int:
 
 
 def _first_failure(ts, u: np.ndarray, u_hat: np.ndarray, ceiling: float, guard):
-    """None or (i, error) for the first failing state i of a tick's lanes or a block's frames, at times ``ts``."""
+    """None or (i, error) for the first failing state i of a tick's rows, at times ``ts``."""
     peak = np.abs(u).reshape(len(u), -1).max(axis=1)
     finite = peak <= ceiling
     n_ok = len(u) if np.count_nonzero(finite) == len(u) else int(np.argmin(finite))
@@ -76,73 +76,83 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
         s_hat = E_half (u_hat + dt/2 rhs(t, u_hat))
         u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
-    Only the stored states are inverse-transformed.  ``rhs`` None is pure
-    heat flow.
+    ``rhs`` None is pure heat flow.
 
-    The state carries a leading lane axis: ``lanes`` problems that share
-    u0 march staggered by one step, lane j taking step s - j at tick s, so
-    one batched transform serves every lane of a tick and lane j can read
-    what lane j - 1 produced on earlier ticks.  ``rhs(s, ts, u_hat)`` gets
-    the tick, the times of its active lanes lo, lo + 1, ... (floats) and
-    their stacked half-spectra (a, ch) + half-spectrum shape.  A state is
-    checked lane by lane in order: a non-finite state or one above 1e10
-    times the data scale is a DivergenceError, then ``guard(ts, u, u_hat)``,
-    unless None, returns None or (i, error) for the first failing lane i.
+    The state carries a leading lane axis: ``lanes`` problems that share u0
+    march in ticks of B = ``fields.tick_steps(n_steps, lanes, spec)`` steps,
+    staggered by one tick: at tick s lane j takes steps (s - j) B to
+    (s - j) B + B - 1, so one batched transform serves every lane of a step
+    and lane j can read the block lane j - 1 produced on the tick before.
+    ``rhs(r, ts, u_hat)`` gets r = s B + b at the tick's step b (lane j
+    takes step r - j B), the times of the active lanes (floats) and their
+    stacked half-spectra (a, ch) + half-spectrum shape, a the lane count.
 
-    With ``emit`` None there is one lane and the states are returned.  They
-    are held as spectra one ``fields.frame_blocks`` block of frames at a
-    time, and each block is inverse-transformed in one call and checked
-    frame by frame in order: a failed check raises the error of its first
-    failing state, after marching at most to the end of its block (the
-    floating-point warnings of that march are silenced; a non-finite state
-    fails the check).  Otherwise nothing is stored: ``emit(s, lo, u,
-    failed)`` takes tick s's new states u of lanes lo, lo + 1, ... (lane j's
-    frame s - j + 1) and None or (j, error) for the first failing lane j,
-    whose states and those of the lanes above it it must discard, and
-    returns the number of lanes to go on with (lanes above it stop).
+    After its B steps a tick inverse-transforms the states it made in one
+    call and checks them in lane-major order, so the first failing row is
+    the lowest failing lane's first failing state: a non-finite state or one
+    above 1e10 times the data scale is a DivergenceError, then
+    ``guard(ts, u, u_hat)``, unless None, returns None or (i, error) for the
+    first failing row i.  Lanes march past a failure to the end of the tick
+    with floating-point warnings silenced.  The rows past a lane's last
+    step (its last tick may be short) repeat its last state, so they fail
+    no check that state passes.
+
+    ``emit(s, lo, u, failed)`` takes tick s's rows u of lanes lo, lo + 1, ...
+    (B rows each, lane j's frames (s - j) B + 1, ...) and None or (j,
+    error) for the first failing lane j, whose states and those of the lanes
+    above it it must discard, and returns the number of lanes to go on with
+    (lanes above it stop).  With ``emit`` None there is one lane, each
+    tick's states go into the returned stack, and a failed check raises the
+    error of its first failing state.
     """
     steps = n_steps(T, dt)
+    block = tick_steps(steps, lanes, spec)
+    ticks = -(-steps // block)
     e_full = heat_multiplier(spec, dt)
     e_half = heat_multiplier(spec, dt / 2.0)
     dt_e_half = dt * e_half
     ceiling = 1e10 * (float(np.abs(u0).max()) + 1.0)
     u_hat = np.repeat(rfft(u0, spec)[None], lanes, axis=0)
+    t_end = (np.arange(ticks * block) * dt + dt).reshape(ticks, block)  # the time after each step, by tick
 
-    def step(s, ts, uh):
+    def step(r, ts, uh):
         if rhs is None:
             return e_full * uh
-        s_hat = e_half * (uh + (dt / 2.0) * rhs(s, ts, uh))
-        return e_full * uh + dt_e_half * rhs(s, [t + dt / 2.0 for t in ts], s_hat)
+        s_hat = e_half * (uh + (dt / 2.0) * rhs(r, ts, uh))
+        return e_full * uh + dt_e_half * rhs(r, [t + dt / 2.0 for t in ts], s_hat)
 
+    out = None
     if emit is None:
         out = np.empty((steps + 1,) + u0.shape)
         out[0] = u0
-        blocks = frame_blocks(steps, spec)
-        held = np.empty((blocks[0].stop,) + u_hat.shape[1:], dtype=u_hat.dtype)
-        for sl in blocks:
-            hats = held[: sl.stop - sl.start]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for s in range(sl.start, sl.stop):
-                    u_hat = step(s, [s * dt], u_hat)
-                    hats[s - sl.start] = u_hat[0]
-                u = irfft(hats, spec)
-            failed = _first_failure([s * dt + dt for s in range(sl.start, sl.stop)], u, hats, ceiling, guard)
+
+        def emit(s, lo, u, failed):
             if failed is not None:
                 raise failed[1]
-            out[sl.start + 1 : sl.stop + 1] = u
-        return out
+            out[s * block + 1 : s * block + block + 1] = u[: steps - s * block]
+            return 1
 
     s = 0
-    while 0 < lanes and s < steps + lanes - 1:
-        lo, hi = max(0, s - steps + 1), min(lanes, s + 1)
-        ts = [(s - j) * dt for j in range(lo, hi)]
-        uh = u_hat[lo:hi] = step(s, ts, u_hat[lo:hi])
-        u = irfft(uh, spec)
-        failed = _first_failure([t + dt for t in ts], u, uh, ceiling, guard)
+    while 0 < lanes and s < ticks + lanes - 1:
+        lo, hi = max(0, s - ticks + 1), min(lanes, s + 1)
+        left = steps - (s - lo) * block  # lane lo's steps still to take; the lanes above take a whole block
+        held = np.empty((hi - lo, block) + u_hat.shape[1:], dtype=u_hat.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(min(block, left) if hi == lo + 1 else block):
+                a = lo if b < left else lo + 1
+                ts = [(s * block + b - j * block) * dt for j in range(a, hi)]
+                held[a - lo :, b] = u_hat[a:hi] = step(s * block + b, ts, u_hat[a:hi])
+            if left < block:
+                held[0, left:] = held[0, left - 1]
+            held = held.reshape((-1,) + u_hat.shape[1:])
+            u = irfft(held, spec)
+        failed = _first_failure(t_end[s - hi + 1 : s - lo + 1][::-1].reshape(-1), u, held, ceiling, guard)
+        held = None  # not held while the rows are filed
         if failed is not None:
-            failed = lo + failed[0], failed[1]
+            failed = lo + failed[0] // block, failed[1]
         lanes = emit(s, lo, u, failed)
         s += 1
+    return out
 
 
 def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Trajectory:

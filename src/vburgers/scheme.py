@@ -95,9 +95,9 @@ HELD_TRAJECTORIES = 3  # what one solve at a time held beyond its drift: dealias
 _CHUNK_SAMPLES = 2**10  # grid nodes per chunk of a kept trajectory
 
 
-def _block_sups(u: np.ndarray, spec: GridSpec) -> tuple:
-    """(Hessians, [sup u, sup grad u, sup hess u]) of a block of frames, forward-transformed once."""
-    uh = rfft(u, spec)
+def _block_sups(u: np.ndarray, spec: GridSpec, uh: np.ndarray | None = None) -> tuple:
+    """(Hessians, [sup u, sup grad u, sup hess u]) of a block of frames, forward-transformed once (or given ``uh``)."""
+    uh = rfft(u, spec) if uh is None else uh
     sup_grad = frame_sups(gradient_arrays(u, spec, uh), 2)
     hess = hessian_arrays(u, spec, uh)
     del uh  # the spectrum is not held while the Hessians are reduced: peak memory stays that of two transforms
@@ -124,12 +124,12 @@ def _diagnose(traj: Trajectory, alpha: float, seed: int, record_holder: bool) ->
 
 
 class _Frames:
-    """Frames (d,) + grid shape of one trajectory, appended one at a time.
+    """Frames (d,) + grid shape of one trajectory, appended in order.
 
     They sit in chunks of about _CHUNK_SAMPLES grid nodes: an array of its
     own per frame would cost a header of about a tenth of a 1-D frame of
     128 nodes.  ``release(k)`` says frames up to k are read, and frees the
-    chunk that holds no frame after k.  ``nbytes`` counts the live chunks,
+    chunks that hold no frame after k.  ``nbytes`` counts the live chunks,
     headers included.
     """
 
@@ -137,24 +137,32 @@ class _Frames:
         self.chunk = max(1, _CHUNK_SAMPLES // spec.num_nodes)
         self.shape = (spec.d,) + spec.shape
         self.chunks = []
-        self.n = self.nbytes = 0
-        for frame in frames:
-            self.append(frame)
+        self.n = self.nbytes = self.freed = 0
+        self.extend(frames)
 
-    def append(self, frame: np.ndarray) -> None:
-        if self.n % self.chunk == 0:
-            self.chunks.append(np.empty((self.chunk,) + self.shape))
-            self.nbytes += sys.getsizeof(self.chunks[-1])
-        self.chunks[-1][self.n % self.chunk] = frame
-        self.n += 1
+    def extend(self, frames: np.ndarray) -> None:
+        i = 0
+        while i < len(frames):
+            at = self.n % self.chunk
+            if at == 0:
+                self.chunks.append(np.empty((self.chunk,) + self.shape))
+                self.nbytes += sys.getsizeof(self.chunks[-1])
+            n = min(self.chunk - at, len(frames) - i)
+            self.chunks[-1][at : at + n] = frames[i : i + n]
+            self.n += n
+            i += n
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.chunks[k // self.chunk][k % self.chunk]
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """A copy of frames a .. b - 1."""
+        c = self.chunk
+        return np.concatenate([self.chunks[q][max(0, a - q * c) : b - q * c] for q in range(a // c, (b - 1) // c + 1)])
 
     def release(self, k: int) -> None:
-        if (k + 1) % self.chunk == 0 or k + 1 == self.n:
-            self.nbytes -= sys.getsizeof(self.chunks[k // self.chunk])
-            self.chunks[k // self.chunk] = None
+        stop = len(self.chunks) if k + 1 == self.n else (k + 1) // self.chunk
+        for q in range(self.freed, stop):
+            self.nbytes -= sys.getsizeof(self.chunks[q])
+            self.chunks[q] = None
+        self.freed = max(self.freed, stop)
 
     def stack(self) -> np.ndarray:
         return np.concatenate(self.chunks)[: self.n]
@@ -165,37 +173,41 @@ class _Wavefront:
 
     ``records`` are those of iterates 0 .. m0.  Lane j solves iterate
     m0 + 1 + j.  Its drift is lane j - 1, or for lane 0 ``drift``, the
-    frames of iterate m0 (released as they are read, and dealiased a block
-    ahead).  At tick s lane j takes step k = s - j and writes its frame
-    k + 1.  Rings of three frames are slotted by tick, s % 3, so all lanes
-    of a tick read and write the same slots: lane j's dealiased drift frames k and k + 1,
-    written by the lane below two ticks and one tick earlier, sit in slots
-    (s - 2) % 3 and (s - 1) % 3.  Per-lane series are kept by column
-    k + 1 + j, so a tick fills one column; lane j's frames are columns j to
-    j + n_steps.  The update and time-derivative sups are taken at once,
-    the spatial derivatives in buffered blocks of BLOCK_SAMPLES / 2 nodes.
-    Frame 0 of every iterate is the datum: its sups are those in iterate
-    0's record, and its update is zero.
+    frames of iterate m0 (released as they are read).  Each tick advances
+    every active lane by B = ``fields.tick_steps`` steps: at tick s lane j
+    makes its frames k0 + 1 .. k0 + B, k0 = (s - j) B, reading lane j - 1's
+    dealiased frames k0 .. k0 + B, which the tick before made.  Per lane
+    two ring blocks hold what the next tick reads: ``dal``, the dealiased
+    drift frames k0 .. k0 + B, and ``raw``, the lane's own frames
+    k0 - 1 .. k0 + B.  All per-frame work runs once per tick over the
+    tick's B x lanes rows: the update and time-derivative sups, and one
+    forward transform of the rows and of lane 0's next drift block, which
+    serves the spatial derivative sups and the dealiased frames the lanes
+    read next.  Per-lane series are kept by column k + j B, so a tick fills
+    the same B columns of every lane.  Frame 0 of every iterate is the
+    datum: its sups are those in iterate 0's record, and its update is zero.
 
     A lane keeps its full trajectory only while it may still be returned
     (m >= min_iters and its running update sup below tol_fp) or while it is
-    the last lane, the next group's drift.  The group counts the bytes it
-    holds: the kept frames, the drift frames not yet read and its own
-    arrays (rings, series, buffer).  What one solve at a time held, the
-    drift and HELD_TRAJECTORIES more trajectories, sizes the group: L is
-    the most lanes, up to m_max - m0 and fields.LANE_SAMPLES grid nodes'
-    worth, whose own arrays and first frames fit next to the drift.  While
-    the group holds more than that, it is cut from the top: the lanes
-    above the highest lane below the last that may still be returned are
-    discarded, so the lower lanes that may be returned keep their frames.
-    A lane that fails a check cuts the group at itself; its error stands
-    unless a lane below it converges or a later cut discards that lane,
-    whose iterate the next group then solves again.
+    the last lane, the next group's drift.  These decisions, the cuts and
+    convergence are taken once per tick on the tick's running maxima: as
+    ``running`` only grows, they come out as frame by frame.  The group
+    counts the bytes it holds: the kept frames, the drift frames not yet
+    read and its own arrays (rings, series).  What one solve at a time
+    held, the drift and HELD_TRAJECTORIES more trajectories, sizes the
+    group: L is the most lanes, up to m_max - m0 and fields.LANE_SAMPLES
+    grid nodes' worth, whose own arrays and first frames fit next to the
+    drift.  While the group holds more than that, it is cut from the top:
+    the lanes above the highest lane below the last that may still be
+    returned are discarded, so the lower lanes that may be returned keep
+    their frames.  A lane that fails a check cuts the group at itself; its
+    error stands unless a lane below it converges or a later cut discards
+    that lane, whose iterate the next group then solves again.
 
     With ``record_holder`` the group has one lane, the last, so it keeps
-    its whole trajectory.  Its Hessians are kept as the buffer flushes
-    them, and ``finish`` takes the parabolic seminorms of those and of the
-    time derivatives of its frames.
+    its whole trajectory.  Its Hessians are kept tick by tick, and
+    ``finish`` takes the parabolic seminorms of those and of the time
+    derivatives of its frames.
     """
 
     def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, records: list, min_iters: int, record_holder: bool):
@@ -207,69 +219,54 @@ class _Wavefront:
         w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
         self.w_mid = np.array(w_mid).reshape((-1,) + (1,) * (spec.d + 1))
 
-        # the lanes whose rings, series, share of the buffer and first frame fit next to the drift
+        # the lanes whose rings, series and first frame fit next to the drift
         self.frame = u0.values.nbytes
-        cap = max(1, min(fields.BLOCK_SAMPLES // (2 * spec.num_nodes), (steps + 1) // 2))
         held = (1 + HELD_TRAJECTORIES) * (steps + 1) * self.frame
 
         def own(lanes: int) -> int:
-            return (6 * lanes + 2 * cap) * self.frame + 8 * lanes * len(SUP_ROWS) * (steps + lanes)
+            block = fields.tick_steps(steps, lanes, spec)
+            return (2 * block + 3) * lanes * self.frame + 8 * lanes * len(SUP_ROWS) * (steps + lanes * block)
 
         kept = _Frames(spec, u0.values[None])
         lanes = 1 if record_holder else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
         while lanes > 1 and own(lanes) + lanes * kept.nbytes + drift.nbytes > held:
             lanes -= 1
         self.lanes, self.budget = lanes, held - own(lanes)
+        block = self.block = fields.tick_steps(steps, lanes, spec)
 
-        # frame 0 of every iterate is the datum, as if lane j wrote it at tick j - 1
-        ring = (3, lanes, spec.d) + spec.shape
-        self.raw = np.empty(ring)  # lane j's last three frames
-        self.dal = np.empty(ring)  # lane j's dealiased drift frames
+        # frame 0 of every iterate is the datum, as if lane j made it at tick j - 1
+        self.raw = np.zeros((lanes, block + 2, spec.d) + spec.shape)
+        self.raw[:, -1] = u0.values
+        self.dal = np.empty((lanes, block + 1, spec.d) + spec.shape)
+        self.dal[0] = dealias_values(drift.rows(0, block + 1), spec)
+        self.dal[1:, -1] = self.dal[0, 0]
+        self.mask = fields._dealias_mask(spec)
+
+        # column j B is lane j's frame 0: iterate 0's sups, a zero update and a time derivative still to come
         lane = self.lane_ids = np.arange(lanes)
-        self.raw[(lane - 1) % 3, lane] = u0.values
-        # lane 0's drift frames are dealiased ahead, a lane's share of BLOCK_SAMPLES nodes at a time: like the
-        # transform temporaries, a block that does not grow with the trajectory and is not counted in ``own``
-        self.ahead_len = max(1, min(steps + 1, fields.BLOCK_SAMPLES // (lanes * spec.num_nodes)))
-        self.ahead_at = -self.ahead_len
-        self.dal[(lane - 2) % 3, lane] = self._drift_dealiased(0)
-        self.dal[2, 0] = self._drift_dealiased(1)
-        drift.release(0)
-
-        # column j is lane j's frame 0: iterate 0's sups, a zero update and a time derivative still to come
-        self.cols = np.zeros((lanes, len(SUP_ROWS), steps + lanes))
+        self.cols = np.zeros((lanes, len(SUP_ROWS), steps + lanes * block))
         for row in (0, 1, 2):
-            self.cols[lane, row, lane] = getattr(records[0], SUP_ROWS[row])[0]
+            self.cols[lane, row, lane * block] = getattr(records[0], SUP_ROWS[row])[0]
         self.kept = [kept] + [_Frames(spec, u0.values[None]) for _ in range(lanes - 1)]
         self.running = np.zeros(lanes)
         self.hess = None
         if record_holder:
             self.hess = np.empty((steps + 1, spec.d**3) + spec.shape)
             self.hess[0] = hessian_arrays(u0.values, spec).reshape((-1,) + spec.shape)
-
-        # frames and their updates: BLOCK_SAMPLES nodes, and no more than one trajectory, as ``own`` counts
-        self.buf = np.empty((2, cap, spec.d) + spec.shape)
-        self.buf_at = np.empty((2, cap), dtype=np.intp)  # lane and column of each buffered row
-        self.fill = 0
         self.error = self.converged = self.cut = None  # error: (lane, exception)
-        self.peak_kept = self.ticks = 0
+        self.peak_kept = self.ticks = self.lane_steps = 0
 
-    def drift_at(self, s: int, ts) -> np.ndarray:
-        """The dealiased drift of tick s's active lanes at their times ``ts``."""
-        lo = max(0, s - self.steps + 1)
-        lanes = slice(lo, lo + len(ts))
-        frame_k = self.dal[(s - 2) % 3, lanes]
-        if ts[0] == (s - lo) * self.cfg.dt:  # the first stage, at lane lo's frame time
+    def drift_at(self, r: int, ts) -> np.ndarray:
+        """The dealiased drift of the active lanes, lane j at step r - j B, at their times ``ts``."""
+        block = self.block
+        hi = min(self.lanes, r // block + 1)
+        lo = hi - len(ts)
+        k, b = r - lo * block, r % block  # lane lo's step, and the steps its tick took before it
+        frame_k = self.dal[lo:hi, b]
+        if ts[0] == k * self.cfg.dt:  # the first stage, at lane lo's frame time
             return frame_k
-        w = self.w_mid[s - lanes.stop + 1 : s - lo + 1][::-1]
-        return frame_k * (1.0 - w) + self.dal[(s - 1) % 3, lanes] * w
-
-    def _drift_dealiased(self, k: int) -> np.ndarray:
-        """Lane 0's dealiased drift frame k; frames are read in order."""
-        if k >= self.ahead_at + self.ahead_len:
-            self.ahead_at = k
-            frames = [self.drift[i] for i in range(k, min(k + self.ahead_len, self.steps + 1))]
-            self.ahead = dealias_values(np.stack(frames), self.spec)
-        return self.ahead[k - self.ahead_at]
+        w = self.w_mid[k - (hi - lo - 1) * block : k + 1 : block][::-1]
+        return frame_k * (1.0 - w) + self.dal[lo:hi, b + 1] * w
 
     def _may_return(self, lo: int, hi: int) -> np.ndarray:
         """Whether each of lanes lo .. hi - 1 may still be returned."""
@@ -283,61 +280,80 @@ class _Wavefront:
             self.error = None  # the next group solves the failed iterate again
 
     def take(self, s: int, lo: int, u: np.ndarray, failed) -> int:
-        """``heat.integrate``'s emit: file tick s's frames u of lanes lo, lo + 1, ...; return the lane count."""
+        """``heat.integrate``'s emit: file tick s's rows u of lanes lo, lo + 1, ...; return the lane count."""
+        spec, steps, block, dt = self.spec, self.steps, self.block, self.cfg.dt
+        k0 = (s - lo) * block
+        left = min(block, steps - k0)  # lane lo's new frames; the lanes above make a block each
         self.ticks += 1
+        self.lane_steps += len(u) - block + left
         if failed is not None:
             self._cut(failed[0])
             self.error = failed
-            u = u[: failed[0] - lo]
-        hi = lo + len(u)
+            u = u[: (failed[0] - lo) * block]
+        hi = lo + len(u) // block
         if hi == lo:
             return self.lanes
-        spec, steps, col = self.spec, self.steps, s + 1
-        now, last, before = s % 3, (s - 1) % 3, (s - 2) % 3
-        self.raw[now, lo:hi] = u
+        n, col = hi - lo, s * block  # lane j's frame (s - j) B + i sits in column s B + i
+        new = slice(col + 1, col + block + 1)
+        rows = u.reshape((n, block) + u.shape[1:])
 
-        # updates against the lane below's frame of the tick before (lane 0's against its drift), and the time
-        # derivatives of the lanes with three frames, centered at the frame before: one sup call for both
-        n, mid, dt = hi - lo, min(hi, s), self.cfg.dt
-        work = np.empty((n + max(0, mid - lo), spec.d) + spec.shape)
-        v = work[:n]
+        # updates against the lane below's block of the tick before (lane 0's against its drift)
+        v = np.empty(rows.shape)
         if lo == 0:
-            np.subtract(u[0], self.drift[s + 1], out=v[0])
+            np.subtract(rows[0, :left], self.drift.rows(k0 + 1, k0 + 1 + left), out=v[0, :left])
+            v[0, left:] = 0.0
+            self.drift.release(k0 + left)
         b = max(lo, 1)
-        np.subtract(u[b - lo :], self.raw[last, b - 1 : hi - 1], out=v[b - lo :])
-        if mid > lo:
-            np.subtract(self.raw[now, lo:mid], self.raw[before, lo:mid], out=work[n:])
-            work[n:] /= 2 * dt
-        sups = frame_sups(work, 1)
-        self.cols[lo:hi, 4, col] = sups[:n]
-        self.cols[lo:mid, 3, col - 1] = sups[n:]
-        np.maximum(self.running[lo:hi], sups[:n], out=self.running[lo:hi])
+        np.subtract(rows[b - lo :], self.raw[b - 1 : hi - 1, 2:], out=v[b - lo :])
+        v = v.reshape(u.shape)
+        self.cols[lo:hi, 4, new] = sup_v = frame_sups(v, 1).reshape(n, block)
+        np.maximum(self.running[lo:hi], sup_v.max(axis=1), out=self.running[lo:hi])
+        self.cols[lo:hi, 5, new] = frame_sups(gradient_arrays(v, spec), 2).reshape(n, block)
+        del v
 
-        # what the lanes read next: lane 0 its drift frame s + 2, the lanes above the new frames, dealiased
-        if lo == 0:
-            if s + 2 <= steps:
-                self.dal[now, 0] = self._drift_dealiased(s + 2)
-            self.drift.release(s + 1)
+        # the time derivatives centered at the frame before each new one, and the one-sided ones at the ends:
+        # frame 0 once frame 2 is made, frame ``steps`` by its lane
+        raw = self.raw[lo:hi]
+        raw[:, :2] = raw[:, block:]
+        raw[:, 2:] = rows
+        dt_u = np.subtract(raw[:, 2:], raw[:, :block]).reshape(u.shape)
+        dt_u /= 2 * dt
+        self.cols[lo:hi, 3, col : col + block] = frame_sups(dt_u, 1).reshape(n, block)
+        del dt_u
+        for j, f, end in ((s - 1 // block, 0, 0), (lo, steps - 2, 2)):
+            if lo <= j < hi and (end == 0 or k0 + block >= steps):
+                window = self.raw[j, f - (s - j) * block + 1 :][:3, None]  # frames f .. f + 2 of lane j
+                self.cols[j, 3, f + end + j * block] = frame_sups(time_derivative_arrays(window, dt)[end], 1)[0]
+
+        # one forward transform of lane 0's next drift block and the tick's frames: the frames' spatial sups,
+        # and what the lanes read next, dealiased: lane 0 that block, the lanes above the frames below them
+        ahead = max(0, min(block, steps - k0 - block)) if lo == 0 else 0
         feed = max(lo, min(hi, self.lanes - 1))
-        if feed > lo:
-            self.dal[now, lo + 1 : feed + 1] = dealias_values(u[: feed - lo], spec)
-
-        # the one-sided time derivatives at the ends: lane s - 1 wrote its frame 2, lane lo its last
-        for j, end, at in ((s - 1, 0, s - 1), (lo, 2, col)):
-            if lo <= j < mid and (end == 0 or s - lo + 1 == steps):
-                window = self.raw[[before, last, now], j : j + 1]
-                self.cols[j, 3, at] = frame_sups(time_derivative_arrays(window, dt)[end], 1)[0]
-
-        self._buffer(lo, hi, col, u, v)
+        uh = rfft(np.concatenate((self.drift.rows(k0 + block + 1, k0 + block + 1 + ahead), u)) if ahead else u, spec)
+        hess, sups = _block_sups(u, spec, uh[ahead:])
+        if self.hess is not None:  # one lane: its frames k0 + 1 ..
+            self.hess[k0 + 1 : k0 + 1 + left] = hess[:left].reshape((-1, spec.d**3) + spec.shape)
+        del hess
+        for row, val in zip((0, 1, 2), sups):
+            self.cols[lo:hi, row, new] = val.reshape(n, block)
+        fed = uh[: ahead + (feed - lo) * block]
+        fed *= self.mask
+        fed = fields.irfft(fed, spec)
+        if ahead:
+            self.dal[0, 0] = self.dal[0, -1]
+            self.dal[0, 1 : ahead + 1] = fed[:ahead]
+        up = self.dal[lo + 1 : feed + 1]
+        up[:, 0] = up[:, -1]
+        up[:, 1:] = fed[ahead:].reshape((feed - lo, block) + u.shape[1:])
 
         may = self._may_return(lo, hi)
         for i, j in enumerate(range(lo, hi)):
             if self.kept[j] is not None:
                 if may[i] or j == self.lanes - 1:
-                    self.kept[j].append(u[i])
+                    self.kept[j].extend(rows[i, : left if j == lo else block])
                 else:
                     self.kept[j] = None
-        if s - lo + 1 == steps and may[0]:
+        if k0 + block >= steps and may[0]:
             self.converged = lo
             self._cut(lo + 1)
             return self.lanes
@@ -355,39 +371,14 @@ class _Wavefront:
             self.cut = self.m0 + 1 + c
             self._cut(c + 1)
 
-    def _buffer(self, lo: int, hi: int, col: int, u: np.ndarray, v: np.ndarray) -> None:
-        cap, i = self.buf.shape[1], 0
-        while i < len(u):
-            n = min(len(u) - i, cap - self.fill)
-            rows = slice(self.fill, self.fill + n)
-            self.buf[0, rows], self.buf[1, rows] = u[i : i + n], v[i : i + n]
-            self.buf_at[0, rows], self.buf_at[1, rows] = self.lane_ids[lo + i : lo + i + n], col
-            self.fill += n
-            i += n
-            if self.fill == cap:
-                self._flush()
-
-    def _flush(self) -> None:
-        if self.fill:
-            spec, (j, col), (u, v) = self.spec, self.buf_at[:, : self.fill], self.buf[:, : self.fill]
-            hess, sups = _block_sups(u, spec)
-            if self.hess is not None:  # one lane: column col is its frame col
-                self.hess[col] = hess.reshape((-1, spec.d**3) + spec.shape)
-            del hess  # not held while the updates are differentiated
-            sups.append(frame_sups(gradient_arrays(v, spec), 2))
-            for row, val in zip((0, 1, 2, 5), sups):
-                self.cols[j, row, col] = val
-            self.fill = 0
-
     def finish(self):
         """(records, frames of the last lane, converged) once the march is over; raises a lane's error."""
-        self._flush()
-        self.raw = self.dal = self.buf = self.ahead = None  # room for the seminorms
+        self.raw = self.dal = None  # room for the seminorms
         if self.converged is None and self.error is not None:
             raise self.error[1]
         cfg, records = self.cfg, []
         for j in range(self.lanes):
-            sups = [row.copy() for row in self.cols[j, :, j : j + self.steps + 1]]
+            sups = [row.copy() for row in self.cols[j, :, j * self.block : j * self.block + self.steps + 1]]
             holder = [None, None]
             if self.hess is not None:
                 dt_u = time_derivative_arrays(self.kept[j].stack(), cfg.dt)
@@ -414,8 +405,9 @@ def run_picard(
 
     Iterate 0 runs alone.  The transport iterates march in groups as a
     wavefront on the lane axis of ``heat.integrate`` (see ``_Wavefront``):
-    at tick s, iterate m0 + 1 + j takes step s - j, reading frames s - j
-    and s - j + 1 of iterate m0 + j, which the two ticks before produced.
+    each tick advances every lane by B = ``fields.tick_steps`` steps, and at
+    tick s iterate m0 + 1 + j makes its frames (s - j) B + 1 .. (s - j) B + B
+    from those frames of iterate m0 + j, which the tick before produced.
     A group has at most m_max - m0 lanes, fields.LANE_SAMPLES grid nodes'
     worth, and no more than fit, with their own arrays, in what one solve
     at a time held; with ``record_holder`` it has one lane, which keeps its
@@ -432,12 +424,15 @@ def run_picard(
     point and ``converged`` are those of solving the iterates one after
     another, bit for bit.
 
-    ``trace``, a list, gets one dict per group: first iterate, lanes, ticks,
-    the iterate the memory rule last cut the group above (or None), the
-    peak count of kept frames and the wall time.
+    ``trace``, a list, gets one dict per group: first iterate, lanes, steps
+    per tick, ticks, lane-steps marched, the iterate the memory rule last
+    cut the group above (or None), the peak count of kept frames and the
+    wall time.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configuration")
+    if n_steps(cfg.T, cfg.dt) < 2:
+        raise ValueError("run_picard needs T >= 2 dt: the records' time derivatives take three frames")
     if g is None:
         g = ZeroForcing(cfg.grid)
     spec = cfg.grid
@@ -451,8 +446,9 @@ def run_picard(
         integrate(u0.values, spec, cfg.T, cfg.dt, _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec), lanes, front.take)
         recs, drift, converged = front.finish()
         if trace is not None:
-            stats = {"ticks": front.ticks, "cut": front.cut, "peak_kept_frames": front.peak_kept}
-            trace.append({"first_iterate": front.m0 + 1, "lanes": lanes, **stats, "wall_s": time.perf_counter() - start})
+            stats = {"steps_per_tick": front.block, "ticks": front.ticks, "lane_steps": front.lane_steps}
+            stats.update(cut=front.cut, peak_kept_frames=front.peak_kept, wall_s=time.perf_counter() - start)
+            trace.append({"first_iterate": front.m0 + 1, "lanes": lanes, **stats})
         records += recs
     return records, Trajectory(spec, 0.0, cfg.dt, drift.stack()), converged
 

@@ -132,8 +132,11 @@ def test_run_pass_exit_zero(tmp_path, capsys):
         # the probe times start at 1e-4, which resolves only on n >= 400
         ("heat_scaling", {"grid": {"d": 1, "n": 512, "L": 6.283185307179586}},
          ["heat_scaling_k1.json", "heat_scaling_k2.json"]),
+        # one step is too short a horizon for the Picard records only
+        ("gronwall", {"grid": {"d": 1, "n": 16, "L": 6.283185307179586}, "scheme": {"T": 1 / 128, "dt": 1 / 128}},
+         ["gronwall.csv", "gronwall.json"]),
     ],
-    ids=["gronwall", "schauder", "interpolation", "heat_scaling"],
+    ids=["gronwall", "schauder", "interpolation", "heat_scaling", "gronwall-one-step"],
 )
 def test_gronwall_only_skips_picard(tmp_path, monkeypatch, check, overrides, written):
     # a check without the "records" need (Gronwall solves its own transport pair) runs no Picard iteration
@@ -222,12 +225,13 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         ({"data": {"kind": "lacunary", "alpha": 1.5, "seed": 1}}, "alpha"),
         ({"forcing": {"kind": "trig", "seed": 1, "kmax": 40, "amplitude": 0.1}}, "alias"),
         ({"out_dir": 7}, "out_dir"),
+        ({"grid": {"d": 1, "n": 16, "L": 6.283185307179586}, "scheme": {"T": 1 / 128, "dt": 1 / 128}}, "T >= 2 dt"),
     ],
     ids=[
         "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
         "schauder_residual", "d_not_integer", "seed_not_integer", "kmax_not_integer", "seed_negative",
         "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "forcing_kmax_aliases",
-        "out_dir_not_string",
+        "out_dir_not_string", "one_step_picard_horizon",
     ],
 )
 def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):

@@ -166,8 +166,8 @@ def _spy_integrate(monkeypatch, module) -> list:
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
 def test_stored_states_equal_a_per_tick_march(monkeypatch, d, n, block_frames):
     spec = GridSpec(d, n, 2 * np.pi)
-    if block_frames is not None:  # 16 steps: blocks of 5, 5, 5 and 1 frames
-        monkeypatch.setattr(fields, "BLOCK_SAMPLES", block_frames * spec.num_nodes)
+    if block_frames is not None:  # 16 steps: blocks of 5, 5, 5 and 1 frames (a tick fills half a block)
+        monkeypatch.setattr(fields, "BLOCK_SAMPLES", 2 * block_frames * spec.num_nodes)
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
     forcing = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
     T, dt = 1 / 16, 1 / 256
@@ -228,9 +228,9 @@ def test_stored_solve_raises_the_per_tick_error(monkeypatch, case):
 @pytest.mark.parametrize("failing", [9, 12, 16], ids=["first-of-block", "middle", "last-of-block"])
 @pytest.mark.parametrize("kind", ["guard", "divergence"])
 def test_stored_failure_at_any_frame_of_a_block(monkeypatch, kind, failing):
-    # 24 steps in blocks of 8 frames: frames 9 to 16 form the second block
+    # 24 steps in blocks of 8 frames (a tick fills half a block): frames 9 to 16 form the second block
     spec, T, dt = GridSpec(1, 16, 2 * np.pi), 24 / 256, 1 / 256
-    monkeypatch.setattr(fields, "BLOCK_SAMPLES", 8 * spec.num_nodes)
+    monkeypatch.setattr(fields, "BLOCK_SAMPLES", 2 * 8 * spec.num_nodes)
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5).values
     ticks = []
 
@@ -252,3 +252,31 @@ def test_stored_failure_at_any_frame_of_a_block(monkeypatch, kind, failing):
     with np.errstate(all="ignore"), pytest.raises(error) as want:
         _march_reference(u0, spec, T, dt, rhs, guard)
     assert str(got.value) == str(want.value) and f"t={failing * dt:g}" in str(got.value)
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16)], ids=["d1", "d2"])
+def test_one_lane_emit_collects_the_stored_states(monkeypatch, d, n):
+    # the stored path is the one-lane march whose emit files each tick's block; 21 steps in ticks of 10 make
+    # ticks of 10, 10 and 1 steps, the last tick's rows past its step repeating its state
+    spec = GridSpec(d, n, 2 * np.pi)
+    monkeypatch.setattr(fields, "BLOCK_SAMPLES", 2 * 10 * spec.num_nodes)
+    u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
+    forcing = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
+    T, dt = 21 / 256, 1 / 256
+    b = fields.dealias_values(duhamel_forced_heat(u0, forcing, T, dt).values[7], spec)[None]
+    rhs = transport._transport_rhs(spec, forcing, lambda s, ts: b)
+    assert fields.tick_steps(21, 1, spec) == 10
+    stored = integrate(u0.values, spec, T, dt, rhs, transport._blocking_guard(spec))
+    ticks = []
+
+    def emit(s, lo, u, failed):
+        assert (lo, failed, len(u)) == (0, None, 10)
+        ticks.append(s)
+        blocks.append(u.copy())
+        return 1
+
+    blocks = [u0.values[None]]
+    assert integrate(u0.values, spec, T, dt, rhs, transport._blocking_guard(spec), 1, emit) is None
+    assert ticks == [0, 1, 2]
+    assert np.concatenate(blocks)[:22].tobytes() == stored.tobytes()
+    assert np.array_equal(blocks[-1][1:], np.repeat(blocks[-1][:1], 9, axis=0))

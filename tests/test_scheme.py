@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vburgers import fields, scheme, transport
-from vburgers.errors import DivergenceError
+from vburgers.errors import DivergenceError, ResolutionError
 from vburgers.fields import (
     GridSpec,
     VectorField,
@@ -413,9 +414,9 @@ def test_wavefront_matches_sequential_loop(name):
 
 
 def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
-    # room for the lanes' own arrays, not for their trajectories: a group is cut above its lowest lane that may
+    # room for the lanes' own arrays and half a trajectory more: a group is cut above its lowest lane that may
     # still be returned
-    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 2)
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 1.5)
     cfg, u0, forcing, _, _ = _wavefront_case("2d-forced")
     trace = []
     got = run_picard(cfg, u0, forcing, trace=trace)
@@ -442,17 +443,20 @@ def test_run_picard_trace():
     traced = run_picard(cfg, u0, forcing, trace=trace)
     _assert_same_run(traced, run_picard(cfg, u0, forcing))
     assert [set(group) for group in trace] == [
-        {"first_iterate", "lanes", "ticks", "cut", "peak_kept_frames", "wall_s"}
+        {"first_iterate", "lanes", "steps_per_tick", "ticks", "lane_steps", "cut", "peak_kept_frames", "wall_s"}
     ] * len(trace)
     steps = round(cfg.T / cfg.dt)
     ends = []
     for group in trace:
-        first, lanes = group["first_iterate"], group["lanes"]
+        first, lanes, block = group["first_iterate"], group["lanes"], group["steps_per_tick"]
         assert first == (ends[-1] + 1 if ends else 1)
         assert lanes <= cfg.m_max - first + 1
-        assert steps <= group["ticks"] <= steps + lanes - 1
+        assert block == fields.tick_steps(steps, lanes, cfg.grid)
+        assert math.ceil(steps / block) <= group["ticks"] <= math.ceil(steps / block) + lanes - 1
         assert group["peak_kept_frames"] > 0 and group["wall_s"] > 0
         ends.append(group["cut"] if group["cut"] is not None else first + lanes - 1)
+        returned = min(ends[-1], traced[0][-1].m) - first + 1  # the iterates this group hands back
+        assert returned * steps <= group["lane_steps"] <= lanes * steps
     assert trace[-1]["first_iterate"] <= traced[0][-1].m <= ends[-1]
 
 
@@ -487,12 +491,101 @@ def test_wavefront_error_order(amplitude, seed, failing, frame):
     _assert_same_run(run_picard(converging, u0, min_iters=failing - 1), want)
 
 
+# Failures inside a tick's block: 5 lanes of 1-D n=16 over 32 steps take 3 steps a tick, so lane j's frames
+# 3k + 1 .. 3k + 3 form one block.  Real divergence from _DIVERGING's data, and blocking from a guard that fails
+# a state above ``levels[f]`` at frame f only: the level sits above iterates 0 .. m - 1 there, so iterate m fails
+# first, at frame f.  The last case fails lanes 1 and 2 in the same tick (frames 14 and 11).
+_IN_BLOCK = {
+    "diverge-first": ((60, 6), {}, 3, 13),
+    "diverge-middle": ((150, 1), {}, 2, 29),
+    "diverge-last": ((100, 6), {}, 1, 12),
+    "block-first": ((60, 6), {13: 3}, 2, 13),
+    "block-middle": ((60, 6), {14: 3}, 2, 14),
+    "block-last": ((60, 6), {15: 3}, 2, 15),
+    "block-two-lanes": ((60, 6), {14: 2, 11: 3}, 1, 14),
+}
+
+
+@pytest.mark.parametrize("name", list(_IN_BLOCK))
+def test_wavefront_failure_inside_a_block(monkeypatch, name):
+    (amplitude, seed), failing_at, lane, frame = _IN_BLOCK[name]
+    g = GridSpec(1, 16, TWO_PI)
+    u0 = make_trig_field(g, seed=seed, kmax=3, amplitude=amplitude)
+    cfg = SchemeConfig(grid=g, T=0.125, dt=1 / 256, m_max=5, tol_fp=0.0)
+    block = fields.tick_steps(32, cfg.m_max, g)
+    assert block == 3
+    refs, _, _ = _picard_reference(dataclasses.replace(cfg, m_max=max(failing_at.values(), default=2) - 1), u0)
+    levels = {f: 1.01 * max(r.sup_u[f] for r in refs[:m]) for f, m in failing_at.items()}
+    real, seen = transport._blocking_guard, []
+
+    def blocking_above_levels(spec):
+        guard = real(spec)
+
+        def check(ts, u, u_hat):
+            sups = frame_sups(u, 1)
+            bad = [i for i, t in enumerate(ts) if sups[i] > levels.get(round(t / cfg.dt), math.inf)]
+            if bad:
+                seen.append({round(ts[i] / cfg.dt) for i in bad})
+                return bad[0], ResolutionError(f"spectral blocking at t={ts[bad[0]]:g}: sup {sups[bad[0]]:.3g}")
+            return guard(ts, u, u_hat)
+
+        return check
+
+    monkeypatch.setattr(transport, "_blocking_guard", blocking_above_levels)
+    monkeypatch.setattr(scheme, "_blocking_guard", blocking_above_levels)
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 100)  # room for every lane: 1-D n=16 keeps 64-frame chunks
+    failures = []
+    take = scheme._Wavefront.take
+
+    def take_recording(self, s, lo, u, failed):
+        if failed is not None:
+            failures.append((self.m0, s, failed[0]))
+        return take(self, s, lo, u, failed)
+
+    monkeypatch.setattr(scheme._Wavefront, "take", take_recording)
+    error = ResolutionError if failing_at else DivergenceError
+    with pytest.raises(error) as want:
+        _picard_reference(cfg, u0)
+    assert f"t={frame / 256:g}:" in str(want.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the lanes march past the failing state to the end of the tick
+        with pytest.raises(error) as got:
+            run_picard(cfg, u0)
+    assert str(got.value) == str(want.value)
+    # the error raised is the last a lane of the first group met: its lowest failing lane's, at the tick that
+    # made the frame (a lane above it may have failed earlier)
+    assert failures[-1] == (0, (frame - 1) // block + lane, lane)
+    if len(failing_at) > 1:  # both frames failed in one tick's rows
+        assert set(failing_at) in seen
+
+
+def test_run_picard_needs_two_steps(monkeypatch):
+    # one step leaves no three frames for the records' time derivatives: refused before any solve.  Two steps run
+    # in ticks shorter than a lane's share of the block
+    g = GridSpec(1, 16, TWO_PI)
+    u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
+    solves = []
+    monkeypatch.setattr(scheme, "duhamel_forced_heat", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match="T >= 2 dt"):
+        run_picard(SchemeConfig(grid=g, T=1 / 128, dt=1 / 128), u0)
+    assert solves == []
+    monkeypatch.undo()
+    cfg = SchemeConfig(grid=g, T=2 / 128, dt=1 / 128, m_max=4, tol_fp=0.0)
+    trace = []
+    _assert_same_run(run_picard(cfg, u0, trace=trace), _picard_reference(cfg, u0))
+    _assert_same_run(run_picard(cfg, u0, record_holder=True), _picard_reference(cfg, u0, record_holder=True))
+    assert [group["steps_per_tick"] for group in trace] == [1] * len(trace)
+
+
 def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
-    # Lane 5 (iterate 6) fails at tick 20.  Room for every lane until then, none after: the group
-    # is cut above lane 3 (iterate 4), the lowest that may still be returned.  Iterate 4 ends
-    # above tol_fp, the failure went with lane 5, and the next group finds iterate 5 converged.
+    # Lane 5 (iterate 6) fails at tick 7, at its first frame (5): 8 lanes step 4 frames a tick, so lane 3 (iterate
+    # 4) has made its frames up to 16.  Room for every lane until then, none after: the group is cut above lane 3,
+    # the lowest that may still be returned.  Iterate 4 ends above tol_fp, the failure went with lane 5, and the
+    # next group finds iterate 5 converged.
     cfg, u0, _, _, _ = _wavefront_case("1d")
     cfg = SchemeConfig(grid=cfg.grid, T=cfg.T, dt=cfg.dt, m_max=cfg.m_max, tol_fp=1e-9)
+    block = fields.tick_steps(round(cfg.T / cfg.dt), cfg.m_max, cfg.grid)
+    assert block == 4
     want = _picard_reference(cfg, u0)
     assert want[2] and want[0][-1].m == 5
     groups = []
@@ -502,8 +595,9 @@ def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
         groups.append(spec)
 
         def check(ts, u, u_hat):
-            if len(groups) == 1 and len(ts) > 5 and round(ts[0] / cfg.dt) == 21:
-                return 5, DivergenceError("lane 5 fails at tick 20")
+            # tick 7's rows are lane-major, a block per lane: lane 0's first frame is 7 * 4 + 1
+            if len(groups) == 1 and len(ts) > 5 * block and round(ts[0] / cfg.dt) == 7 * block + 1:
+                return 5 * block, DivergenceError("lane 5 fails at tick 7")
             return guard(ts, u, u_hat)
 
         return check
@@ -546,41 +640,51 @@ def test_wavefront_peak_memory_within_sequential(name):
 
 @pytest.mark.parametrize("holder", [False, True], ids=["lanes", "holder"])
 def test_picard_transforms_each_frame_block_once(monkeypatch, transform_calls, holder):
-    # counts, not time: a buffered block is forward-transformed once for its frames and once for their updates,
-    # and the Hessian and gradient of the frames share that spectrum (1-D: one inverse transform each)
-    flushes, diagnosed = [], []
-    flush, diagnose = scheme._Wavefront._flush, scheme._diagnose
+    # counts, not time (1-D: one inverse transform per derivative).  A tick makes four transforms per step of its
+    # lanes (the product's inverse and forward transforms at both stages) and one inverse transform of its states;
+    # its ``take`` forward-transforms the updates for their gradient, and once the tick's frames, with lane 0's
+    # next drift block, for their gradient, their Hessian and the dealiased frames the lanes read next (one
+    # inverse transform, of no rows on a tick that feeds none)
+    ticks, diagnosed = [], []
+    take, diagnose = scheme._Wavefront.take, scheme._diagnose
+    since = [0]
 
-    def counted_flush(self):
-        rows, start = self.fill, len(transform_calls)
-        flush(self)
-        if rows:
-            flushes.append(transform_calls[start:])
+    def counted_take(self, s, lo, u, failed):
+        start, hi = len(transform_calls), lo + len(u) // self.block
+        left = self.steps - (s - lo) * self.block
+        marched = min(self.block, left) if hi == lo + 1 else self.block
+        out = take(self, s, lo, u, failed)
+        ticks.append((s, marched, transform_calls[since[0] : start], transform_calls[start:]))
+        since[0] = len(transform_calls)
+        return out
 
     def counted_diagnose(traj, *args):
         start = len(transform_calls)
         record = diagnose(traj, *args)
         diagnosed.append(transform_calls[start:].count("rfft"))
+        since[0] = len(transform_calls)
         return record
 
-    monkeypatch.setattr(scheme._Wavefront, "_flush", counted_flush)
+    monkeypatch.setattr(scheme._Wavefront, "take", counted_take)
     monkeypatch.setattr(scheme, "_diagnose", counted_diagnose)
     cfg, u0, _, _, _ = _wavefront_case("criterion01")
     trace = []
     run_picard(cfg, u0, record_holder=holder, trace=trace)
     steps = round(cfg.T / cfg.dt)
-    assert flushes and all(calls == ["rfft", "irfft", "irfft", "rfft", "irfft"] for calls in flushes)
+    assert len(ticks) == sum(group["ticks"] for group in trace) > len(trace)
     assert diagnosed == [len(frame_blocks(steps + 1, cfg.grid))]  # iterate 0: once per block of frames
-
-    # the rest: the data of each solve (and of the Hessian series with record_holder), the product at both stages
-    # of a tick, the frames a tick's lanes read next, and lane 0's drift a block ahead
-    rest = transform_calls.count("rfft") - 2 * len(flushes) - diagnosed[0]
-    bound = 1
-    for group in trace:
-        lanes, ticks = group["lanes"], group["ticks"]
-        ahead = max(1, min(steps + 1, fields.BLOCK_SAMPLES // (lanes * cfg.grid.num_nodes)))
-        bound += 1 + holder + 2 * ticks + (ticks if lanes > 1 else 0) + math.ceil((steps + 1) / ahead)
-    assert bound - len(trace) <= rest <= bound, (rest, bound)
+    for s, tick_steps, march, filed in ticks:
+        if s > 0:
+            assert march == ["irfft", "rfft"] * 2 * tick_steps + ["irfft"], s
+        else:  # a group's first tick also counts its setup: the data of its solve, its first drift block dealiased
+            # (forward and inverse) and with record_holder the datum's Hessian (forward and inverse)
+            assert march.count("rfft") == 2 + holder + 2 * tick_steps
+            assert march.count("irfft") == 1 + holder + 2 * tick_steps + 1
+        assert filed == ["rfft", "irfft", "rfft", "irfft", "irfft", "irfft"], s
+    # nothing else but the heat solve's data
+    assert transform_calls.count("rfft") == 1 + diagnosed[0] + sum(
+        march.count("rfft") + filed.count("rfft") for _, _, march, filed in ticks
+    )
 
 
 @pytest.mark.parametrize("config", ["2d-n16-short", "verify-2d-forced"])
