@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -364,7 +363,7 @@ def _run_checks(cfg: dict, out_dir: str) -> bool:
         kfn = KProfile(u0, g, scheme_cfg.alpha, scheme_cfg.seed)
         t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=kfn)
         kc = kfn(scheme_cfg.T, scheme_cfg.c)
-        res = residual(fixed_point, g).max if len(fixed_point) >= 3 else math.nan
+        res = residual(fixed_point, g).max
         _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc))
         _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())
         if cfg.get("snapshots"):

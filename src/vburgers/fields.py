@@ -43,8 +43,8 @@ class GridSpec:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not (self.L > 0 and np.isfinite(self.L)):
-            raise ValueError(f"L must be positive and finite, got {self.L}")
+        if not (self.L > 0 and np.isfinite(self.L) and math.isfinite(2 * math.pi / float(self.L))):
+            raise ValueError(f"L must be positive and finite, and 2 pi / L finite, got {self.L}")
 
     @property
     def h(self) -> float:

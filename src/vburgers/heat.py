@@ -163,8 +163,12 @@ def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Tra
     The forcing spectrum is env(t) times the base's, transformed once.
     """
     spec = u0.grid
-    rhs = None if g.is_zero else (lambda s, ts, u_hat: g.spectra(ts))
-    return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, rhs, None))
+    return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, forced_heat_rhs(g), None))
+
+
+def forced_heat_rhs(g: Forcing):
+    """``integrate``'s right-hand side of the forced heat flow: the forcing's half-spectra, or None with no forcing."""
+    return None if g.is_zero else (lambda s, ts, u_hat: g.spectra(ts))
 
 
 # ---------------------------------------------------------------------------

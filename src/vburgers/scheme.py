@@ -23,16 +23,14 @@ from .fields import (
     Trajectory,
     VectorField,
     dealias_values,
-    frame_blocks,
     gradient_arrays,
     hessian_arrays,
     locate,
     rfft,
     time_derivative_arrays,
-    time_derivative_frames,
 )
 from .forcing import Forcing, ZeroForcing
-from .heat import duhamel_forced_heat, integrate, n_steps
+from .heat import forced_heat_rhs, integrate, n_steps
 from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
 from .transport import _blocking_guard, _transport_rhs
 
@@ -104,25 +102,6 @@ def _block_sups(u: np.ndarray, spec: GridSpec, uh: np.ndarray | None = None) -> 
     return hess, [frame_sups(u, 1), sup_grad, frame_sups(hess, 3)]
 
 
-def _diagnose(traj: Trajectory, alpha: float, seed: int, record_holder: bool) -> IterationRecord:
-    """The record of iterate 0, whose update is the iterate itself."""
-    spec, u = traj.grid, traj.values
-    dt_u = time_derivative_frames(traj)
-    hess_u = np.empty((len(u), spec.d**3) + spec.shape) if record_holder else None
-    cols = []
-    for sl in frame_blocks(len(u), spec):
-        hess, sups = _block_sups(u[sl], spec)
-        if record_holder:
-            hess_u[sl] = hess.reshape((-1, spec.d**3) + spec.shape)
-        cols.append(sups + [frame_sups(dt_u[sl], 1)])
-    sup_u, sup_grad, sup_hess, sup_dt = map(np.concatenate, zip(*cols))
-
-    holder = [None, None]
-    if record_holder:
-        holder = [parabolic_seminorm_array(a, spec, traj.dt, alpha, seed).value for a in (hess_u, dt_u)]
-    return IterationRecord(0, traj.times, sup_u, sup_grad, sup_hess, sup_dt, sup_u, sup_grad, *holder)
-
-
 class _Frames:
     """Frames (d,) + grid shape of one trajectory, appended in order.
 
@@ -171,10 +150,11 @@ class _Frames:
 class _Wavefront:
     """Picard iterates m0 + 1 .. m0 + L marching together on the lane axis of ``heat.integrate``.
 
-    ``records`` are those of iterates 0 .. m0.  Lane j solves iterate
-    m0 + 1 + j.  Its drift is lane j - 1, or for lane 0 ``drift``, the
-    frames of iterate m0 (released as they are read).  Each tick advances
-    every active lane by B = ``fields.tick_steps`` steps: at tick s lane j
+    Lane j solves iterate m0 + 1 + j.  Its drift is lane j - 1, or for
+    lane 0 ``drift``, the frames of iterate m0 (released as they are read);
+    iterate 0 (m0 = -1, ``drift`` None) is the forced heat flow, one lane
+    whose update is the iterate itself.  Each tick advances every active
+    lane by B = ``fields.tick_steps`` steps: at tick s lane j
     makes its frames k0 + 1 .. k0 + B, k0 = (s - j) B, reading lane j - 1's
     dealiased frames k0 .. k0 + B, which the tick before made.  Per lane
     two ring blocks hold what the next tick reads: ``dal``, the dealiased
@@ -185,7 +165,8 @@ class _Wavefront:
     serves the spatial derivative sups and the dealiased frames the lanes
     read next.  Per-lane series are kept by column k + j B, so a tick fills
     the same B columns of every lane.  Frame 0 of every iterate is the
-    datum: its sups are those in iterate 0's record, and its update is zero.
+    datum; ``run`` holds what every group shares: times, midpoint weights,
+    the datum's sups and (with ``record_holder``) Hessian.
 
     A lane keeps its full trajectory only while it may still be returned
     (m >= min_iters and its running update sup below tol_fp) or while it is
@@ -210,14 +191,12 @@ class _Wavefront:
     derivatives of its frames.
     """
 
-    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, records: list, min_iters: int, record_holder: bool):
+    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, m0: int, run, min_iters: int, record_holder: bool):
         spec = self.spec = cfg.grid
-        self.cfg, self.drift, self.min_iters, self.times = cfg, drift, min_iters, records[0].times
-        m0 = self.m0 = len(records) - 1
-        steps = self.steps = n_steps(cfg.T, cfg.dt)
-        # locate(k dt) is frame k; locate(k dt + dt/2) weighs frames k and k + 1 by these
-        w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
-        self.w_mid = np.array(w_mid).reshape((-1,) + (1,) * (spec.d + 1))
+        self.cfg, self.drift, self.m0 = cfg, drift, m0
+        self.min_iters = max(min_iters, 1)  # iterate 0 is never returned
+        self.times, self.w_mid, sups0, hess0 = run
+        steps = self.steps = len(self.times) - 1
 
         # the lanes whose rings, series and first frame fit next to the drift
         self.frame = u0.values.nbytes
@@ -228,7 +207,7 @@ class _Wavefront:
             return (2 * block + 3) * lanes * self.frame + 8 * lanes * len(SUP_ROWS) * (steps + lanes * block)
 
         kept = _Frames(spec, u0.values[None])
-        lanes = 1 if record_holder else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
+        lanes = 1 if record_holder or drift is None else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
         while lanes > 1 and own(lanes) + lanes * kept.nbytes + drift.nbytes > held:
             lanes -= 1
         self.lanes, self.budget = lanes, held - own(lanes)
@@ -238,21 +217,22 @@ class _Wavefront:
         self.raw = np.zeros((lanes, block + 2, spec.d) + spec.shape)
         self.raw[:, -1] = u0.values
         self.dal = np.empty((lanes, block + 1, spec.d) + spec.shape)
-        self.dal[0] = dealias_values(drift.rows(0, block + 1), spec)
-        self.dal[1:, -1] = self.dal[0, 0]
+        if drift is not None:
+            self.dal[0] = dealias_values(drift.rows(0, block + 1), spec)
+            self.dal[1:, -1] = self.dal[0, 0]
         self.mask = fields._dealias_mask(spec)
 
-        # column j B is lane j's frame 0: iterate 0's sups, a zero update and a time derivative still to come
+        # column j B is lane j's frame 0: the datum's sups, a zero update and a time derivative still to come
         lane = self.lane_ids = np.arange(lanes)
         self.cols = np.zeros((lanes, len(SUP_ROWS), steps + lanes * block))
         for row in (0, 1, 2):
-            self.cols[lane, row, lane * block] = getattr(records[0], SUP_ROWS[row])[0]
+            self.cols[lane, row, lane * block] = sups0[row]
         self.kept = [kept] + [_Frames(spec, u0.values[None]) for _ in range(lanes - 1)]
         self.running = np.zeros(lanes)
         self.hess = None
         if record_holder:
             self.hess = np.empty((steps + 1, spec.d**3) + spec.shape)
-            self.hess[0] = hessian_arrays(u0.values, spec).reshape((-1,) + spec.shape)
+            self.hess[0] = hess0
         self.error = self.converged = self.cut = None  # error: (lane, exception)
         self.peak_kept = self.ticks = self.lane_steps = 0
 
@@ -298,18 +278,19 @@ class _Wavefront:
         rows = u.reshape((n, block) + u.shape[1:])
 
         # updates against the lane below's block of the tick before (lane 0's against its drift)
-        v = np.empty(rows.shape)
-        if lo == 0:
-            np.subtract(rows[0, :left], self.drift.rows(k0 + 1, k0 + 1 + left), out=v[0, :left])
-            v[0, left:] = 0.0
-            self.drift.release(k0 + left)
-        b = max(lo, 1)
-        np.subtract(rows[b - lo :], self.raw[b - 1 : hi - 1, 2:], out=v[b - lo :])
-        v = v.reshape(u.shape)
-        self.cols[lo:hi, 4, new] = sup_v = frame_sups(v, 1).reshape(n, block)
-        np.maximum(self.running[lo:hi], sup_v.max(axis=1), out=self.running[lo:hi])
-        self.cols[lo:hi, 5, new] = frame_sups(gradient_arrays(v, spec), 2).reshape(n, block)
-        del v
+        if self.drift is not None:
+            v = np.empty(rows.shape)
+            if lo == 0:
+                np.subtract(rows[0, :left], self.drift.rows(k0 + 1, k0 + 1 + left), out=v[0, :left])
+                v[0, left:] = 0.0
+                self.drift.release(k0 + left)
+            b = max(lo, 1)
+            np.subtract(rows[b - lo :], self.raw[b - 1 : hi - 1, 2:], out=v[b - lo :])
+            v = v.reshape(u.shape)
+            self.cols[lo:hi, 4, new] = sup_v = frame_sups(v, 1).reshape(n, block)
+            np.maximum(self.running[lo:hi], sup_v.max(axis=1), out=self.running[lo:hi])
+            self.cols[lo:hi, 5, new] = frame_sups(gradient_arrays(v, spec), 2).reshape(n, block)
+            del v
 
         # the time derivatives centered at the frame before each new one, and the one-sided ones at the ends:
         # frame 0 once frame 2 is made, frame ``steps`` by its lane
@@ -327,7 +308,7 @@ class _Wavefront:
 
         # one forward transform of lane 0's next drift block and the tick's frames: the frames' spatial sups,
         # and what the lanes read next, dealiased: lane 0 that block, the lanes above the frames below them
-        ahead = max(0, min(block, steps - k0 - block)) if lo == 0 else 0
+        ahead = max(0, min(block, steps - k0 - block)) if lo == 0 and self.drift is not None else 0
         feed = max(lo, min(hi, self.lanes - 1))
         uh = rfft(np.concatenate((self.drift.rows(k0 + block + 1, k0 + block + 1 + ahead), u)) if ahead else u, spec)
         hess, sups = _block_sups(u, spec, uh[ahead:])
@@ -337,14 +318,15 @@ class _Wavefront:
         for row, val in zip((0, 1, 2), sups):
             self.cols[lo:hi, row, new] = val.reshape(n, block)
         fed = uh[: ahead + (feed - lo) * block]
-        fed *= self.mask
-        fed = fields.irfft(fed, spec)
-        if ahead:
-            self.dal[0, 0] = self.dal[0, -1]
-            self.dal[0, 1 : ahead + 1] = fed[:ahead]
-        up = self.dal[lo + 1 : feed + 1]
-        up[:, 0] = up[:, -1]
-        up[:, 1:] = fed[ahead:].reshape((feed - lo, block) + u.shape[1:])
+        if len(fed):  # a tick that feeds no lane skips the inverse transform
+            fed *= self.mask
+            fed = fields.irfft(fed, spec)
+            if ahead:
+                self.dal[0, 0] = self.dal[0, -1]
+                self.dal[0, 1 : ahead + 1] = fed[:ahead]
+            up = self.dal[lo + 1 : feed + 1]
+            up[:, 0] = up[:, -1]
+            up[:, 1:] = fed[ahead:].reshape((feed - lo, block) + u.shape[1:])
 
         may = self._may_return(lo, hi)
         for i, j in enumerate(range(lo, hi)):
@@ -358,10 +340,11 @@ class _Wavefront:
             self._cut(lo + 1)
             return self.lanes
 
+        unread = 0 if self.drift is None else self.drift.nbytes
         while True:
             kept = sum(frames.nbytes for frames in self.kept[: self.lanes] if frames is not None)
             self.peak_kept = max(self.peak_kept, kept // self.frame)
-            if kept + self.drift.nbytes <= self.budget:
+            if kept + unread <= self.budget:
                 return self.lanes
             # lanes yet to start may be returned too; with none below the last lane, nothing can go
             returnable = np.flatnonzero(self._may_return(0, self.lanes - 1))
@@ -379,11 +362,14 @@ class _Wavefront:
         cfg, records = self.cfg, []
         for j in range(self.lanes):
             sups = [row.copy() for row in self.cols[j, :, j * self.block : j * self.block + self.steps + 1]]
+            if self.drift is None:  # iterate 0's update is the iterate itself, frame 0 included
+                sups[4:] = sups[:2]
             holder = [None, None]
             if self.hess is not None:
                 dt_u = time_derivative_arrays(self.kept[j].stack(), cfg.dt)
                 holder = [parabolic_seminorm_array(a, self.spec, cfg.dt, cfg.alpha, cfg.seed).value for a in (self.hess, dt_u)]
-            records.append(IterationRecord(self.m0 + 1 + j, self.times.copy(), *sups, *holder))
+            times = self.times if self.drift is None else self.times.copy()  # iterate 0 keeps the run's array
+            records.append(IterationRecord(self.m0 + 1 + j, times, *sups, *holder))
         return records, self.kept[self.lanes - 1], self.converged is not None
 
 
@@ -403,9 +389,11 @@ def run_picard(
     The solve is in the unit-viscosity frame (other nu: ``rescale_viscosity``,
     ``unrescale``).  The records' Hoelder seminorms are None without ``record_holder``.
 
-    Iterate 0 runs alone.  The transport iterates march in groups as a
-    wavefront on the lane axis of ``heat.integrate`` (see ``_Wavefront``):
-    each tick advances every lane by B = ``fields.tick_steps`` steps, and at
+    The iterates march in groups as a wavefront on the lane axis of
+    ``heat.integrate`` (see ``_Wavefront``); iterate 0 is the first group,
+    one lane with no drift and no blocking guard, and every later group's
+    drift is the last lane of the group before it.  Each tick advances
+    every lane by B = ``fields.tick_steps`` steps, and at
     tick s iterate m0 + 1 + j makes its frames (s - j) B + 1 .. (s - j) B + B
     from those frames of iterate m0 + j, which the tick before produced.
     A group has at most m_max - m0 lanes, fields.LANE_SAMPLES grid nodes'
@@ -424,10 +412,10 @@ def run_picard(
     point and ``converged`` are those of solving the iterates one after
     another, bit for bit.
 
-    ``trace``, a list, gets one dict per group: first iterate, lanes, steps
-    per tick, ticks, lane-steps marched, the iterate the memory rule last
-    cut the group above (or None), the peak count of kept frames and the
-    wall time.
+    ``trace``, a list, gets one dict per group, iterate 0's first: first
+    iterate, lanes, steps per tick, ticks, lane-steps marched, the iterate
+    the memory rule last cut the group above (or None), the peak count of
+    kept frames and the wall time.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configuration")
@@ -435,15 +423,23 @@ def run_picard(
         raise ValueError("run_picard needs T >= 2 dt: the records' time derivatives take three frames")
     if g is None:
         g = ZeroForcing(cfg.grid)
-    spec = cfg.grid
-    drift = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
-    records = [_diagnose(drift, cfg.alpha, cfg.seed, record_holder)]
-    drift, converged = _Frames(spec, drift.values), False
+    spec, steps = cfg.grid, n_steps(cfg.T, cfg.dt)
+    # what every group shares: times, locate's weights of frames k and k + 1 at k dt + dt/2, the datum's sups, Hessian
+    w_mid = [locate(k * cfg.dt + cfg.dt / 2.0, 0.0, cfg.dt, steps + 1)[1] for k in range(steps)]
+    hess, sups = _block_sups(u0.values[None], spec)
+    hess = hess.reshape((-1,) + spec.shape) if record_holder else None
+    run = cfg.dt * np.arange(steps + 1), np.reshape(w_mid, (-1,) + (1,) * (spec.d + 1)), [s[0] for s in sups], hess
+    del w_mid, hess
+    records, drift, converged = [], None, False
     while not converged and len(records) - 1 < cfg.m_max:
         start = time.perf_counter()
-        front = _Wavefront(cfg, u0, drift, records, min_iters, record_holder)
+        front = _Wavefront(cfg, u0, drift, len(records) - 1, run, min_iters, record_holder)
         lanes = front.lanes
-        integrate(u0.values, spec, cfg.T, cfg.dt, _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec), lanes, front.take)
+        if drift is None:  # iterate 0, the forced heat flow
+            rhs, guard = forced_heat_rhs(g), None
+        else:
+            rhs, guard = _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec)
+        integrate(u0.values, spec, cfg.T, cfg.dt, rhs, guard, lanes, front.take)
         recs, drift, converged = front.finish()
         if trace is not None:
             stats = {"steps_per_tick": front.block, "ticks": front.ticks, "lane_steps": front.lane_steps}

@@ -165,9 +165,8 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5) -> dict:
     ts = times[idx]
     kcs = [kfn(float(t)) for t in ts]
 
-    lhs_u = np.array([max(r.sup_u[k] for r in records) for k in idx])
-    lhs_g = np.array([max(r.sup_grad_u[k] for r in records) for k in idx])
-    lhs_2 = np.array([max(max(r.sup_hess_u[k], r.sup_dt_u[k]) for r in records) for k in idx])
+    rows = [[r.sup_u[idx], r.sup_grad_u[idx], np.maximum(r.sup_hess_u[idx], r.sup_dt_u[idx])] for r in records]
+    lhs_u, lhs_g, lhs_2 = np.max(rows, axis=0)
 
     rhs_u = np.array([kc.K0 for kc in kcs])
 

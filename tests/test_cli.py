@@ -226,12 +226,13 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         ({"forcing": {"kind": "trig", "seed": 1, "kmax": 40, "amplitude": 0.1}}, "alias"),
         ({"out_dir": 7}, "out_dir"),
         ({"grid": {"d": 1, "n": 16, "L": 6.283185307179586}, "scheme": {"T": 1 / 128, "dt": 1 / 128}}, "T >= 2 dt"),
+        ({"grid": {"d": 1, "n": 64, "L": 1e-320}}, "2 pi / L"),
     ],
     ids=[
         "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
         "schauder_residual", "d_not_integer", "seed_not_integer", "kmax_not_integer", "seed_negative",
         "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "forcing_kmax_aliases",
-        "out_dir_not_string", "one_step_picard_horizon",
+        "out_dir_not_string", "one_step_picard_horizon", "wavenumbers_overflow",
     ],
 )
 def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):

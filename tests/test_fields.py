@@ -40,6 +40,10 @@ def test_grid_validation():
         GridSpec(1, 4, TWO_PI)  # too small
     with pytest.raises(ValueError):
         GridSpec(1, 64, -1.0)
+    for L in (1e-320, np.float64(1e-320)):  # 2 pi / L overflows: the wavenumbers would be NaN
+        with pytest.raises(ValueError, match="2 pi / L"):
+            GridSpec(1, 64, L)
+    assert GridSpec(1, 64, 1e-300).L == 1e-300
 
 
 def test_gradient_of_sin_is_cos(grid1d):

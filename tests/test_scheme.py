@@ -400,15 +400,16 @@ def test_wavefront_matches_sequential_loop(name):
     trace = []
     got = run_picard(cfg, u0, forcing, record_holder=holder, min_iters=min_iters, trace=trace)
     _assert_same_run(got, _picard_reference(cfg, u0, forcing, holder, min_iters))
+    assert (trace[0]["first_iterate"], trace[0]["lanes"]) == (0, 1)  # iterate 0's group
     if name == "criterion01":
-        assert trace[0]["cut"] is not None  # the memory rule fires on its own here
+        assert trace[1]["cut"] is not None  # the memory rule fires on its own here
         exact = direct_solve(u0, None, cfg.T, cfg.dt)
         assert np.abs(got[1].values - exact.values).max() < 1e-6
     if holder or name == "3d16":
         assert all(group["lanes"] == 1 for group in trace)
-    else:  # the first group marches at least three lanes to its end
-        first = trace[0]["first_iterate"]
-        assert (trace[0]["cut"] or first + trace[0]["lanes"] - 1) - first >= 2
+    else:  # the first transport group marches at least three lanes to its end
+        first = trace[1]["first_iterate"]
+        assert (trace[1]["cut"] or first + trace[1]["lanes"] - 1) - first >= 2
     if name == "1d-min-iters":
         assert got[0][-1].m > 1 + next(r.m for r in got[0][1:] if r.sup_v.max() < cfg.tol_fp)
 
@@ -424,16 +425,16 @@ def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
     _assert_same_run(got, _picard_reference(cfg, u0, forcing))
 
 
-@pytest.mark.parametrize("m_max, lanes", [(8, [2, 2, 2, 2]), (7, [2, 2, 2, 1])], ids=["pairs", "lone-last"])
+@pytest.mark.parametrize("m_max, lanes", [(8, [1, 2, 2, 2, 2]), (7, [1, 2, 2, 2, 1])], ids=["pairs", "lone-last"])
 def test_wavefront_groups_match_sequential_loop(monkeypatch, m_max, lanes):
-    # two lanes per group: the last lane of each group drives the next
+    # iterate 0 alone, then two lanes per group: the last lane of each group drives the next
     monkeypatch.setattr(fields, "LANE_SAMPLES", 2 * 64)
     cfg, u0, _, _, _ = _wavefront_case("1d-tol-zero")
     cfg = dataclasses.replace(cfg, m_max=m_max)
     trace = []
     got = run_picard(cfg, u0, trace=trace)
     assert [group["lanes"] for group in trace] == lanes
-    assert [group["first_iterate"] for group in trace] == [1, 3, 5, 7]
+    assert [group["first_iterate"] for group in trace] == [0, 1, 3, 5, 7]
     _assert_same_run(got, _picard_reference(cfg, u0))
 
 
@@ -449,7 +450,7 @@ def test_run_picard_trace():
     ends = []
     for group in trace:
         first, lanes, block = group["first_iterate"], group["lanes"], group["steps_per_tick"]
-        assert first == (ends[-1] + 1 if ends else 1)
+        assert first == (ends[-1] + 1 if ends else 0)
         assert lanes <= cfg.m_max - first + 1
         assert block == fields.tick_steps(steps, lanes, cfg.grid)
         assert math.ceil(steps / block) <= group["ticks"] <= math.ceil(steps / block) + lanes - 1
@@ -462,12 +463,14 @@ def test_run_picard_trace():
 
 # A coarse grid and a large datum: the Picard iterates grow until iterate
 # ``failing`` diverges at frame ``frame`` (1-D n=16, T=1/8, dt=1/256, kmax 3),
-# while the iterates below it are still marching.
+# while the iterates below it are still marching.  1-D n=16 keeps 64-frame
+# chunks, so the test makes room for every lane.
 _DIVERGING = [(60, 6, 4, 13), (100, 6, 2, 12), (40, 6, 4, 28), (150, 1, 3, 29)]
 
 
 @pytest.mark.parametrize("amplitude, seed, failing, frame", _DIVERGING)
-def test_wavefront_error_order(amplitude, seed, failing, frame):
+def test_wavefront_error_order(monkeypatch, amplitude, seed, failing, frame):
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 100)
     g = GridSpec(1, 16, TWO_PI)
     u0 = make_trig_field(g, seed=seed, kmax=3, amplitude=amplitude)
 
@@ -488,7 +491,10 @@ def test_wavefront_error_order(amplitude, seed, failing, frame):
     converging = cfg(8, max(r.sup_v.max() for r in refs[1:]) * 1.01)
     want = _picard_reference(converging, u0, min_iters=failing - 1)
     assert want[2] and want[0][-1].m == failing - 1
-    _assert_same_run(run_picard(converging, u0, min_iters=failing - 1), want)
+    trace = []
+    _assert_same_run(run_picard(converging, u0, min_iters=failing - 1, trace=trace), want)
+    # the failing iterate marched in one group with the iterate below it
+    assert any(group["first_iterate"] < failing < group["first_iterate"] + group["lanes"] for group in trace), trace
 
 
 # Failures inside a tick's block: 5 lanes of 1-D n=16 over 32 steps take 3 steps a tick, so lane j's frames
@@ -565,7 +571,7 @@ def test_run_picard_needs_two_steps(monkeypatch):
     g = GridSpec(1, 16, TWO_PI)
     u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
     solves = []
-    monkeypatch.setattr(scheme, "duhamel_forced_heat", lambda *args: solves.append(args))
+    monkeypatch.setattr(scheme, "integrate", lambda *args: solves.append(args))
     with pytest.raises(ValueError, match="T >= 2 dt"):
         run_picard(SchemeConfig(grid=g, T=1 / 128, dt=1 / 128), u0)
     assert solves == []
@@ -614,7 +620,7 @@ def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
     monkeypatch.setattr(scheme._Wavefront, "take", take_without_room)
     trace = []
     got = run_picard(cfg, u0, trace=trace)
-    assert [(group["first_iterate"], group["cut"]) for group in trace] == [(1, 4), (5, None)]
+    assert [(group["first_iterate"], group["cut"]) for group in trace] == [(0, None), (1, 4), (5, None)]
     _assert_same_run(got, want)
 
 
@@ -640,51 +646,43 @@ def test_wavefront_peak_memory_within_sequential(name):
 
 @pytest.mark.parametrize("holder", [False, True], ids=["lanes", "holder"])
 def test_picard_transforms_each_frame_block_once(monkeypatch, transform_calls, holder):
-    # counts, not time (1-D: one inverse transform per derivative).  A tick makes four transforms per step of its
-    # lanes (the product's inverse and forward transforms at both stages) and one inverse transform of its states;
-    # its ``take`` forward-transforms the updates for their gradient, and once the tick's frames, with lane 0's
-    # next drift block, for their gradient, their Hessian and the dealiased frames the lanes read next (one
-    # inverse transform, of no rows on a tick that feeds none)
-    ticks, diagnosed = [], []
-    take, diagnose = scheme._Wavefront.take, scheme._diagnose
-    since = [0]
+    # counts, not time (1-D: one inverse transform per derivative).  A transport tick makes four transforms per step
+    # of its lanes (the product's inverse and forward transforms at both stages) and one inverse transform of its
+    # states; an iterate 0 tick (heat flow, no forcing) makes only the latter.  A transport tick's ``take``
+    # forward-transforms the updates for their gradient (iterate 0's update is the iterate itself), and every
+    # ``take`` transforms the tick's frames once, with lane 0's next drift block, for their gradient, their Hessian
+    # and, when the tick feeds a lane, the dealiased frames the lanes read next (one inverse transform)
+    ticks, since = [], [0]
+    take = scheme._Wavefront.take
 
     def counted_take(self, s, lo, u, failed):
         start, hi = len(transform_calls), lo + len(u) // self.block
         left = self.steps - (s - lo) * self.block
         marched = min(self.block, left) if hi == lo + 1 else self.block
+        transport = self.drift is not None
+        feeds = (transport and lo == 0 and left > self.block) or lo < self.lanes - 1
         out = take(self, s, lo, u, failed)
-        ticks.append((s, marched, transform_calls[since[0] : start], transform_calls[start:]))
+        ticks.append((s, marched, transport, feeds, transform_calls[since[0] : start], transform_calls[start:]))
         since[0] = len(transform_calls)
         return out
 
-    def counted_diagnose(traj, *args):
-        start = len(transform_calls)
-        record = diagnose(traj, *args)
-        diagnosed.append(transform_calls[start:].count("rfft"))
-        since[0] = len(transform_calls)
-        return record
-
     monkeypatch.setattr(scheme._Wavefront, "take", counted_take)
-    monkeypatch.setattr(scheme, "_diagnose", counted_diagnose)
     cfg, u0, _, _, _ = _wavefront_case("criterion01")
     trace = []
     run_picard(cfg, u0, record_holder=holder, trace=trace)
-    steps = round(cfg.T / cfg.dt)
     assert len(ticks) == sum(group["ticks"] for group in trace) > len(trace)
-    assert diagnosed == [len(frame_blocks(steps + 1, cfg.grid))]  # iterate 0: once per block of frames
-    for s, tick_steps, march, filed in ticks:
+    assert [tick[2] for tick in ticks].count(False) == trace[0]["ticks"] > 1  # iterate 0's group comes first
+    for s, tick_steps, transport, feeds, march, filed in ticks:
+        stages = 2 * tick_steps * transport
         if s > 0:
-            assert march == ["irfft", "rfft"] * 2 * tick_steps + ["irfft"], s
-        else:  # a group's first tick also counts its setup: the data of its solve, its first drift block dealiased
-            # (forward and inverse) and with record_holder the datum's Hessian (forward and inverse)
-            assert march.count("rfft") == 2 + holder + 2 * tick_steps
-            assert march.count("irfft") == 1 + holder + 2 * tick_steps + 1
-        assert filed == ["rfft", "irfft", "rfft", "irfft", "irfft", "irfft"], s
-    # nothing else but the heat solve's data
-    assert transform_calls.count("rfft") == 1 + diagnosed[0] + sum(
-        march.count("rfft") + filed.count("rfft") for _, _, march, filed in ticks
-    )
+            assert march == ["irfft", "rfft"] * stages + ["irfft"], s
+        else:  # a group's first tick also counts its setup: the data of its solve, and before iterate 0 the datum's
+            # sups, once per run (forward, and inverse for the gradient and the Hessian), or a transport group's
+            # first drift block dealiased (forward and inverse)
+            assert march.count("rfft") == 2 + stages
+            assert march.count("irfft") == (1 if transport else 2) + stages + 1
+        assert filed == ["rfft", "irfft"] * transport + ["rfft", "irfft", "irfft"] + ["irfft"] * feeds, s
+    assert since[0] == len(transform_calls)  # nothing else, the seminorms included
 
 
 @pytest.mark.parametrize("config", ["2d-n16-short", "verify-2d-forced"])
