@@ -21,7 +21,7 @@ from .fields import (
     write_snapshot,
 )
 from .forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
-from .heat import ScalingProbeReport, duhamel_forced_heat, heat_apply, holder_scaling_probe, lacunary_field
+from .heat import ScalingProbeReport, heat_apply, holder_scaling_probe, lacunary_field
 from .norms import (
     HolderEstimate,
     KConstants,

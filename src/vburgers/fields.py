@@ -156,9 +156,9 @@ def _frozen_samples(values, shape: tuple, copy: bool = True) -> np.ndarray:
     return v
 
 
-def _adopt(cls, grid: GridSpec, values: np.ndarray, shape: tuple | None = None):
-    """A ``cls`` field on ``values``, uncopied: a new array checked for ``shape``, or (None) a checked frame's view."""
-    field = object.__new__(cls)
+def _adopt(grid: GridSpec, values: np.ndarray, shape: tuple | None = None) -> "VectorField":
+    """A VectorField on ``values``, uncopied: a new array checked for ``shape``, or (None) a checked frame's view."""
+    field = object.__new__(VectorField)
     object.__setattr__(field, "grid", grid)
     object.__setattr__(field, "values", values if shape is None else _frozen_samples(values, shape, copy=False))
     return field
@@ -171,17 +171,6 @@ class ScalarField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_samples(self.values, self.grid.shape))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return _adopt(ScalarField, self.grid, self.values + other.values, self.values.shape)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return _adopt(ScalarField, self.grid, self.values - other.values, self.values.shape)
-
-    def __mul__(self, a: float) -> "ScalarField":
-        return _adopt(ScalarField, self.grid, self.values * float(a), self.values.shape)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -216,13 +205,13 @@ class VectorField:
         return tuple(ScalarField(self.grid, c) for c in self.values)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return _adopt(VectorField, self.grid, self.values + other.values, self.values.shape)
+        return _adopt(self.grid, self.values + other.values, self.values.shape)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return _adopt(VectorField, self.grid, self.values - other.values, self.values.shape)
+        return _adopt(self.grid, self.values - other.values, self.values.shape)
 
     def __mul__(self, a: float) -> "VectorField":
-        return _adopt(VectorField, self.grid, self.values * float(a), self.values.shape)
+        return _adopt(self.grid, self.values * float(a), self.values.shape)
 
     __rmul__ = __mul__
 
@@ -232,8 +221,9 @@ class Trajectory:
     """Fields on a uniform time grid, held as one read-only (nt, d) + grid.shape array.
 
     ``values`` may also be a sequence of VectorFields, stacked once.  An
-    array is wrapped without a copy; VectorFields are built only on request,
-    as read-only views of its frames.
+    array is wrapped without a copy, as ``run_picard`` returns its fixed
+    point: later writes to that array reach the frames past the finiteness
+    check.  VectorFields are built only on request, as read-only views of its frames.
     """
 
     grid: GridSpec
@@ -271,7 +261,7 @@ class Trajectory:
 
     def frame(self, k: int) -> VectorField:
         """Frame k, a read-only view of ``values[k]``."""
-        return _adopt(VectorField, self.grid, self.values[k])
+        return _adopt(self.grid, self.values[k])
 
     @property
     def frames(self) -> tuple:
@@ -287,9 +277,6 @@ class Trajectory:
         if w == 0.0:
             return self.values[k]
         return self.values[k] * (1.0 - w) + self.values[k + 1] * w
-
-    def at_time(self, t: float) -> VectorField:
-        return VectorField(self.grid, self.values_at(t))
 
 
 def locate(t: float, t0: float, dt: float, nt: int) -> tuple:
@@ -372,17 +359,12 @@ def advect_hat(b: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
 # off-grid evaluation (trigonometric interpolation)
 
 
-def evaluate_many(f: ScalarField, points: np.ndarray) -> np.ndarray:
-    """Value of the trigonometric interpolant at arbitrary torus points.
-
-    ``points`` has shape (p, d); coordinates are wrapped into [0, L).
-    Exact at grid nodes.
-    """
-    return evaluate_arrays(f.values[None], f.grid, points)[:, 0]
-
-
 def evaluate_arrays(values: np.ndarray, spec: GridSpec, points: np.ndarray) -> np.ndarray:
-    """``evaluate_many`` of each channel of a (ch,) + grid.shape array; shape (p, ch)."""
+    """Each channel's trigonometric interpolant at arbitrary torus points; shape (p, ch).
+
+    ``values`` has shape (ch,) + grid.shape and ``points`` (p, d);
+    coordinates are wrapped into [0, L).  Exact at grid nodes.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64)) % spec.L
     if pts.shape[1] != spec.d:
         raise ValueError(f"points must have {spec.d} coordinates")

@@ -11,7 +11,6 @@ from .errors import DivergenceError, WindowError
 from .fields import (
     GridSpec,
     ScalarField,
-    Trajectory,
     VectorField,
     _ksq_half,
     gradient_arrays,
@@ -155,19 +154,11 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
     return out
 
 
-def duhamel_forced_heat(u0: VectorField, g: Forcing, T: float, dt: float) -> Trajectory:
-    """Trajectory of e^{t L}u0 + int_0^t e^{(t-s) L} g_s ds.
-
-    The Duhamel integral uses the midpoint rule composed with the exact
-    propagator, step by step: second order in dt, exact for a space-time constant g.
-    The forcing spectrum is env(t) times the base's, transformed once.
-    """
-    spec = u0.grid
-    return Trajectory(spec, 0.0, dt, integrate(u0.values, spec, T, dt, forced_heat_rhs(g), None))
-
-
 def forced_heat_rhs(g: Forcing):
-    """``integrate``'s right-hand side of the forced heat flow: the forcing's half-spectra, or None with no forcing."""
+    """``integrate``'s right-hand side of the forced heat flow e^{t L}u0 + int_0^t e^{(t-s) L} g_s ds.
+
+    The forcing's half-spectra (env(t) times the base's, transformed once), or None with no forcing.
+    """
     return None if g.is_zero else (lambda s, ts, u_hat: g.spectra(ts))
 
 

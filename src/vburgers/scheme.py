@@ -158,15 +158,16 @@ class _Wavefront:
     makes its frames k0 + 1 .. k0 + B, k0 = (s - j) B, reading lane j - 1's
     dealiased frames k0 .. k0 + B, which the tick before made.  Per lane
     two ring blocks hold what the next tick reads: ``dal``, the dealiased
-    drift frames k0 .. k0 + B, and ``raw``, the lane's own frames
-    k0 - 1 .. k0 + B.  All per-frame work runs once per tick over the
-    tick's B x lanes rows: the update and time-derivative sups, and one
-    forward transform of the rows and of lane 0's next drift block, which
-    serves the spatial derivative sups and the dealiased frames the lanes
-    read next.  Per-lane series are kept by column k + j B, so a tick fills
-    the same B columns of every lane.  Frame 0 of every iterate is the
-    datum; ``run`` holds what every group shares: times, midpoint weights,
-    the datum's sups and (with ``record_holder``) Hessian.
+    drift frames k0 .. k0 + B (none for iterate 0), and ``raw``, the
+    lane's own frames k0 - 1 .. k0 + B.  All per-frame work runs once per
+    tick over the tick's B x lanes rows: the update and time-derivative
+    sups, and one forward transform of the rows and of lane 0's next drift
+    block, which serves the spatial derivative sups and the dealiased
+    frames the lanes read next.  Per-lane series are kept by column
+    k + j B, so a tick fills the same B columns of every lane.  Frame 0 of
+    every iterate is the datum; ``run`` holds what every group shares:
+    times, midpoint weights, the datum's sups and (with ``record_holder``)
+    Hessian.
 
     A lane keeps its full trajectory only while it may still be returned
     (m >= min_iters and its running update sup below tol_fp) or while it is
@@ -216,7 +217,7 @@ class _Wavefront:
         # frame 0 of every iterate is the datum, as if lane j made it at tick j - 1
         self.raw = np.zeros((lanes, block + 2, spec.d) + spec.shape)
         self.raw[:, -1] = u0.values
-        self.dal = np.empty((lanes, block + 1, spec.d) + spec.shape)
+        self.dal = None if drift is None else np.empty((lanes, block + 1, spec.d) + spec.shape)  # iterate 0 reads none
         if drift is not None:
             self.dal[0] = dealias_values(drift.rows(0, block + 1), spec)
             self.dal[1:, -1] = self.dal[0, 0]
@@ -415,7 +416,8 @@ def run_picard(
     ``trace``, a list, gets one dict per group, iterate 0's first: first
     iterate, lanes, steps per tick, ticks, lane-steps marched, the iterate
     the memory rule last cut the group above (or None), the peak count of
-    kept frames and the wall time.
+    kept frames and the wall time.  A group whose lane error is raised
+    still gets its dict, with the error's type name and the failing iterate.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configuration")
@@ -440,11 +442,15 @@ def run_picard(
         else:
             rhs, guard = _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec)
         integrate(u0.values, spec, cfg.T, cfg.dt, rhs, guard, lanes, front.take)
-        recs, drift, converged = front.finish()
-        if trace is not None:
-            stats = {"steps_per_tick": front.block, "ticks": front.ticks, "lane_steps": front.lane_steps}
-            stats.update(cut=front.cut, peak_kept_frames=front.peak_kept, wall_s=time.perf_counter() - start)
-            trace.append({"first_iterate": front.m0 + 1, "lanes": lanes, **stats})
+        try:
+            recs, drift, converged = front.finish()
+        finally:
+            if trace is not None:
+                stats = {"steps_per_tick": front.block, "ticks": front.ticks, "lane_steps": front.lane_steps}
+                stats.update(cut=front.cut, peak_kept_frames=front.peak_kept, wall_s=time.perf_counter() - start)
+                if front.error is not None and front.converged is None:  # finish raised it
+                    stats.update(error=type(front.error[1]).__name__, failed_iterate=front.m0 + 1 + front.error[0])
+                trace.append({"first_iterate": front.m0 + 1, "lanes": lanes, **stats})
         records += recs
     return records, Trajectory(spec, 0.0, cfg.dt, drift.stack()), converged
 

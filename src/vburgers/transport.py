@@ -1,9 +1,10 @@
 """Linear parabolic transport solves (d_t - Lap + b.grad + C) u = f.
 
-Diffusion is exact through the spectral integrating factor and the
-advection / zeroth-order / source part takes an explicit midpoint stage
-(``heat.integrate``), second order in dt overall.  Quadratic products are
-dealiased by the two-thirds rule.
+The drift b may vary in time; the zeroth-order coefficient C is a constant
+matrix or a matrix field, fixed in time.  Diffusion is exact through the
+spectral integrating factor and the advection / zeroth-order / source part
+takes an explicit midpoint stage (``heat.integrate``), second order in dt
+overall.  Quadratic products are dealiased by the two-thirds rule.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ MP_DT2_FACTOR = 25.0
 class TransportProblem:
     u0: VectorField
     b: object = None  # None | VectorField | Trajectory
-    C: object = None  # None | (d, d) array | (d, d)+shape array | callable t -> array
+    C: object = None  # None | (d, d) array | (d, d) + grid.shape array: the zeroth-order coefficient, constant in t
     f: Forcing | None = None  # None: zero forcing, set in __post_init__
     T: float = 1.0
     dt: float = 1e-3
@@ -54,8 +55,11 @@ class TransportProblem:
             self.f = ZeroForcing(grid)
         elif self.f.grid != grid:
             raise ValueError("source grid mismatch")
-        if self.C is not None and not callable(self.C):
-            self.C = np.asarray(self.C, dtype=np.float64)  # an array C, converted once
+        if self.C is not None:  # converted once; a constant C has one operator norm
+            c, d = np.asarray(self.C), grid.d
+            if c.dtype.kind not in "iuf" or c.shape not in ((d, d), (d, d) + grid.shape):
+                raise ValueError(f"C must be None or a real ({d}, {d}) or ({d}, {d}) + {grid.shape} array")
+            self.C = np.asarray(c, dtype=np.float64)
 
     @property
     def grid(self) -> GridSpec:
@@ -72,15 +76,6 @@ class TransportProblem:
         if isinstance(self.b, VectorField):
             return self.b.values
         return self.b.values_at(t)
-
-    def matrix_at(self, t: float) -> np.ndarray | None:
-        if callable(self.C):
-            return np.asarray(self.C(t), dtype=np.float64)
-        return self.C
-
-    def matrix_times(self, times: np.ndarray) -> np.ndarray:
-        """The times of ``times`` at which C must be sampled: all of them, or the first for a constant C."""
-        return times if callable(self.C) else times[:1]
 
 
 def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -167,9 +162,8 @@ def solve_transport(p: TransportProblem) -> Trajectory:
 
     def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
         out = advect(s, ts, u_hat)
-        m = p.matrix_at(ts[0])
-        if m is not None:
-            out[0] -= _apply_matrix_hat(m, u_hat[0], spec)
+        if p.C is not None:
+            out[0] -= _apply_matrix_hat(p.C, u_hat[0], spec)
         return out
 
     u = integrate(p.u0.values, spec, p.T, p.dt, rhs, _blocking_guard(spec))
@@ -180,8 +174,8 @@ def _log_amplification(p: TransportProblem, times: np.ndarray) -> np.ndarray:
     """log A(0, t): the trapezoid integral of the sup operator norm of the matrix term."""
     out = np.zeros(times.size)
     if p.C is not None:
-        norms = np.broadcast_to([opnorm_sup(p.matrix_at(float(t))) for t in p.matrix_times(times)], times.shape)
-        out[1:] = np.cumsum(0.5 * (norms[1:] + norms[:-1]) * np.diff(times))
+        norm = opnorm_sup(p.C)  # C is fixed in time: one norm, integrated by the trapezoid rule
+        out[1:] = np.cumsum(0.5 * (norm + norm) * np.diff(times))
     return out
 
 

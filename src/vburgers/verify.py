@@ -284,10 +284,6 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
     nt = len(times)
     g, g_bar = p.f, p_bar.f
 
-    def drift_arr(q, t):
-        b = q.drift_at(t)
-        return b if b is not None else 0.0
-
     u, u_bar = phi.values, phi_bar.values
     sups = [
         [frame_sups(u[sl], 1), frame_sups(gradient_arrays(u[sl], p.grid), 2), frame_sups(u_bar[sl] - u[sl], 1)]
@@ -295,21 +291,20 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
     ]
     sup_phi, grad_phi, lhs = map(np.concatenate, zip(*sups))
 
-    def c_diff(t):
-        cm, c0 = p_bar.matrix_at(t), p.matrix_at(t)
-        if cm is None and c0 is None:
-            return 0.0
-        z = np.zeros((p.grid.d,) * 2)
-        return opnorm_sup((cm if cm is not None else z) - (c0 if c0 is not None else z))
+    d = p.grid.d
 
-    sampled = max(p.matrix_times(times), p_bar.matrix_times(times), key=len)  # constant matrices differ by one norm
-    c_diffs = np.broadcast_to([c_diff(t) for t in sampled], times.shape)
+    def on_grid(c):  # zero for None; a constant gets unit grid axes, so that it meets a matrix field node-wise
+        c = np.zeros((d, d)) if c is None else c
+        return c if c.ndim > 2 else c.reshape((d, d) + (1,) * d)
+
+    c_diff = opnorm_sup(on_grid(p_bar.C) - on_grid(p.C))
     integrand = np.empty(nt)
     for k, t in enumerate(times):
-        db = np.asarray(drift_arr(p_bar, t) - drift_arr(p, t))
+        b_bar, b = (0.0 if q.b is None else q.drift_at(t) for q in (p_bar, p))
+        db = np.asarray(b_bar - b)
         b_diff = np.sqrt((db**2).sum(axis=0)).max() if db.ndim else float(abs(db))
         f_diff = channel_sup(g_bar.env(t) * g_bar.values - g.env(t) * g.values)
-        integrand[k] = b_diff * grad_phi[k] + c_diffs[k] * sup_phi[k] + f_diff
+        integrand[k] = b_diff * grad_phi[k] + c_diff * sup_phi[k] + f_diff
 
     rhs = _amplified_integral(_log_amplification(p_bar, times), integrand, times)
 

@@ -15,7 +15,7 @@ from vburgers.fields import (
     _wavenumbers_half,
     advect_hat,
     dealias_values,
-    evaluate_many,
+    evaluate_arrays,
     gradient,
     gradient_arrays,
     hessian_arrays,
@@ -105,7 +105,7 @@ def test_advect_dealiases_quadratic_products(grid1d):
 def test_trig_interpolation_exact_at_nodes(grid1d, random_field):
     x = grid1d.axis_coords()
     pts = x.reshape(-1, 1)
-    vals = evaluate_many(random_field.components[0], pts)
+    vals = evaluate_arrays(random_field.components[0].values[None], grid1d, pts)[:, 0]
     assert np.allclose(vals, random_field.components[0].values, atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_trig_interpolation_matches_closed_form_off_nodes(grid1d):
     f = ScalarField(grid1d, np.sin(2 * x) + 0.3 * np.cos(5 * x))
     pts = np.array([[0.1], [1.234], [4.5]])
     expect = np.sin(2 * pts[:, 0]) + 0.3 * np.cos(5 * pts[:, 0])
-    assert np.allclose(evaluate_many(f, pts), expect, atol=1e-12)
+    assert np.allclose(evaluate_arrays(f.values[None], f.grid, pts)[:, 0], expect, atol=1e-12)
 
 
 def test_make_trig_field_deterministic_and_band_limited(grid1d):
@@ -130,8 +130,8 @@ def test_make_trig_field_deterministic_and_band_limited(grid1d):
 def test_trajectory_interpolation(grid1d, sin_field):
     frames = tuple(sin_field * (1.0 + k) for k in range(4))
     traj = Trajectory(grid1d, 0.0, 0.5, frames)
-    mid = traj.at_time(0.25)
-    assert np.allclose(mid.values, 1.5 * sin_field.values, atol=1e-14)
+    mid = traj.values_at(0.25)
+    assert np.allclose(mid, 1.5 * sin_field.values, atol=1e-14)
     assert traj.t_end == pytest.approx(1.5)
 
 
@@ -311,25 +311,19 @@ def test_trajectory_frames_are_read_only_views(grid2d):
 def test_field_arithmetic_checks_its_result(grid1d):
     a = make_trig_field(grid1d, seed=1, kmax=3, amplitude=0.5)
     b = make_trig_field(grid1d, seed=2, kmax=3, amplitude=0.5)
-    sa, sb = a.components[0], b.components[0]
     results = [
         (a + b, a.values + b.values), (a - b, a.values - b.values), (a * 2.5, a.values * 2.5),
-        (2.5 * a, a.values * 2.5), (sa + sb, sa.values + sb.values), (sa - sb, sa.values - sb.values),
-        (sa * 2.5, sa.values * 2.5),
+        (2.5 * a, a.values * 2.5),
     ]
     for got, want in results:
         assert got.grid == grid1d and np.array_equal(got.values, want)
         assert not got.values.flags.writeable
-        assert not np.shares_memory(got.values, a.values) and not np.shares_memory(got.values, sb.values)
+        assert not np.shares_memory(got.values, a.values) and not np.shares_memory(got.values, b.values)
     big = VectorField.constant(grid1d, [1e308])
-    big_scalar = big.components[0]
     for overflow in (
         lambda: big - big * -1.0,  # 1e308 - (-1e308)
         lambda: big + big,
         lambda: big * 10.0,
-        lambda: big_scalar - big_scalar * -1.0,
-        lambda: big_scalar + big_scalar,
-        lambda: big_scalar * 10.0,
     ):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             overflow()

@@ -3,13 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import forced_heat
 
 from vburgers import fields, heat, oracle, transport
 from vburgers.errors import DivergenceError, OracleError, ResolutionError, WindowError
 from vburgers.fields import GridSpec, ScalarField, VectorField, irfft, make_trig_field, rfft
 from vburgers.forcing import ConstantForcing, Forcing, TrigForcing, ZeroForcing
 from vburgers.heat import (
-    duhamel_forced_heat,
     heat_apply,
     heat_multiplier,
     holder_scaling_probe,
@@ -47,7 +47,7 @@ def test_heat_rejects_negative_time(random_field):
 
 
 def test_duhamel_zero_forcing_is_pure_heat(grid1d, random_field):
-    traj = duhamel_forced_heat(random_field, ZeroForcing(grid1d), 0.5, 1e-2)
+    traj = forced_heat(random_field, ZeroForcing(grid1d), 0.5, 1e-2)
     expect = heat_apply(random_field, 0.5)
     assert np.allclose(traj.frame(len(traj) - 1).values, expect.values, atol=1e-12)
 
@@ -56,16 +56,16 @@ def test_duhamel_constant_forcing_constant_mode():
     # u0 = 0, g = const vector: solution is g * t exactly (zero mode)
     g = GridSpec(1, 32, 2 * np.pi)
     force = ConstantForcing(VectorField.constant(g, [0.7]))
-    traj = duhamel_forced_heat(VectorField.zero(g), force, 1.0, 1e-2)
+    traj = forced_heat(VectorField.zero(g), force, 1.0, 1e-2)
     final = traj.frame(len(traj) - 1).components[0].values
     assert np.allclose(final, 0.7, atol=1e-10)
 
 
 def test_duhamel_quadrature_second_order(grid1d, random_field):
     force = TrigForcing(grid1d, seed=4, kmax=3, amplitude=0.5, omega=2.0)
-    coarse = duhamel_forced_heat(random_field, force, 0.5, 1e-2)
-    fine = duhamel_forced_heat(random_field, force, 0.5, 5e-3)
-    ref = duhamel_forced_heat(random_field, force, 0.5, 1.25e-3)
+    coarse = forced_heat(random_field, force, 0.5, 1e-2)
+    fine = forced_heat(random_field, force, 0.5, 5e-3)
+    ref = forced_heat(random_field, force, 0.5, 1.25e-3)
     e_c = np.abs(coarse.frame(-1 % len(coarse)).values - ref.frame(-1 % len(ref)).values).max()
     e_f = np.abs(fine.frame(-1 % len(fine)).values - ref.frame(-1 % len(ref)).values).max()
     assert e_f < e_c / 3.0  # ~4x for a second-order rule
@@ -76,7 +76,7 @@ def test_duhamel_non_finite_raises_divergence():
     g = GridSpec(1, 64, 2 * np.pi)
     force = ConstantForcing(VectorField.constant(g, [1e307]))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-        duhamel_forced_heat(VectorField.zero(g), force, 0.1, 1e-2)
+        forced_heat(VectorField.zero(g), force, 0.1, 1e-2)
 
 
 def test_lacunary_field_deterministic():
@@ -171,16 +171,16 @@ def test_stored_states_equal_a_per_tick_march(monkeypatch, d, n, block_frames):
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
     forcing = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
     T, dt = 1 / 16, 1 / 256
-    drift = duhamel_forced_heat(u0, forcing, T, dt)
+    drift = forced_heat(u0, forcing, T, dt)
     solves = [
-        (heat, lambda: duhamel_forced_heat(u0, forcing, T, dt)),
+        (heat, lambda: forced_heat(u0, forcing, T, dt)),
         (transport, lambda: solve_transport(TransportProblem(u0=u0, b=drift, f=forcing, T=T, dt=dt))),
         (oracle, lambda: direct_solve(u0, forcing, T, dt)),
     ]
     if d < 3:
         phi0 = ScalarField(spec, 1.0 + 0.3 * np.cos(spec.mesh()[0]))
         potential = ScalarField(spec, 0.2 * np.sin(spec.mesh()[-1]))
-        solves.append((oracle, lambda: cole_hopf(phi0, lambda t: potential * (1.0 + t), T, dt)))
+        solves.append((oracle, lambda: cole_hopf(phi0, lambda t: ScalarField(spec, potential.values * (1.0 + t)), T, dt)))
     for module, solve in solves:
         calls = _spy_integrate(monkeypatch, module)
         solve()
@@ -193,7 +193,7 @@ def _diverging_transport():
     spec = GridSpec(1, 16, 2 * np.pi)
     u0 = make_trig_field(spec, seed=6, kmax=3, amplitude=100)
     T, dt = 0.125, 1 / 256
-    first = solve_transport(TransportProblem(u0=u0, b=duhamel_forced_heat(u0, ZeroForcing(spec), T, dt), T=T, dt=dt))
+    first = solve_transport(TransportProblem(u0=u0, b=forced_heat(u0, ZeroForcing(spec), T, dt), T=T, dt=dt))
     return transport, DivergenceError, lambda: solve_transport(TransportProblem(u0=u0, b=first, T=T, dt=dt))
 
 
@@ -263,7 +263,7 @@ def test_one_lane_emit_collects_the_stored_states(monkeypatch, d, n):
     u0 = make_trig_field(spec, seed=3, kmax=2, amplitude=0.5)
     forcing = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3)
     T, dt = 21 / 256, 1 / 256
-    b = fields.dealias_values(duhamel_forced_heat(u0, forcing, T, dt).values[7], spec)[None]
+    b = fields.dealias_values(forced_heat(u0, forcing, T, dt).values[7], spec)[None]
     rhs = transport._transport_rhs(spec, forcing, lambda s, ts: b)
     assert fields.tick_steps(21, 1, spec) == 10
     stored = integrate(u0.values, spec, T, dt, rhs, transport._blocking_guard(spec))

@@ -56,7 +56,7 @@ def test_cole_hopf_forced_variant():
         return fpot
 
     traj = cole_hopf(_phi0(g), f_field, T=0.25, dt=5e-4)
-    forcing = GradientForcing(fpot * COLE_HOPF_LAMBDA)
+    forcing = GradientForcing(ScalarField(g, fpot.values * COLE_HOPF_LAMBDA))
     r = residual(traj, forcing)
     assert r.max < 1e-4
 

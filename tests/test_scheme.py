@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import forced_heat
 
 from vburgers import fields, scheme, transport
 from vburgers.errors import DivergenceError, ResolutionError
@@ -21,7 +22,6 @@ from vburgers.fields import (
     time_derivative_frames,
 )
 from vburgers.forcing import TrigForcing, ZeroForcing
-from vburgers.heat import duhamel_forced_heat
 from vburgers.norms import (
     KProfile,
     compute_k_constants,
@@ -324,7 +324,7 @@ def _diagnose_reference(m, traj, prev, alpha, seed, record_holder):
 def _picard_reference(cfg, u0, g=None, record_holder=False, min_iters=1):
     if g is None:
         g = ZeroForcing(cfg.grid)
-    traj = duhamel_forced_heat(u0, g, cfg.T, cfg.dt)
+    traj = forced_heat(u0, g, cfg.T, cfg.dt)
     records = [_diagnose_reference(0, traj, None, cfg.alpha, cfg.seed, record_holder)]
     for m in range(1, cfg.m_max + 1):
         new = solve_transport(TransportProblem(u0=u0, b=traj, C=None, f=g, T=cfg.T, dt=cfg.dt))
@@ -481,10 +481,13 @@ def test_wavefront_error_order(monkeypatch, amplitude, seed, failing, frame):
     with pytest.raises(DivergenceError) as want:
         _picard_reference(cfg(failing, 0.0), u0)
     assert f"t={frame / 256:g}:" in str(want.value)
-    # none converges: the same error, held until the iterates below it end
+    # none converges: the same error, held until the iterates below it end; the failing group's trace entry names it
+    trace = []
     with pytest.raises(DivergenceError) as got:
-        run_picard(cfg(8, 1e-12), u0)
+        run_picard(cfg(8, 1e-12), u0, trace=trace)
     assert str(got.value) == str(want.value)
+    assert (trace[-1]["error"], trace[-1]["failed_iterate"]) == ("DivergenceError", failing), trace
+    assert trace[-1]["first_iterate"] <= failing < trace[-1]["first_iterate"] + trace[-1]["lanes"]
 
     # an iterate below the failing one converges: the failure never happened
     refs, _, _ = _picard_reference(cfg(failing - 1, 0.0), u0)
@@ -493,7 +496,8 @@ def test_wavefront_error_order(monkeypatch, amplitude, seed, failing, frame):
     assert want[2] and want[0][-1].m == failing - 1
     trace = []
     _assert_same_run(run_picard(converging, u0, min_iters=failing - 1, trace=trace), want)
-    # the failing iterate marched in one group with the iterate below it
+    # the failing iterate marched in one group with the iterate below it, and no group of the run failed
+    assert all("error" not in group for group in trace), trace
     assert any(group["first_iterate"] < failing < group["first_iterate"] + group["lanes"] for group in trace), trace
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import forced_heat
 
 from vburgers.errors import DivergenceError, ResolutionError
 from vburgers.fields import (
@@ -16,7 +17,7 @@ from vburgers.fields import (
     rfft,
 )
 from vburgers.forcing import Forcing, TrigForcing
-from vburgers.heat import duhamel_forced_heat, heat_apply, heat_multiplier, n_steps
+from vburgers.heat import heat_apply, heat_multiplier, n_steps
 from vburgers.norms import sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve
 from vburgers.transport import (
@@ -122,18 +123,16 @@ def test_amplification_factors_constant_matrix(grid1d, random_field):
     assert np.allclose(amp, np.exp(lam * times), rtol=1e-10)
 
 
-def test_constant_matrix_equals_per_stage_matrix():
-    # an array C is converted once, when the problem is built, and has one operator norm: the same bits as a callable
-    # returning it, whose matrix and norm are taken at every stage and frame
-    spec = GridSpec(2, 16, TWO_PI)
-    m = np.array([[0.4, 0.1], [-0.2, 0.3]])
-    u0 = _ref_datum(spec)
-    u_hat = rfft(u0.values, spec)
-    assert _apply_matrix_hat(m, u_hat, spec).tobytes() == np.tensordot(m, u_hat, axes=(1, 0)).tobytes()
-    const, per_stage = (TransportProblem(u0=u0, b=u0, C=C, T=_REF_T, dt=_REF_DT) for C in (m, lambda t: m))
-    assert solve_transport(const).values.tobytes() == solve_transport(per_stage).values.tobytes()
-    times = np.arange(n_steps(_REF_T, _REF_DT) + 1) * _REF_DT
-    assert amplification_factors(const, times).tobytes() == amplification_factors(per_stage, times).tobytes()
+def test_matrix_coefficient_checked_when_built(grid2d):
+    # C is None, a real (d, d) matrix or a (d, d) + grid.shape matrix field; anything else fails when the problem is built
+    u0 = make_trig_field(grid2d, seed=1, kmax=2, amplitude=0.3)
+    field = np.zeros((2, 2) + grid2d.shape)
+    for C in (None, np.eye(2), [[0.5, 0.0], [0.1, 0.5]], field):
+        p = TransportProblem(u0=u0, C=C)
+        assert p.C is None if C is None else (p.C.dtype == np.float64 and p.C.shape in ((2, 2), field.shape))
+    for bad in (lambda t: np.eye(2), np.eye(3), np.ones(2), field[..., 0], np.zeros((2, 2, 16, 16)), 1j * np.eye(2)):
+        with pytest.raises(ValueError, match=r"^C must be None or a real \(2, 2\) or \(2, 2\) \+ \(32, 32\) array$"):
+            TransportProblem(u0=u0, C=bad)
 
 
 def test_time_varying_drift_accepts_trajectory(grid1d, random_field):
@@ -214,7 +213,10 @@ def test_solve_transport_matches_physical_midpoint(spec, matrix):
     f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3, omega=2.0)
     base = np.eye(d) * 0.4 + np.triu(np.full((d, d), 0.1))
     if matrix == "constant":
-        C = lambda t: base * np.cos(3.0 * t)  # noqa: E731
+        C = base
+        # a constant matrix acts on the spectrum: the same bits as np.tensordot
+        u_hat = rfft(u0.values, spec)
+        assert _apply_matrix_hat(C, u_hat, spec).tobytes() == np.tensordot(C, u_hat, axes=(1, 0)).tobytes()
     else:
         x0 = spec.mesh()[0]
         C = base[(...,) + (None,) * d] * (1.0 + 0.2 * np.cos(x0))
@@ -225,8 +227,7 @@ def test_solve_transport_matches_physical_midpoint(spec, matrix):
     def rhs(t, u):
         k, w = drift.locate(t)
         bt = b[k] if w == 0.0 else b[k] * (1.0 - w) + b[k + 1] * w
-        m = C(t) if callable(C) else C
-        cu = np.tensordot(m, u, axes=(1, 0)) if m.ndim == 2 else np.einsum("ij...,j...->i...", m, u)
+        cu = np.tensordot(C, u, axes=(1, 0)) if C.ndim == 2 else np.einsum("ij...,j...->i...", C, u)
         return f.at(t).values - _physical_advect(bt, u, spec) - cu
 
     _assert_rel_close(traj.values, _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, rhs))
@@ -248,7 +249,7 @@ def test_direct_solve_matches_physical_midpoint(spec):
 def test_duhamel_forced_heat_matches_physical_midpoint(spec):
     u0 = _ref_datum(spec)
     f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3, omega=2.0)
-    traj = duhamel_forced_heat(u0, f, _REF_T, _REF_DT)
+    traj = forced_heat(u0, f, _REF_T, _REF_DT)
     ref = _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, lambda t, u: f.at(t).values)
     _assert_rel_close(traj.values, ref)
 
@@ -289,7 +290,7 @@ def test_forced_duhamel_transform_count(spec, transform_calls):
     calls = transform_calls
     calls.clear()
     steps = 16
-    duhamel_forced_heat(u0, f, steps * _REF_DT, _REF_DT)
+    forced_heat(u0, f, steps * _REF_DT, _REF_DT)
     assert len(calls) <= steps + 2
 
 

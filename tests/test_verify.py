@@ -181,16 +181,22 @@ def test_check_gronwall_exponential_amplification(grid1d):
     assert rep.passed
 
 
-def test_check_gronwall_constant_matrices_equal_per_frame(grid1d, random_field):
-    # constant matrices differ by one operator norm: the same report as callables, normed at every frame
-    c, c_bar = 0.3 * np.eye(1), 0.5 * np.eye(1)
-    reports = []
-    for wrap in (lambda a: a, lambda a: (lambda t: a)):
-        p = TransportProblem(u0=random_field, b=None, C=wrap(c), f=None, T=0.25, dt=1 / 256)
-        pb = TransportProblem(u0=random_field, b=random_field, C=wrap(c_bar), f=None, T=0.25, dt=1 / 256)
-        reports.append(check_gronwall(p, pb))
-    const, per_frame = reports
-    assert const.rhs.tobytes() == per_frame.rhs.tobytes() and const.lhs.tobytes() == per_frame.lhs.tobytes()
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_check_gronwall_matrix_field_against_none_or_constant(d):
+    # a matrix field C_bar against C = None or a constant C: the difference is taken node by node, as if C were the
+    # field that repeats it at every node (None: the zero field, the same solve bit for bit)
+    g = GridSpec(d, 16, TWO_PI)
+    T, dt = 0.125, 1 / 256
+    u0 = make_trig_field(g, seed=1, kmax=2, amplitude=0.3)
+    base = 0.1 * np.eye(d) + np.triu(np.full((d, d), 0.05))
+    c_bar = base[(...,) + (None,) * d] * (1.0 + 0.5 * np.cos(g.mesh()[0]))
+    p_bar = TransportProblem(u0=u0, b=u0, C=c_bar, T=T, dt=dt)
+    none = check_gronwall(TransportProblem(u0=u0, b=None, T=T, dt=dt), p_bar)
+    zeros = check_gronwall(TransportProblem(u0=u0, b=None, C=np.zeros_like(c_bar), T=T, dt=dt), p_bar)
+    assert none.passed and none.rhs.tobytes() == zeros.rhs.tobytes() and none.lhs.tobytes() == zeros.lhs.tobytes()
+    repeated = np.broadcast_to(base[(...,) + (None,) * d], c_bar.shape)
+    const, field = (check_gronwall(TransportProblem(u0=u0, b=None, C=C, T=T, dt=dt), p_bar) for C in (base, repeated))
+    assert const.passed and np.allclose(const.rhs, field.rhs, rtol=1e-12, atol=0) and const.rhs[-1] > 0
 
 
 def test_parabolic_ball_validation(grid1d, random_field):
