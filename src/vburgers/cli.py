@@ -27,7 +27,7 @@ from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply_values, holder_scaling_probe, lacunary_field, n_steps
 from .norms import KProfile, frame_sups, interpolation_gap
 from .oracle import COLE_HOPF_LAMBDA, cole_hopf, residual
-from .scheme import SchemeConfig, compute_t_init, records_to_csv, run_picard, run_summary_json
+from .scheme import SchemeConfig, compute_t_init, records_to_csv, reference_scales, run_picard, run_summary_json
 from .transport import TransportProblem
 from .verify import ParabolicBall, check_gronwall, check_schauder_instance, check_short_time, check_uniform
 
@@ -364,7 +364,8 @@ def _run_checks(cfg: dict, out_dir: str) -> bool:
         t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=kfn)
         kc = kfn(scheme_cfg.T, scheme_cfg.c)
         res = residual(fixed_point, g).max
-        _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc))
+        scales = reference_scales(kfn, scheme_cfg)
+        _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc, scales))
         _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())
         if cfg.get("snapshots"):
             write_snapshot(u0, os.path.join(out_dir, "u0.bfld"))

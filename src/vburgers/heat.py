@@ -1,5 +1,8 @@
 """Exact spectral heat propagator, the integrating-factor midpoint integrator
-built on it, and heat-kernel scaling probes."""
+built on it, and heat-kernel scaling probes.
+
+The integrator's right-hand sides, forced heat flow included, are all built
+by ``transport._transport_rhs``."""
 from __future__ import annotations
 
 import json
@@ -19,7 +22,6 @@ from .fields import (
     rfft,
     tick_steps,
 )
-from .forcing import Forcing
 from .norms import channel_sup
 
 
@@ -75,7 +77,8 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
         s_hat = E_half (u_hat + dt/2 rhs(t, u_hat))
         u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
-    ``rhs`` None is pure heat flow.
+    ``rhs`` comes from ``transport._transport_rhs``, the only builder of
+    right-hand sides: None is pure heat flow.
 
     The state carries a leading lane axis: ``lanes`` problems that share u0
     march in ticks of B = ``fields.tick_steps(n_steps, lanes, spec)`` steps,
@@ -152,14 +155,6 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
         lanes = emit(s, lo, u, failed)
         s += 1
     return out
-
-
-def forced_heat_rhs(g: Forcing):
-    """``integrate``'s right-hand side of the forced heat flow e^{t L}u0 + int_0^t e^{(t-s) L} g_s ds.
-
-    The forcing's half-spectra (env(t) times the base's, transformed once), or None with no forcing.
-    """
-    return None if g.is_zero else (lambda s, ts, u_hat: g.spectra(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ known not to matter, so the estimate stays a lower bound over the same
 pair set.  Where squares of ``a`` could overflow or go subnormal (and lose
 their relative accuracy), nothing is skipped.
 
+One loop, ``_seminorm``, serves both seminorms: the isotropic seminorm of
+a field is the parabolic one of that field as a single frame, whose only
+time offset is 0, so its denominators are the spatial ``dist**alpha``.
+
 The parabolic pair set (spatial offsets, time offsets, pair count and the
 exhaustive flag) depends only on the grid, the frame count, alpha and the
 sampling, and ``_parabolic_pairs`` chooses it for both parabolic
@@ -151,17 +155,6 @@ def _pair_cap(a: np.ndarray, peak: float) -> float:
     return math.inf if a.any() else 0.0
 
 
-@lru_cache(maxsize=256)
-def _ordered_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: bool, alpha: float) -> tuple:
-    """(offsets, their ``dist**alpha``, exhaustive flag) of ``_iso_offsets``, by increasing ``dist**alpha``.
-
-    Memoized: the list depends only on the grid, the sampling and alpha.
-    """
-    offsets, exhaustive = _iso_offsets(spec, seed, per_stratum, force_sampled)
-    powered = sorted((_offset_distance(spec, o) ** alpha, o) for o in offsets)
-    return tuple(o for _, o in powered), tuple(p for p, _ in powered), exhaustive
-
-
 def _pruned_max(a, offsets, denoms, cap: float, best: float, spatial_axes) -> float:
     """``best`` raised by the quotients of ``a`` over ``offsets`` (denominators ascending).
 
@@ -176,10 +169,7 @@ def _pruned_max(a, offsets, denoms, cap: float, best: float, spatial_axes) -> fl
 
 
 def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: bool = False):
-    """Yield spatial offsets: exhaustive when affordable, else stratified.
-
-    Returns (offsets, exhaustive_flag).
-    """
+    """(spatial offsets, exhaustive flag): every offset when affordable, else stratified samples."""
     n, d = spec.n, spec.d
     if not force_sampled and spec.num_nodes**2 / 2 <= EXHAUSTIVE_PAIR_LIMIT:
         if d == 1:
@@ -209,29 +199,22 @@ def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: boo
 def iso_seminorm_array(
     values: np.ndarray, spec: GridSpec, alpha: float, seed: int = 0, per_stratum: int = PER_STRATUM
 ) -> HolderEstimate:
-    """Isotropic seminorm of a channels-first sample array (ch,) + shape."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape[1:] != spec.shape:
-        raise ValueError("sample shape mismatch")
-    spatial_axes = tuple(range(1, spec.d + 1))
-    ordered, dpows, exhaustive = _ordered_offsets(spec, seed, per_stratum, False, alpha)
-    cap = _pair_cap(v, _diff_max(v, (0,) * spec.d, spatial_axes))
-    best = _pruned_max(v, ordered, dpows, cap, 0.0, spatial_axes)
-    return HolderEstimate(best, len(ordered) * spec.num_nodes, exhaustive)
+    """Isotropic seminorm of a channels-first sample array (ch,) + shape: ``_seminorm`` of it as one frame."""
+    return _seminorm(np.asarray(values)[None], spec, 0.0, alpha, seed, per_stratum)
 
 
 @lru_cache(maxsize=256)
 def _parabolic_pairs(spec: GridSpec, nt: int, alpha: float, seed: int, per_stratum: int) -> tuple:
-    """The pair set of the parabolic seminorm of ``nt`` frames on ``spec``.
+    """The pair set of the parabolic seminorm of ``nt`` frames on ``spec`` (one frame: the isotropic pair set).
 
     Returns (spatial offsets, their ``dist**alpha``, time offsets, exhaustive
     flag, pair count); the spatial offsets ascend in ``dist**alpha`` and the
     time offsets start at 0.  Memoized: it depends only on its arguments.
     """
     exhaustive = (nt * spec.num_nodes) ** 2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
-    ordered, dpows, space_exh = _ordered_offsets(spec, seed, per_stratum, not exhaustive, alpha)
+    offsets, space_exh = _iso_offsets(spec, seed, per_stratum, not exhaustive)
+    powered = sorted((_offset_distance(spec, o) ** alpha, o) for o in offsets)
+    ordered, dpows = tuple(o for _, o in powered), tuple(p for p, _ in powered)
     if exhaustive and space_exh:
         time_offsets = tuple(range(nt))
     else:
@@ -258,9 +241,16 @@ def parabolic_seminorm_array(
     Pairs are graded by the parabolic distance |x - x'| + sqrt|t - t'|;
     the denominator is |x - x'|^alpha + |t - t'|^{alpha/2}.
     """
+    return _seminorm(u, spec, dt, alpha, seed, per_stratum)
+
+
+def _seminorm(u, spec: GridSpec, dt: float, alpha: float, seed: int, per_stratum: int) -> HolderEstimate:
+    """The pruned loop of both seminorms, over frames (nt, ch) + shape spaced by ``dt``."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     u = np.asarray(u, dtype=np.float64)
+    if u.shape[2:] != spec.shape:
+        raise ValueError("sample shape mismatch")
     spatial_axes = tuple(range(2, spec.d + 2))
     ordered, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, u.shape[0], alpha, seed, per_stratum)
 

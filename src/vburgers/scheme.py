@@ -30,7 +30,7 @@ from .fields import (
     time_derivative_arrays,
 )
 from .forcing import Forcing, ZeroForcing
-from .heat import forced_heat_rhs, integrate, n_steps
+from .heat import integrate, n_steps
 from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
 from .transport import _blocking_guard, _transport_rhs
 
@@ -205,7 +205,8 @@ class _Wavefront:
 
         def own(lanes: int) -> int:
             block = fields.tick_steps(steps, lanes, spec)
-            return (2 * block + 3) * lanes * self.frame + 8 * lanes * len(SUP_ROWS) * (steps + lanes * block)
+            rings = block + 2 if drift is None else 2 * block + 3  # raw, and dal but for iterate 0
+            return rings * lanes * self.frame + 8 * lanes * len(SUP_ROWS) * (steps + lanes * block)
 
         kept = _Frames(spec, u0.values[None])
         lanes = 1 if record_holder or drift is None else min(cfg.m_max - m0, max(1, fields.LANE_SAMPLES // spec.num_nodes))
@@ -437,11 +438,9 @@ def run_picard(
         start = time.perf_counter()
         front = _Wavefront(cfg, u0, drift, len(records) - 1, run, min_iters, record_holder)
         lanes = front.lanes
-        if drift is None:  # iterate 0, the forced heat flow
-            rhs, guard = forced_heat_rhs(g), None
-        else:
-            rhs, guard = _transport_rhs(spec, g, front.drift_at), _blocking_guard(spec)
-        integrate(u0.values, spec, cfg.T, cfg.dt, rhs, guard, lanes, front.take)
+        heat_flow = drift is None  # iterate 0, the forced heat flow: no drift, no blocking guard
+        rhs = _transport_rhs(spec, g, None if heat_flow else front.drift_at)
+        integrate(u0.values, spec, cfg.T, cfg.dt, rhs, None if heat_flow else _blocking_guard(spec), lanes, front.take)
         try:
             recs, drift, converged = front.finish()
         finally:
@@ -579,13 +578,25 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def run_summary_json(t_init: float, converged: bool, residual: float, kc: KConstants) -> str:
-    """Run-level summary; an unbounded existence time serializes as "inf"."""
+def reference_scales(kfn, cfg: SchemeConfig) -> dict:
+    """The paper's reference scales of a run, from its K(t) ``kfn`` at the scheme's c.
+
+    Grid points per reference length K(t)^{-1/2} at t = 0 and T (inf where
+    K = 0), and the step in reference times dt K(T).
+    """
+    k0, kT = (kfn(t, cfg.c).K for t in (0.0, cfg.T))
+    per_length = [math.inf if k == 0 else k**-0.5 / cfg.grid.h for k in (k0, kT)]
+    return {"points_per_length_0": per_length[0], "points_per_length_T": per_length[1], "dt_K_T": cfg.dt * kT}
+
+
+def run_summary_json(t_init: float, converged: bool, residual: float, kc: KConstants, scales: dict) -> str:
+    """Run-level summary with the ``reference_scales``; an unbounded value serializes as "inf"."""
     return json.dumps(
         {
             "t_init": "inf" if math.isinf(t_init) else t_init,
             "converged": bool(converged),
             "residual": residual,
             "k_constants": json.loads(kc.to_json()),
+            "reference_scales": {key: "inf" if math.isinf(v) else v for key, v in scales.items()},
         }
     )

@@ -5,6 +5,8 @@ matrix or a matrix field, fixed in time.  Diffusion is exact through the
 spectral integrating factor and the advection / zeroth-order / source part
 takes an explicit midpoint stage (``heat.integrate``), second order in dt
 overall.  Quadratic products are dealiased by the two-thirds rule.
+``_transport_rhs`` builds that stage for every ``heat.integrate`` caller:
+these solves and the Picard iterates, iterate 0's forced heat flow included.
 """
 from __future__ import annotations
 
@@ -141,33 +143,31 @@ def _blocking_guard(spec: GridSpec):
     return guard
 
 
-def _transport_rhs(spec: GridSpec, g: Forcing, drift):
-    """Right-hand side of ``heat.integrate`` for d_t u - Lap u + b.grad u = g, on every lane at once.
+def _transport_rhs(spec: GridSpec, g: Forcing, drift, C=None):
+    """The one right-hand side of ``heat.integrate`` for d_t u - Lap u + b.grad u + C u = g, on every lane at once.
 
-    ``drift(s, ts)`` gives the dealiased drift of the active lanes at
-    their times, stacked (a, d) + shape, or is None.
+    ``drift(s, ts)`` gives the dealiased drift of the active lanes, stacked
+    (a, d) + shape, or is None.  Pure heat flow gets None, ``integrate``'s
+    heat-only step, and forced heat flow the forcing's half-spectra.
     """
+    if drift is None and C is None:
+        return None if g.is_zero else (lambda s, ts, u_hat: g.spectra(ts))
 
     def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
         a = np.zeros_like(u_hat) if drift is None else advect_hat(drift(s, ts), u_hat, spec)
-        return np.subtract(0.0 if g.is_zero else g.spectra(ts), a, out=a)
+        out = np.subtract(0.0 if g.is_zero else g.spectra(ts), a, out=a)
+        if C is not None:
+            for lane, uh in zip(out, u_hat):
+                lane -= _apply_matrix_hat(C, uh, spec)
+        return out
 
     return rhs
 
 
 def solve_transport(p: TransportProblem) -> Trajectory:
     """Integrating-factor midpoint solve; raises on blocking or divergence."""
-    spec = p.grid
-    advect = _transport_rhs(spec, p.f, _dealiased_drift(p))
-
-    def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
-        out = advect(s, ts, u_hat)
-        if p.C is not None:
-            out[0] -= _apply_matrix_hat(p.C, u_hat[0], spec)
-        return out
-
-    u = integrate(p.u0.values, spec, p.T, p.dt, rhs, _blocking_guard(spec))
-    return Trajectory(spec, 0.0, p.dt, u)
+    rhs = _transport_rhs(p.grid, p.f, _dealiased_drift(p), p.C)
+    return Trajectory(p.grid, 0.0, p.dt, integrate(p.u0.values, p.grid, p.T, p.dt, rhs, _blocking_guard(p.grid)))
 
 
 def _log_amplification(p: TransportProblem, times: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vburgers import heat
+from vburgers import heat, transport
 from vburgers.fields import GridSpec, Trajectory, VectorField, make_trig_field
 
 TWO_PI = 2 * np.pi
@@ -9,7 +9,8 @@ TWO_PI = 2 * np.pi
 
 def forced_heat(u0: VectorField, g, T: float, dt: float) -> Trajectory:
     """The forced heat flow e^{t L}u0 + int_0^t e^{(t-s) L} g_s ds, as the Picard run's iterate 0 marches it."""
-    return Trajectory(u0.grid, 0.0, dt, heat.integrate(u0.values, u0.grid, T, dt, heat.forced_heat_rhs(g), None))
+    rhs = transport._transport_rhs(u0.grid, g, None)
+    return Trajectory(u0.grid, 0.0, dt, heat.integrate(u0.values, u0.grid, T, dt, rhs, None))
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, make_trig_field
-from vburgers.forcing import ConstantForcing, GradientForcing, TrigForcing, ZeroForcing
+from vburgers.forcing import ConstantForcing, TrigForcing, ZeroForcing
 from vburgers.heat import heat_apply, holder_scaling_probe
 from vburgers.norms import KProfile, compute_k_constants, interpolation_gap, sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, residual as burgers_residual

@@ -283,8 +283,13 @@ def test_summary_k_is_the_k_the_checks_use(tmp_path):
     )
     assert main(["run", path]) == 0
     out = tmp_path / "out"
-    kc = json.loads((out / "summary.json").read_text())["k_constants"]
+    summary = json.loads((out / "summary.json").read_text())
+    kc = summary["k_constants"]
     assert json.loads((out / "kconstants.json").read_text()) == kc
+    # the reference scales read the same K(T): points per K^{-1/2} on h = 2 pi / 32, and dt K
+    scales = summary["reference_scales"]
+    assert scales["points_per_length_T"] == kc["K"] ** -0.5 / (6.283185307179586 / 32)
+    assert scales["dt_K_T"] == kc["K"] / 128
     holder = json.loads((out / "uniform_holder.json").read_text())
     assert holder["rhs"] == [(kc["c"] * kc["K"]) ** ((3.0 + kc["alpha"]) / 2.0)]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vburgers import norms
-from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, hessian_arrays, make_trig_field
+from vburgers.fields import GridSpec, Trajectory, VectorField, hessian_arrays, make_trig_field
 from vburgers.forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
 from vburgers.heat import heat_apply, lacunary_field
 from vburgers.norms import (
@@ -32,7 +32,7 @@ from vburgers.norms import (
     _iso_offsets,
     _offset_distance,
 )
-from vburgers.scheme import SchemeConfig, compute_t_init, run_picard
+from vburgers.scheme import SUP_ROWS, SchemeConfig, compute_t_init, rescale_viscosity, run_picard, unrescale
 from vburgers.verify import check_short_time, check_uniform
 
 TWO_PI = 2 * np.pi
@@ -123,6 +123,22 @@ def test_parabolic_equals_iso_for_static_trajectory(grid1d, random_field):
     vals = np.stack([c.values for c in random_field.components])
     iso = iso_seminorm_array(vals, grid1d, 0.5, seed=0).value
     assert par == pytest.approx(iso, rel=1e-12)
+    # one frame has the time offset 0 alone: the same loop, pairs and float as the isotropic seminorm
+    for kind, (d, n) in itertools.product(PRUNING_KINDS, [(1, 64), (2, 16), (3, 8), (1, 8192)]):
+        spec = GridSpec(d, n, TWO_PI)
+        v = _pruning_data(kind, spec)
+        for alpha in (0.5, 0.999):
+            iso = iso_seminorm_array(v, spec, alpha, seed=2, per_stratum=4)
+            par = parabolic_seminorm_array(v[None], spec, 0.1, alpha, seed=2, per_stratum=4)
+            assert (par.value, par.pairs, par.exhaustive) == (iso.value, iso.pairs, iso.exhaustive), (kind, d, n)
+
+
+def test_parabolic_rejects_frames_of_another_grid():
+    spec = GridSpec(1, 32, TWO_PI)
+    with pytest.raises(ValueError, match="sample shape mismatch"):
+        parabolic_seminorm_array(np.ones((3, 1, 16)), spec, 0.1, 0.5)
+    with pytest.raises(ValueError, match="sample shape mismatch"):
+        iso_seminorm_array(np.ones((1, 16)), spec, 0.5)
 
 
 # The unpruned loops: every offset's quotient, in the offset order of the
@@ -346,7 +362,8 @@ def test_picard_run_scaling_covariance(d, n, forced, holder):
     # the paper's dimension count end to end, at lam = 2 where every map is a power of two: on the torus of
     # side pi, with 2 u0, g_lam, T / 4, dt / 4 and 2 tol_fp, run_picard marches the same iterates, its six
     # sup rows come out times 2, 4, 8, 8, 2 and 4 and its fixed point times 2, bit for bit; the Hoelder
-    # seminorms scale by 2^(3 + alpha) and the verify reports read the same ratios and exponents
+    # seminorms scale by 2^(3 + alpha) and the verify reports read the same ratios and exponents; the same run
+    # comes back from physical data at nu = 2 through the viscosity rescaling
     lam, alpha, seed = 2.0, 0.5, 0
     (u0, g), (u_lam, g_lam) = _scaled_data(d, n, lam)
     if not forced:
@@ -365,6 +382,23 @@ def test_picard_run_scaling_covariance(d, n, forced, holder):
             for name in ("holder_hess", "holder_dt"):
                 assert getattr(rec_lam, name) == pytest.approx(lam ** (3 + alpha) * getattr(rec, name), rel=1e-13)
     assert fp_lam.values.tobytes() == (lam * fp.values).tobytes()
+
+    # viscosity nu = 2 is a matter of scale too: the physical data 2 u0 and 4 base at env(2 t) map into the unit
+    # frame as u0 and g themselves, march bit for bit as they do, and the fixed point maps back times 2 on times / 2
+    nu = 2.0
+    g_nu = ZeroForcing(u0.grid)
+    if forced:
+        g_nu = Forcing(VectorField(u0.grid, nu**2 * g.values), lambda t: g.env(nu * t), lambda t: nu * g.env_dt(nu * t))
+    u_unit, g_unit = rescale_viscosity(VectorField(u0.grid, nu * u0.values), g_nu, nu)
+    recs_unit, fp_unit, conv_unit = run_picard(cfg, u_unit, g_unit, record_holder=holder)
+    assert conv_unit and [r.m for r in recs_unit] == [r.m for r in recs]
+    for rec, rec_unit in zip(recs, recs_unit):
+        for name in ("times",) + SUP_ROWS:
+            assert getattr(rec_unit, name).tobytes() == getattr(rec, name).tobytes(), (rec.m, name)
+        assert (rec_unit.holder_hess, rec_unit.holder_dt) == (rec.holder_hess, rec.holder_dt), rec.m
+    phys, _ = unrescale(fp_unit, nu)
+    assert (phys.t0, phys.dt) == (0.0, fp.dt / nu)
+    assert phys.values.tobytes() == (nu * fp.values).tobytes()
 
     kfns = [KProfile(u, f, alpha, seed) for u, f in ((u0, g), (u_lam, g_lam))]
     checks = [check_short_time] + ([lambda r, k: check_uniform(r, k, alpha=alpha)] if holder else [])

@@ -4,7 +4,7 @@ import pytest
 from vburgers import oracle
 from vburgers.errors import OracleError, ResolutionError
 from vburgers.fields import GridSpec, ScalarField, VectorField, gradient, make_trig_field
-from vburgers.forcing import GradientForcing, ZeroForcing
+from vburgers.forcing import GradientForcing
 from vburgers.norms import sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve, residual
 

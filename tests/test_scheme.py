@@ -37,6 +37,7 @@ from vburgers.scheme import (
     SchemeConfig,
     compute_t_init,
     records_to_csv,
+    reference_scales,
     rescale_viscosity,
     run_picard,
     run_summary_json,
@@ -259,10 +260,31 @@ def test_records_csv_shape(grid1d):
 
 def test_summary_json_fields(grid1d, sin_field):
     kc = compute_k_constants(sin_field, ZeroForcing(grid1d), t=0.25)
-    s = json.loads(run_summary_json(math.inf, True, 1e-6, kc))
+    scales = reference_scales(KProfile(sin_field, ZeroForcing(grid1d)), small_cfg(grid1d, T=0.25))
+    s = json.loads(run_summary_json(math.inf, True, 1e-6, kc, scales))
     assert s["t_init"] == "inf"
     assert s["converged"] is True
     assert set(s["k_constants"]) == {"t", "c", "alpha", "nu", "K0", "K1", "K2", "K2alpha", "K"}
+    assert s["reference_scales"] == scales
+
+
+def test_reference_scales_on_criterion_01_datum(grid1d):
+    # criterion 01's datum (1-D n=128, T=1, dt=1e-3, c=1): K = 8.81 at every t without forcing, so a reference
+    # length K^{-1/2} spans 6.86 grid points and a step is 0.0088 reference times; a zero datum has K = 0
+    u0 = _cole_hopf_datum()
+    cfg = SchemeConfig(grid=u0.grid, T=1.0, dt=1e-3)
+    scales = reference_scales(KProfile(u0, ZeroForcing(u0.grid)), cfg)
+    assert list(scales) == ["points_per_length_0", "points_per_length_T", "dt_K_T"]
+    assert scales["points_per_length_0"] == scales["points_per_length_T"] == pytest.approx(6.8636, abs=5e-5)
+    assert scales["dt_K_T"] == pytest.approx(0.0088095, abs=5e-8)
+    # c enters as K = c^2 base
+    at_c2 = reference_scales(KProfile(u0, ZeroForcing(u0.grid)), dataclasses.replace(cfg, c=2.0))
+    assert at_c2["dt_K_T"] == pytest.approx(4 * scales["dt_K_T"], rel=1e-14)
+    zero = VectorField.zero(grid1d)
+    flat = reference_scales(KProfile(zero, ZeroForcing(grid1d)), small_cfg(grid1d, T=0.25))
+    kc = compute_k_constants(zero, ZeroForcing(grid1d), t=0.25)
+    s = json.loads(run_summary_json(math.inf, True, 0.0, kc, flat))
+    assert s["reference_scales"] == {"points_per_length_0": "inf", "points_per_length_T": "inf", "dt_K_T": 0.0}
 
 
 @pytest.mark.parametrize("d, n, T", [(2, 32, 1 / 16), (3, 16, 1 / 32)])

@@ -284,7 +284,6 @@ def test_parabolic_rescale_identity_at_j_zero(grid1d, random_field):
 
 def test_parabolic_rescale_residual_covariance():
     # residual of the rescaled bundle = M^j * original residual, node for node
-    from vburgers.oracle import residual as burgers_residual
     from vburgers.fields import laplacian_arrays, time_derivative_frames
 
     g = GridSpec(1, 128, TWO_PI)
