@@ -1,8 +1,10 @@
 """Exact spectral heat propagator, the integrating-factor midpoint integrator
 built on it, and heat-kernel scaling probes.
 
-The integrator's right-hand sides, forced heat flow included, are all built
-by ``transport._transport_rhs``."""
+The transport solves and the Picard iterates, forced heat flow included,
+build the integrator's right-hand sides with ``transport._transport_rhs``;
+``oracle.cole_hopf`` (its f phi stage) and ``oracle.direct_solve``
+(self-advection) build their own."""
 from __future__ import annotations
 
 import json
@@ -77,8 +79,9 @@ def integrate(u0: np.ndarray, spec: GridSpec, T: float, dt: float, rhs, guard, l
         s_hat = E_half (u_hat + dt/2 rhs(t, u_hat))
         u_hat = E u_hat + dt E_half rhs(t + dt/2, s_hat)
 
-    ``rhs`` comes from ``transport._transport_rhs``, the only builder of
-    right-hand sides: None is pure heat flow.
+    ``rhs`` is None for pure heat flow.  ``transport._transport_rhs``
+    builds it for the transport solves and the Picard iterates;
+    ``oracle.cole_hopf`` and ``oracle.direct_solve`` build their own.
 
     The state carries a leading lane axis: ``lanes`` problems that share u0
     march in ticks of B = ``fields.tick_steps(n_steps, lanes, spec)`` steps,

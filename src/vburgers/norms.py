@@ -355,10 +355,6 @@ class KConstants:
     def K(self) -> float:
         return self.c**2 * self.base
 
-    @property
-    def Kbar(self) -> float:
-        return self.c * self.K
-
     def at_c(self, c: float) -> "KConstants":
         """Same data scales, different multiplicative constant."""
         return replace(self, c=c)

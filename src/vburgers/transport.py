@@ -5,8 +5,9 @@ matrix or a matrix field, fixed in time.  Diffusion is exact through the
 spectral integrating factor and the advection / zeroth-order / source part
 takes an explicit midpoint stage (``heat.integrate``), second order in dt
 overall.  Quadratic products are dealiased by the two-thirds rule.
-``_transport_rhs`` builds that stage for every ``heat.integrate`` caller:
-these solves and the Picard iterates, iterate 0's forced heat flow included.
+``_transport_rhs`` builds that stage for these solves and the Picard
+iterates, iterate 0's forced heat flow included; the oracle solves
+(``oracle.cole_hopf``, ``oracle.direct_solve``) build their own.
 """
 from __future__ import annotations
 

@@ -34,7 +34,7 @@ SCHAUDER_FORMS = ("grad_sup", "grad_holder", "second_sup", "second_holder")
 ROUNDING_FLOOR = 1e3 * np.finfo(float).eps  # relative to the largest iterate norm
 CHECK_TOL = 1e-9  # slack tolerance of the uniform and short-time reports
 SAMPLE_TIMES = 33  # frames sampled by the uniform checks
-C_STAR_HI, C_STAR_REL_TOL, C_STAR_TOL = 1e8, 1e-3, 1e-12  # fit_c_star's range top, log-width and slack
+C_STAR_TOL = 1e-12  # fit_c_star's slack, relative to the largest LHS
 BALL_SEED = 0  # directions of the 3-D ball samples
 BALL_TIMES, BALL_RADII, BALL_DIRECTIONS = 7, 4, 8  # ball sample layout
 
@@ -104,39 +104,38 @@ def _make_report(name, params, times, lhs, rhs, c_star, tol=1e-12) -> BoundRepor
     return BoundReport(name, dict(params), times, lhs, rhs, float(c_star), verdict, worst_t, worst_ratio)
 
 
-def _fitted_report(name, params, times, lhs, rhs_fn, c) -> BoundReport:
-    """Report of lhs against rhs_fn(c), with c* fitted from c = 1 up and the check tolerance."""
-    return _make_report(name, params, times, lhs, rhs_fn(c), fit_c_star(lhs, rhs_fn, lo=1.0), CHECK_TOL)
+def _fitted_report(name, params, times, lhs, rhs1, p, c, log_rhs1=None, tol=CHECK_TOL) -> BoundReport:
+    """Report of lhs against rhs1 c^p at the run's c, with c* = max(1, c_min) and c_min in the params.
 
-
-def fit_c_star(lhs, rhs_fn, lo: float = 1e-4) -> float:
-    """Minimal c with lhs <= rhs_fn(c) everywhere, assuming rhs nondecreasing in c.
-
-    Conventions: an all-zero LHS or a c-independent RHS that already holds
-    reports 1.0; a bound that fails even at the top of the range reports inf.
+    rhs1 is the right-hand side at c = 1 and p its power of c; log_rhs1, the
+    log of rhs1, is passed where rhs1 itself can underflow.
     """
-    lhs = np.asarray(lhs, dtype=float)
+    if log_rhs1 is None:
+        with np.errstate(divide="ignore"):
+            log_rhs1 = np.log(rhs1)
+    c_min = fit_c_star(lhs, log_rhs1, p)
+    rhs = np.asarray(rhs1, dtype=float) * float(c) ** np.asarray(p, dtype=float)
+    return _make_report(name, {**params, "c_min": c_min}, times, lhs, rhs, max(1.0, c_min), tol)
 
-    def ok(c: float) -> bool:
-        return bool(np.all(lhs <= np.asarray(rhs_fn(c), dtype=float) + C_STAR_TOL))
 
-    if lhs.size == 0 or not np.any(lhs > 0):
-        return 1.0
-    if not ok(C_STAR_HI):
+def fit_c_star(lhs, log_rhs1, p) -> float:
+    """Smallest c >= 0 with lhs <= rhs1 c^p + tol on every row, in closed form.
+
+    log_rhs1 is the log of each row's right-hand side at c = 1 (-inf for 0)
+    and p >= 0 its power of c, so a row needs c >= ((lhs - tol) / rhs1)^{1/p}.
+    The slack tol is C_STAR_TOL times the largest LHS, so c_min does not
+    depend on the units of the LHS.  A row with lhs <= tol imposes nothing,
+    so an all-zero LHS gives 0; a failing row with p = 0, or with rhs1 = 0,
+    gives inf.
+    """
+    lhs, log_rhs1, p = np.broadcast_arrays(np.asarray(lhs, dtype=float), log_rhs1, p)
+    tol = C_STAR_TOL * np.max(lhs, initial=0.0)
+    on = lhs > tol
+    log_need = np.log(lhs[on] - tol) - log_rhs1[on]  # log of the c^p each row needs
+    p = p[on]
+    if np.any(log_need[p == 0] > 0):
         return math.inf
-    r_lo, r_hi = np.asarray(rhs_fn(lo), dtype=float), np.asarray(rhs_fn(C_STAR_HI), dtype=float)
-    if np.allclose(r_lo, r_hi, rtol=1e-12, atol=0.0):
-        return 1.0
-    if ok(lo):
-        return lo
-    a, b = math.log(lo), math.log(C_STAR_HI)
-    while b - a > C_STAR_REL_TOL:
-        m = 0.5 * (a + b)
-        if ok(math.exp(m)):
-            b = m
-        else:
-            a = m
-    return math.exp(b)
+    return float(np.exp(np.max(log_need[p > 0] / p[p > 0], initial=-np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +167,16 @@ def check_uniform(records, kfn, c: float = 1.0, alpha: float = 0.5) -> dict:
     rows = [[r.sup_u[idx], r.sup_grad_u[idx], np.maximum(r.sup_hess_u[idx], r.sup_dt_u[idx])] for r in records]
     lhs_u, lhs_g, lhs_2 = np.max(rows, axis=0)
 
-    rhs_u = np.array([kc.K0 for kc in kcs])
-
-    def rhs_g(cc):
-        return np.array([kc.at_c(cc).K for kc in kcs])
-
-    def rhs_2(cc):
-        return np.array([kc.at_c(cc).Kbar ** 1.5 for kc in kcs])
-
-    kc_T = kcs[-1]
     lhs_h = np.array([max(max(r.holder_hess, r.holder_dt) for r in records)])
 
-    def rhs_h(cc):
-        return np.array([kc_T.at_c(cc).Kbar ** ((3.0 + alpha) / 2.0)])
-
+    # the right-hand sides at c = 1 and their powers of c: K0, K = c^2 base and (c K)^q = c^{3q} base^q
+    q_h = (3.0 + alpha) / 2.0
     params = {"c": c, "alpha": alpha}
     return {
-        "sup": _fitted_report("uniform_sup", params, ts, lhs_u, lambda _: rhs_u, c),
-        "grad": _fitted_report("uniform_grad", params, ts, lhs_g, rhs_g, c),
-        "second": _fitted_report("uniform_second", params, ts, lhs_2, rhs_2, c),
-        "holder": _fitted_report("uniform_holder", params, ts[-1:], lhs_h, rhs_h, c),
+        "sup": _fitted_report("uniform_sup", params, ts, lhs_u, [kc.K0 for kc in kcs], 0.0, c),
+        "grad": _fitted_report("uniform_grad", params, ts, lhs_g, [kc.base for kc in kcs], 2.0, c),
+        "second": _fitted_report("uniform_second", params, ts, lhs_2, [kc.base**1.5 for kc in kcs], 4.5, c),
+        "holder": _fitted_report("uniform_holder", params, ts[-1:], lhs_h, [kcs[-1].base**q_h], 3.0 * q_h, c),
     }
 
 
@@ -209,9 +198,7 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25) -> dict:
     times = records[0].times
     T = float(times[-1])
     kT = kfn(T)
-    kc = kT.at_c(c)
-    K0, K = kc.K0, kc.K
-    cK = c * K
+    cK = c * kT.at_c(c).K
 
     rows_t, rows_m = [], []
     lhs_v, lhs_gv = [], []
@@ -231,15 +218,15 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25) -> dict:
     lhs_v = np.asarray(lhs_v)
     lhs_gv = np.asarray(lhs_gv)
 
-    def rhs_v(cc):
-        kcc = kT.at_c(cc)
-        x = cc * kcc.K * rows_t / rows_m
-        return cc * kcc.K0 * x**rows_m
-
-    def rhs_gv(cc):
-        kcc = kT.at_c(cc)
-        x = cc * kcc.K * rows_t / rows_m
-        return cc * kcc.K * x ** (beta * rows_m)
+    # the right-hand sides at c = 1, with their logs, and their powers of c:
+    # c K0 x^m and c K x^{beta m} with x = c K t / m and K = c^2 base
+    B = kT.base
+    x = B * rows_t / rows_m
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+        log_v, log_gv = np.log(kT.K0) + rows_m * log_x, np.log(B) + beta * rows_m * log_x
+    rhs_v, p_v = kT.K0 * x**rows_m, 1.0 + 3.0 * rows_m
+    rhs_gv, p_gv = B * x ** (beta * rows_m), 3.0 + 3.0 * beta * rows_m
 
     x_reg = rows_m * np.log(np.maximum(cK * rows_t / rows_m, 1e-300))
 
@@ -255,8 +242,12 @@ def check_short_time(records, kfn, c: float = 1.0, beta: float = 0.25) -> dict:
 
     params = {"c": c, "beta": beta, "T": T, "m_list": sorted(set(int(m) for m in rows_m))}
     return {
-        "sup": _fitted_report("short_time_sup", {**params, "fitted_exponent": exp_v}, rows_t, lhs_v, rhs_v, c),
-        "grad": _fitted_report("short_time_grad", {**params, "fitted_exponent": exp_gv}, rows_t, lhs_gv, rhs_gv, c),
+        "sup": _fitted_report(
+            "short_time_sup", {**params, "fitted_exponent": exp_v}, rows_t, lhs_v, rhs_v, p_v, c, log_v
+        ),
+        "grad": _fitted_report(
+            "short_time_grad", {**params, "fitted_exponent": exp_gv}, rows_t, lhs_gv, rhs_gv, p_gv, c, log_gv
+        ),
     }
 
 
@@ -311,10 +302,7 @@ def check_gronwall(p: TransportProblem, p_bar: TransportProblem, tol: float | No
     if tol is None:
         scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
         tol = 25.0 * scale * p.dt**2 + 1e-10
-    return _make_report(
-        "gronwall", {"T": p.T, "dt": p.dt, "tol": tol}, times, lhs, rhs,
-        fit_c_star(lhs, lambda _: rhs), tol,
-    )
+    return _fitted_report("gronwall", {"T": p.T, "dt": p.dt, "tol": tol}, times, lhs, rhs, 0.0, 1.0, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +379,12 @@ def _interp_frames(arrs: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
     return (1 - w) * arrs[k] + w * arrs[k + 1]
 
 
-def _coeff_at(coef, t: float, pts: np.ndarray, width: int) -> np.ndarray:
-    """Evaluate a coefficient at space-time points; shape (npts, width)."""
-    npts = len(pts)
+def _coeff_on(coef, shape: tuple) -> np.ndarray:
+    """A constant coefficient, None (zero), a scalar or one value per channel, on shape (..., channels)."""
     if coef is None:
-        return np.zeros((npts, width))
-    if callable(coef):
-        out = np.asarray(coef(t, pts), dtype=float)
-        return out.reshape(npts, width)
+        return np.zeros(shape)
     arr = np.asarray(coef, dtype=float)
-    if arr.ndim == 0:
-        return np.full((npts, width), float(arr))
-    return np.broadcast_to(arr.reshape(1, width), (npts, width)).copy()
+    return np.broadcast_to(arr if arr.ndim == 0 else arr.reshape(shape[-1]), shape).copy()
 
 
 def _pair_seminorm(vals: np.ndarray, pts: np.ndarray, ts: np.ndarray, alpha: float) -> float:
@@ -441,7 +423,9 @@ def check_schauder_instance(
     "second_holder".  The right-hand side is assembled exactly, including
     the drift penalty R_b = (1 + M^{j/2} |b(t0, x0)|)^{-1}; the reported
     c_star is the implied constant LHS / RHS.  The "second_holder" form
-    uses alpha' = (alpha + 1) / 2.
+    uses alpha' = (alpha + 1) / 2.  The coefficients a, b and f are
+    constant: each is None (zero), a scalar or an array of one value per
+    channel (1, d and the channel count of u).
     """
     if which not in SCHAUDER_FORMS:
         raise ValueError(f"which must be one of {SCHAUDER_FORMS}")
@@ -469,15 +453,16 @@ def check_schauder_instance(
         return np.stack([evaluate_arrays(_interp_frames(arrs, times, t), grid, pts) for t in ts])
 
     # hypothesis checks: nonnegative zeroth-order coefficient, u solves the PDE
-    a_out = np.stack([_coeff_at(a, t, pts_out, 1)[:, 0] for t in ts_out])
+    on_out = (len(ts_out), len(pts_out))
+    a_out = _coeff_on(a, on_out + (1,))[..., 0]
     if a_out.min() < -1e-12:
         raise ValueError("the zeroth-order coefficient must be nonnegative on the ball")
     u_out = sample(u_arr, ts_out, pts_out)
     du_out = sample(dt_arr, ts_out, pts_out)
     lap_out = sample(lap_arr, ts_out, pts_out)
     grad_out = sample(grad_arr, ts_out, pts_out)
-    b_out = np.stack([_coeff_at(b, t, pts_out, d) for t in ts_out])
-    f_out = np.stack([_coeff_at(f, t, pts_out, ncomp) for t in ts_out])
+    b_out = _coeff_on(b, on_out + (d,))
+    f_out = _coeff_on(f, on_out + (ncomp,))
     adv = np.einsum("tpk,tpck->tpc", b_out, grad_out.reshape(len(ts_out), -1, ncomp, d))
     res = du_out + a_out[:, :, None] * u_out - lap_out - adv - f_out
     res_max = float(np.abs(res).max())
@@ -488,7 +473,7 @@ def check_schauder_instance(
     norm_f = _pair_seminorm(f_out, pts_out, ts_out, alpha)
     norm_a = _pair_seminorm(a_out[:, :, None], pts_out, ts_out, alpha)
     norm_b = _pair_seminorm(b_out, pts_out, ts_out, alpha)
-    b_center = _coeff_at(b, ball.t0, np.asarray([ball.x0]), d)[0]
+    b_center = _coeff_on(b, (d,))
     R_b = 1.0 / (1.0 + M ** (j / 2.0) * float(np.linalg.norm(b_center)))
 
     # the estimated quantities on the shrunk ball: the gradient, or the time derivative and the Hessian
@@ -556,18 +541,10 @@ def parabolic_rescale(u: Trajectory, coefficients: dict, j: int, M: float, ball:
     g2 = GridSpec(u.grid.d, u.grid.n, u.grid.L / sx)
     u2 = Trajectory(g2, u.t0 / sj, u.dt / sj, u.values)
 
-    def scale_coef(coef, amp, t_fac, x_fac):
-        if coef is None:
-            return None
-        if callable(coef):
-            return lambda t, pts: amp * np.asarray(coef(t * t_fac, np.asarray(pts) * x_fac))
-        return amp * np.asarray(coef, dtype=float)
+    def scale_coef(coef, amp):
+        return None if coef is None else amp * np.asarray(coef, dtype=float)
 
-    out = {
-        "a": scale_coef(coefficients.get("a"), sj, sj, sx),
-        "b": scale_coef(coefficients.get("b"), sx, sj, sx),
-        "f": scale_coef(coefficients.get("f"), sj, sj, sx),
-    }
+    out = {key: scale_coef(coefficients.get(key), amp) for key, amp in (("a", sj), ("b", sx), ("f", sj))}
     ball2 = None
     if ball is not None:
         ball2 = ParabolicBall(ball.t0 / sj, tuple(x / sx for x in ball.x0), ball.j - j, ball.M)

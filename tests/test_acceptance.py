@@ -122,6 +122,7 @@ def test_criterion_04_short_time_contraction():
     reports = check_short_time(recs, kfn, beta=0.25)
     exp_sup = reports["sup"].params["fitted_exponent"]
     exp_grad = reports["grad"].params["fitted_exponent"]
+    c_min = {key: rep.params["c_min"] for key, rep in reports.items()}
     ok = (
         decreasing
         and math.isfinite(reports["sup"].c_star)
@@ -133,28 +134,40 @@ def test_criterion_04_short_time_contraction():
         4,
         ok,
         f"ratios strictly decreasing m=3..8 ({decreasing}), update bound holds at fitted c "
-        f"(c*={reports['sup'].c_star:.3g}), exponents {exp_sup:.3f} >= 0.85 and {exp_grad:.3f} >= 0.2125",
+        f"(c*={reports['sup'].c_star:.3g}, c_min={c_min['sup']:.4g}/{c_min['grad']:.4g}), "
+        f"exponents {exp_sup:.3f} >= 0.85 and {exp_grad:.3f} >= 0.2125",
     )
 
 
 def test_criterion_05_minimal_constants_stable():
-    def cstars(n, dt, seed):
+    def constants(n, dt, seed):
         g = GridSpec(1, n, TWO_PI)
         u0 = make_trig_field(g, seed=seed, kmax=3, amplitude=0.3)
         cfg = SchemeConfig(grid=g, T=0.25, dt=dt, m_max=8, tol_fp=1e-12)
         recs, fp, conv = run_picard(cfg, u0, record_holder=True)
-        return {k: r.c_star for k, r in check_uniform(recs, KProfile(u0, ZeroForcing(g))).items()}
+        reports = check_uniform(recs, KProfile(u0, ZeroForcing(g)))
+        return {k: (r.c_star, r.params["c_min"]) for k, r in reports.items()}
 
-    worst_drift = 1.0
+    def drift(a, b):  # equal values, zeros included, do not drift
+        if a == b:
+            return 1.0
+        return max(a / b, b / a) if a > 0 and b > 0 else math.inf
+
+    worst_drift = worst_min_drift = 1.0
     for seed in (3, 11, 27):
-        base = cstars(64, 1 / 256, seed)
-        assert all(math.isfinite(v) for v in base.values())
-        for other in (cstars(64, 1 / 512, seed), cstars(128, 1 / 256, seed)):
-            for key in base:
-                r = other[key] / base[key]
-                worst_drift = max(worst_drift, r, 1.0 / r)
+        base = constants(64, 1 / 256, seed)
+        assert all(math.isfinite(c_star) for c_star, _ in base.values())
+        for other in (constants(64, 1 / 512, seed), constants(128, 1 / 256, seed)):
+            for key, (c_star, c_min) in base.items():
+                worst_drift = max(worst_drift, drift(other[key][0], c_star))
+                worst_min_drift = max(worst_min_drift, drift(other[key][1], c_min))
     ok = worst_drift <= 1.2
-    _verdict(5, ok, f"c* finite on all four uniform bounds, drift under dt/2 and 2n <= x{worst_drift:.3f} (<= x1.2)")
+    _verdict(
+        5,
+        ok,
+        f"c* finite on all four uniform bounds, drift under dt/2 and 2n <= x{worst_drift:.3f} (<= x1.2); "
+        f"c_min drift x{worst_min_drift:.3f}",
+    )
 
 
 def test_criterion_06_interpolation_battery():

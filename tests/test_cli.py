@@ -178,6 +178,21 @@ def test_oracle_compare_passes_on_cole_hopf_data(tmp_path):
     assert report["verdict"] == "pass" and report["sup_difference"] <= report["tolerance"]
 
 
+def test_run_failing_check_exit_one(tmp_path, capsys):
+    # a coarse step misses the exact Cole-Hopf solution by about 5.9e-4, above the 1e-5 tolerance
+    path = base_config(
+        tmp_path,
+        grid={"d": 1, "n": 32, "L": 6.283185307179586},
+        scheme={"T": 0.5, "dt": 1 / 16},
+        data={"kind": "cole_hopf", "epsilon": 0.5},
+        checks=["oracle_compare"],
+    )
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    report = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
+    assert report["verdict"] == "fail" and report["sup_difference"] > report["tolerance"] == 1e-5
+
+
 def test_oracle_compare_without_cole_hopf_data_exits_two_before_any_work(tmp_path, capsys):
     # the cole_hopf need is checked at load, so no Picard run writes its records first
     (tmp_path / "out").mkdir()

@@ -287,7 +287,6 @@ def test_k_constants_at_c_rescaling(grid1d, sin_field):
     kc = compute_k_constants(sin_field, ZeroForcing(grid1d), t=0.5, c=1.0)
     k2 = kc.at_c(2.0)
     assert k2.K == pytest.approx(4.0 * kc.base, rel=1e-12)
-    assert k2.Kbar == pytest.approx(8.0 * kc.base, rel=1e-12)
 
 
 def test_k_constants_require_c_at_least_one():
@@ -362,7 +361,7 @@ def test_picard_run_scaling_covariance(d, n, forced, holder):
     # the paper's dimension count end to end, at lam = 2 where every map is a power of two: on the torus of
     # side pi, with 2 u0, g_lam, T / 4, dt / 4 and 2 tol_fp, run_picard marches the same iterates, its six
     # sup rows come out times 2, 4, 8, 8, 2 and 4 and its fixed point times 2, bit for bit; the Hoelder
-    # seminorms scale by 2^(3 + alpha) and the verify reports read the same ratios and exponents; the same run
+    # seminorms scale by 2^(3 + alpha) and the verify reports read the same ratios, exponents and c_min; the same run
     # comes back from physical data at nu = 2 through the viscosity rescaling
     lam, alpha, seed = 2.0, 0.5, 0
     (u0, g), (u_lam, g_lam) = _scaled_data(d, n, lam)
@@ -407,6 +406,8 @@ def test_picard_run_scaling_covariance(d, n, forced, holder):
         for key, rep in reports.items():
             rep_lam = reports_lam[key]
             assert rep_lam.worst_ratio == pytest.approx(rep.worst_ratio, rel=1e-13), key
+            # c is dimensionless: the scaling leaves its smallest admissible value where it was
+            assert rep_lam.params["c_min"] == pytest.approx(rep.params["c_min"], rel=1e-9), key
             if "fitted_exponent" in rep.params:
                 assert math.isfinite(rep.params["fitted_exponent"])
                 assert rep_lam.params["fitted_exponent"] == pytest.approx(rep.params["fitted_exponent"], rel=1e-13), key

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vburgers.cli import main
 from vburgers.errors import OracleError, WindowError
@@ -14,6 +16,7 @@ from vburgers.norms import KProfile, compute_k_constants
 from vburgers.scheme import SchemeConfig, run_picard
 from vburgers.transport import TransportProblem
 from vburgers.verify import (
+    C_STAR_TOL,
     ROUNDING_FLOOR,
     BoundReport,
     ParabolicBall,
@@ -44,13 +47,47 @@ def picard_run():
 
 
 def test_fit_c_star_behaviour():
+    # rows need c >= ((lhs - tol) / rhs1)^{1/p}, tol relative to the largest LHS: the minimal c is the largest
     lhs = np.array([2.0, 3.0])
-    c = fit_c_star(lhs, lambda cc: cc * np.ones(2))
-    assert c == pytest.approx(3.0, rel=1e-2)
-    assert fit_c_star(np.zeros(3), lambda cc: cc * np.ones(3)) == 1.0
-    for lo in (1e-4, 1.0):  # a c-independent RHS reads 1.0 or inf whatever the range starts at
-        assert fit_c_star(lhs, lambda cc: np.ones(2), lo=lo) == math.inf  # fails
-        assert fit_c_star(np.array([0.5]), lambda cc: np.ones(1), lo=lo) == 1.0  # holds
+    tol = 3.0 * C_STAR_TOL
+    assert fit_c_star(lhs, 0.0, 1.0) == pytest.approx(3.0 - tol, rel=1e-15)
+    assert fit_c_star(lhs, np.log([1.0, 4.0]), [1.0, 2.0]) == pytest.approx(2.0 - tol, rel=1e-15)
+    assert fit_c_star(1e-6 * lhs, np.log(1e-6), 1.0) == pytest.approx(3.0 - tol, rel=1e-15)  # units drop out
+    assert fit_c_star(np.zeros(3), 0.0, 1.0) == 0.0  # a zero LHS imposes nothing
+    assert fit_c_star(lhs, 0.0, 0.0) == math.inf  # a c-independent bound that fails
+    assert fit_c_star(np.array([0.5]), 0.0, 0.0) == 0.0  # a c-independent bound that holds
+    assert fit_c_star(np.array([1.0 + 1e-13]), 0.0, 0.0) == 0.0  # ... within the slack
+    assert fit_c_star(np.array([1.0 + 1e-10]), 0.0, 0.0) == math.inf  # ... beyond it
+    assert fit_c_star(lhs, -math.inf, 2.0) == math.inf  # a zero RHS under a nonzero LHS
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.just(0.0) | st.floats(1e-3, 1e3),
+            st.floats(1e-6, 1e6),
+            st.just(0.0) | st.floats(0.5, 30.0),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_fit_c_star_is_the_smallest_admissible_c(rows):
+    lhs, rhs1, p = map(np.array, zip(*rows))
+    tol = C_STAR_TOL * lhs.max()
+
+    def holds(c):
+        with np.errstate(over="ignore"):  # a large c on another row's high power
+            return bool(np.all(lhs <= rhs1 * c**p + tol))
+
+    c = fit_c_star(lhs, np.log(rhs1), p)
+    if c == math.inf:
+        assert np.any((p == 0) & (lhs > rhs1 + tol))
+    elif c == 0:
+        assert holds(0.0)
+    else:
+        assert holds(c * (1 + 1e-9)) and not holds(c * (1 - 1e-9))
 
 
 def test_bound_report_serialization():
