@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,10 +23,20 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DivergenceError, OracleError, ResolutionError, WindowError
-from .fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field, write_snapshot
+from .fields import (
+    GridSpec,
+    ScalarField,
+    Trajectory,
+    VectorField,
+    gradient,
+    gradient_arrays,
+    hessian_arrays,
+    make_trig_field,
+    write_snapshot,
+)
 from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply_values, holder_scaling_probe, lacunary_field, n_steps
-from .norms import KProfile, frame_sups, interpolation_gap
+from .norms import KProfile, channel_sup, frame_sups, interpolation_gap
 from .oracle import COLE_HOPF_LAMBDA, cole_hopf, residual
 from .scheme import SchemeConfig, compute_t_init, records_to_csv, reference_scales, run_picard, run_summary_json
 from .transport import TransportProblem
@@ -121,17 +132,35 @@ def load_config(path: str) -> dict:
 
 
 def _build(cfg: dict):
-    """(scheme, u0, phi0, forcing) of a loaded config; a config they cannot be built from is a ConfigError."""
+    """(scheme, u0, phi0, forcing) of a loaded config; a config they cannot be built from is a ConfigError.
+
+    The datum and the forcing are built with numpy overflow and invalid
+    values raising, and their fields must have finite sups and first two
+    derivative sups, so an overflowing amplitude is a ConfigError too.
+    """
     try:
-        grid = _build_grid(cfg["grid"])
-        u0, phi0 = _build_data(cfg["data"], grid)
-        scheme = _build_scheme(cfg["scheme"], grid)
-        picard = [chk for chk in cfg["checks"] if "records" in REGISTRY[chk][2]]
-        if picard and n_steps(scheme.T, scheme.dt) < 2:
-            raise ConfigError(f"{picard[0]} needs T >= 2 dt: the Picard records' time derivatives take three frames")
-        return scheme, u0, phi0, _build_forcing(cfg["forcing"], grid)
+        with np.errstate(over="raise", invalid="raise"):
+            grid = _build_grid(cfg["grid"])
+            u0, phi0 = _build_data(cfg["data"], grid)
+            _check_finite("data", u0.values, grid)
+            scheme = _build_scheme(cfg["scheme"], grid)
+            picard = [chk for chk in cfg["checks"] if "records" in REGISTRY[chk][2]]
+            if picard and n_steps(scheme.T, scheme.dt) < 2:
+                raise ConfigError(f"{picard[0]} needs T >= 2 dt: the Picard records' time derivatives take three frames")
+            forcing = _build_forcing(cfg["forcing"], grid)
+            _check_finite("forcing", forcing.values, grid)
+        return scheme, u0, phi0, forcing
+    except FloatingPointError as e:
+        raise ConfigError(f"the data or forcing does not fit in floats: {e}") from e
     except (ValueError, OverflowError) as e:  # the constructors' own checks; ResolutionError is a ValueError
         raise ConfigError(str(e)) from e
+
+
+def _check_finite(where: str, values: np.ndarray, grid: GridSpec) -> None:
+    """ConfigError unless the sup, gradient sup and Hessian sup of ``values`` are finite."""
+    arrays = (values, gradient_arrays(values, grid), hessian_arrays(values, grid))
+    if not all(math.isfinite(channel_sup(a, k)) for k, a in enumerate(arrays, 1)):
+        raise ConfigError(f"the {where} does not fit in floats: a sup of it or of its first two derivatives is not finite")
 
 
 def _build_grid(section: dict) -> GridSpec:

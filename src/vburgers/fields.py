@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,8 +44,15 @@ class GridSpec:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not (self.L > 0 and np.isfinite(self.L) and math.isfinite(2 * math.pi / float(self.L))):
-            raise ValueError(f"L must be positive and finite, and 2 pi / L finite, got {self.L}")
+        if not self.L > 0:
+            raise ValueError(f"L must be positive, got {self.L}")
+        # the squared node distances h^2 .. d (L/2)^2 of the seminorms and the squared wavenumbers
+        # (2 pi / L)^2 .. d (pi n / L)^2 must be normal floats: about 2.5e-154 n sqrt(d) <= L <= 1.2e154 / sqrt(d)
+        L, d = float(self.L), self.d
+        h, k, k_top = L / self.n, 2 * math.pi / L, math.pi * self.n / L
+        squares = (h * h, d * L * L / 4, k * k, d * k_top * k_top)
+        if not all(sys.float_info.min <= sq <= sys.float_info.max for sq in squares):
+            raise ValueError(f"L={self.L}: a squared node distance or wavenumber (2 pi / L)^2 is not a normal float")
 
     @property
     def h(self) -> float:

@@ -1,13 +1,13 @@
 """Linear parabolic transport solves (d_t - Lap + b.grad + C) u = f.
 
 The drift b may vary in time; the zeroth-order coefficient C is a constant
-matrix or a matrix field, fixed in time.  Diffusion is exact through the
-spectral integrating factor and the advection / zeroth-order / source part
-takes an explicit midpoint stage (``heat.integrate``), second order in dt
-overall.  Quadratic products are dealiased by the two-thirds rule.
-``_transport_rhs`` builds that stage for these solves and the Picard
-iterates, iterate 0's forced heat flow included; the oracle solves
-(``oracle.cole_hopf``, ``oracle.direct_solve``) build their own.
+matrix.  Diffusion is exact through the spectral integrating factor and the
+advection / zeroth-order / source part takes an explicit midpoint stage
+(``heat.integrate``), second order in dt overall.  Quadratic products are
+dealiased by the two-thirds rule.  ``_transport_rhs`` builds that stage for
+these solves and the Picard iterates, iterate 0's forced heat flow
+included; the oracle solves (``oracle.cole_hopf``, ``oracle.direct_solve``)
+build their own.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from .fields import (
     advect_hat,
     dealias_values,
     frame_blocks,
-    irfft,
-    rfft,
     rfft_shape,
 )
 from .forcing import Forcing, ZeroForcing
@@ -40,7 +38,7 @@ MP_DT2_FACTOR = 25.0
 class TransportProblem:
     u0: VectorField
     b: object = None  # None | VectorField | Trajectory
-    C: object = None  # None | (d, d) array | (d, d) + grid.shape array: the zeroth-order coefficient, constant in t
+    C: object = None  # None | (d, d) array: the zeroth-order coefficient, constant in t and x
     f: Forcing | None = None  # None: zero forcing, set in __post_init__
     T: float = 1.0
     dt: float = 1e-3
@@ -60,8 +58,8 @@ class TransportProblem:
             raise ValueError("source grid mismatch")
         if self.C is not None:  # converted once; a constant C has one operator norm
             c, d = np.asarray(self.C), grid.d
-            if c.dtype.kind not in "iuf" or c.shape not in ((d, d), (d, d) + grid.shape):
-                raise ValueError(f"C must be None or a real ({d}, {d}) or ({d}, {d}) + {grid.shape} array")
+            if c.dtype.kind not in "iuf" or c.shape != (d, d):
+                raise ValueError(f"C must be None or a real ({d}, {d}) array")
             self.C = np.asarray(c, dtype=np.float64)
 
     @property
@@ -79,13 +77,6 @@ class TransportProblem:
         if isinstance(self.b, VectorField):
             return self.b.values
         return self.b.values_at(t)
-
-
-def _apply_matrix_hat(m: np.ndarray, u_hat: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Half-spectrum of C u: a constant matrix acts on the spectrum, a field of matrices node-wise."""
-    if m.ndim == 2:  # np.tensordot(m, u_hat, axes=(1, 0)) without its argument handling
-        return np.dot(m, u_hat.reshape(len(u_hat), -1)).reshape(u_hat.shape)
-    return rfft(np.einsum("ij...,j...->i...", m, irfft(u_hat, spec)), spec)
 
 
 def _dealiased_drift(p: TransportProblem):
@@ -157,9 +148,9 @@ def _transport_rhs(spec: GridSpec, g: Forcing, drift, C=None):
     def rhs(s, ts, u_hat: np.ndarray) -> np.ndarray:
         a = np.zeros_like(u_hat) if drift is None else advect_hat(drift(s, ts), u_hat, spec)
         out = np.subtract(0.0 if g.is_zero else g.spectra(ts), a, out=a)
-        if C is not None:
+        if C is not None:  # the constant matrix acts on each lane's spectrum: np.tensordot(C, uh, axes=(1, 0))
             for lane, uh in zip(out, u_hat):
-                lane -= _apply_matrix_hat(C, uh, spec)
+                lane -= np.dot(C, uh.reshape(len(uh), -1)).reshape(uh.shape)
         return out
 
     return rhs
@@ -172,11 +163,11 @@ def solve_transport(p: TransportProblem) -> Trajectory:
 
 
 def _log_amplification(p: TransportProblem, times: np.ndarray) -> np.ndarray:
-    """log A(0, t): the trapezoid integral of the sup operator norm of the matrix term."""
+    """log A(0, t): the integral of the operator norm of the matrix term, which is constant in t."""
     out = np.zeros(times.size)
     if p.C is not None:
-        norm = opnorm_sup(p.C)  # C is fixed in time: one norm, integrated by the trapezoid rule
-        out[1:] = np.cumsum(0.5 * (norm + norm) * np.diff(times))
+        norm = opnorm_sup(p.C)
+        out[1:] = np.cumsum(norm * np.diff(times))
     return out
 
 
@@ -188,7 +179,7 @@ def _amplified_integral(log_a: np.ndarray, h: np.ndarray, times: np.ndarray) -> 
 
 
 def amplification_factors(p: TransportProblem, times: np.ndarray) -> np.ndarray:
-    """A(0, t) = exp of the integrated sup operator norm of the matrix term."""
+    """A(0, t) = exp(t |C|): the operator norm of the matrix term is constant in t."""
     return np.exp(_log_amplification(p, times))
 
 

@@ -99,6 +99,7 @@ def _mutated_configs(draw):
 @example(raw=b"\xff{}")
 @example(raw=json.dumps({**_VALID, "scheme": {"T": 1e300, "dt": 1e-300}}).encode())
 @example(raw=json.dumps({**_VALID, "forcing": {"kind": "trig", "seed": 1, "kmax": 2, "amplitude": -1}}).encode())
+@example(raw=json.dumps({**_VALID, "forcing": {**_VALID["forcing"], "amplitude": 1e308}}).encode())
 @settings(max_examples=500, deadline=None)
 def test_load_config_valid_or_config_error(tmp_path_factory, raw):
     # the runner's contract: a config it can build, or one ConfigError (exit 2)
@@ -242,12 +243,18 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         ({"out_dir": 7}, "out_dir"),
         ({"grid": {"d": 1, "n": 16, "L": 6.283185307179586}, "scheme": {"T": 1 / 128, "dt": 1 / 128}}, "T >= 2 dt"),
         ({"grid": {"d": 1, "n": 64, "L": 1e-320}}, "2 pi / L"),
+        ({"grid": {"d": 1, "n": 64, "L": 1e300}}, "2 pi / L"),
+        ({"grid": {"d": 1, "n": 64, "L": 1e-300}}, "2 pi / L"),
+        ({"forcing": {"kind": "gradient", "seed": 3, "kmax": 2, "amplitude": 1e308}}, "does not fit in floats"),
+        ({"forcing": {"kind": "trig", "seed": 3, "kmax": 2, "amplitude": 1e308}}, "does not fit in floats"),
+        ({"data": {"kind": "trig", "seed": 5, "kmax": 3, "amplitude": 1e200}}, "does not fit in floats"),
     ],
     ids=[
         "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
         "schauder_residual", "d_not_integer", "seed_not_integer", "kmax_not_integer", "seed_negative",
         "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "forcing_kmax_aliases",
-        "out_dir_not_string", "one_step_picard_horizon", "wavenumbers_overflow",
+        "out_dir_not_string", "one_step_picard_horizon", "wavenumbers_overflow", "distances_overflow",
+        "distances_underflow", "gradient_forcing_overflow", "trig_forcing_overflow", "data_overflow",
     ],
 )
 def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):

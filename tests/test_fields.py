@@ -43,7 +43,11 @@ def test_grid_validation():
     for L in (1e-320, np.float64(1e-320)):  # 2 pi / L overflows: the wavenumbers would be NaN
         with pytest.raises(ValueError, match="2 pi / L"):
             GridSpec(1, 64, L)
-    assert GridSpec(1, 64, 1e-300).L == 1e-300
+    # squared node distances or wavenumbers that are not normal floats: h^2 underflows, or d (L/2)^2 overflows
+    for L in (1e-300, 1e300, np.float64(1e-300), float("inf")):
+        with pytest.raises(ValueError, match="2 pi / L"):
+            GridSpec(1, 64, L)
+    assert GridSpec(3, 64, 1e-150).L == 1e-150 and GridSpec(3, 64, 1e150).L == 1e150
 
 
 def test_gradient_of_sin_is_cos(grid1d):
