@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,14 +28,12 @@ from .fields import (
     Trajectory,
     VectorField,
     gradient,
-    gradient_arrays,
-    hessian_arrays,
     make_trig_field,
     write_snapshot,
 )
 from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply_values, holder_scaling_probe, lacunary_field, n_steps
-from .norms import KProfile, channel_sup, frame_sups, interpolation_gap
+from .norms import KProfile, _block_sups, frame_sups, interpolation_gap
 from .oracle import COLE_HOPF_LAMBDA, cole_hopf, residual
 from .scheme import SchemeConfig, compute_t_init, records_to_csv, reference_scales, run_picard, run_summary_json
 from .transport import TransportProblem
@@ -158,8 +155,7 @@ def _build(cfg: dict):
 
 def _check_finite(where: str, values: np.ndarray, grid: GridSpec) -> None:
     """ConfigError unless the sup, gradient sup and Hessian sup of ``values`` are finite."""
-    arrays = (values, gradient_arrays(values, grid), hessian_arrays(values, grid))
-    if not all(math.isfinite(channel_sup(a, k)) for k, a in enumerate(arrays, 1)):
+    if not np.all(np.isfinite(_block_sups(values[None], grid)[1])):
         raise ConfigError(f"the {where} does not fit in floats: a sup of it or of its first two derivatives is not finite")
 
 

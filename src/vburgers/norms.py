@@ -43,6 +43,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import WindowError
 from .fields import (
     GridSpec,
     ScalarField,
@@ -51,12 +52,13 @@ from .fields import (
     frame_blocks,
     gradient_arrays,
     hessian_arrays,
+    rfft,
     time_derivative_frames,
 )
 from .forcing import Forcing
 
 EXHAUSTIVE_PAIR_LIMIT = 2**24
-PER_STRATUM = 8  # sampled spatial offsets per dyadic stratum, by default
+PER_STRATUM = 8  # sampled spatial offsets per dyadic stratum
 TIME_PER_STRATUM = 4  # sampled time offsets per dyadic stratum of the parabolic seminorm
 
 
@@ -95,16 +97,21 @@ def hessian_sup(v: VectorField) -> float:
     return channel_sup(hessian_arrays(v.values, v.grid), 3)
 
 
-def opnorm_sup(m: np.ndarray) -> float:
-    """Sup over nodes of the spectral norm of a (d x d)-matrix field.
+def _block_sups(u: np.ndarray, spec: GridSpec, uh: np.ndarray | None = None) -> tuple:
+    """(Hessians, [sup u, sup grad u, sup hess u]) of a block of frames, forward-transformed once (or given ``uh``)."""
+    uh = rfft(u, spec) if uh is None else uh
+    sup_grad = frame_sups(gradient_arrays(u, spec, uh), 2)
+    hess = hessian_arrays(u, spec, uh)
+    del uh  # the spectrum is not held while the Hessians are reduced: peak memory stays that of two transforms
+    return hess, [frame_sups(u, 1), sup_grad, frame_sups(hess, 3)]
 
-    ``m`` has shape (d, d) or (d, d) + grid shape.
-    """
+
+def opnorm_sup(m: np.ndarray) -> float:
+    """Spectral norm (largest singular value) of one constant (d, d) matrix; any other shape is a ValueError."""
     m = np.asarray(m, dtype=np.float64)
-    d = m.shape[0]
-    flat = m.reshape(d, d, -1).transpose(2, 0, 1)
-    sv = np.linalg.svd(flat, compute_uv=False)
-    return float(sv[:, 0].max())
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"opnorm_sup takes one square (d, d) matrix, got shape {m.shape}")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ def _pruned_max(a, offsets, denoms, cap: float, best: float, spatial_axes) -> fl
     return best
 
 
-def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: bool = False):
+def _iso_offsets(spec: GridSpec, seed: int, force_sampled: bool = False):
     """(spatial offsets, exhaustive flag): every offset when affordable, else stratified samples."""
     n, d = spec.n, spec.d
     if not force_sampled and spec.num_nodes**2 / 2 <= EXHAUSTIVE_PAIR_LIMIT:
@@ -181,7 +188,7 @@ def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: boo
     n_strata = int(math.log2(n // 2)) + 1
     for s in range(n_strata):
         lo, hi = 2**s, min(2 ** (s + 1), n // 2 + 1)
-        for _ in range(per_stratum):
+        for _ in range(PER_STRATUM):
             o = tuple(int(rng.integers(-hi + 1, hi)) % n for _ in range(d))
             centered = max(min(oi, n - oi) for oi in o)
             if centered >= lo or s == 0:
@@ -196,15 +203,13 @@ def _iso_offsets(spec: GridSpec, seed: int, per_stratum: int, force_sampled: boo
     return sorted(offsets), False
 
 
-def iso_seminorm_array(
-    values: np.ndarray, spec: GridSpec, alpha: float, seed: int = 0, per_stratum: int = PER_STRATUM
-) -> HolderEstimate:
+def iso_seminorm_array(values: np.ndarray, spec: GridSpec, alpha: float, seed: int = 0) -> HolderEstimate:
     """Isotropic seminorm of a channels-first sample array (ch,) + shape: ``_seminorm`` of it as one frame."""
-    return _seminorm(np.asarray(values)[None], spec, 0.0, alpha, seed, per_stratum)
+    return _seminorm(np.asarray(values)[None], spec, 0.0, alpha, seed)
 
 
 @lru_cache(maxsize=256)
-def _parabolic_pairs(spec: GridSpec, nt: int, alpha: float, seed: int, per_stratum: int) -> tuple:
+def _parabolic_pairs(spec: GridSpec, nt: int, alpha: float, seed: int) -> tuple:
     """The pair set of the parabolic seminorm of ``nt`` frames on ``spec`` (one frame: the isotropic pair set).
 
     Returns (spatial offsets, their ``dist**alpha``, time offsets, exhaustive
@@ -212,7 +217,7 @@ def _parabolic_pairs(spec: GridSpec, nt: int, alpha: float, seed: int, per_strat
     time offsets start at 0.  Memoized: it depends only on its arguments.
     """
     exhaustive = (nt * spec.num_nodes) ** 2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
-    offsets, space_exh = _iso_offsets(spec, seed, per_stratum, not exhaustive)
+    offsets, space_exh = _iso_offsets(spec, seed, not exhaustive)
     powered = sorted((_offset_distance(spec, o) ** alpha, o) for o in offsets)
     ordered, dpows = tuple(o for _, o in powered), tuple(p for p, _ in powered)
     if exhaustive and space_exh:
@@ -233,18 +238,16 @@ def _parabolic_pairs(spec: GridSpec, nt: int, alpha: float, seed: int, per_strat
     return ordered, dpows, time_offsets, exhaustive, pairs
 
 
-def parabolic_seminorm_array(
-    u: np.ndarray, spec: GridSpec, dt: float, alpha: float, seed: int = 0, per_stratum: int = PER_STRATUM
-) -> HolderEstimate:
+def parabolic_seminorm_array(u: np.ndarray, spec: GridSpec, dt: float, alpha: float, seed: int = 0) -> HolderEstimate:
     """Parabolic seminorm of a space-time array (nt, ch) + shape.
 
     Pairs are graded by the parabolic distance |x - x'| + sqrt|t - t'|;
     the denominator is |x - x'|^alpha + |t - t'|^{alpha/2}.
     """
-    return _seminorm(u, spec, dt, alpha, seed, per_stratum)
+    return _seminorm(u, spec, dt, alpha, seed)
 
 
-def _seminorm(u, spec: GridSpec, dt: float, alpha: float, seed: int, per_stratum: int) -> HolderEstimate:
+def _seminorm(u, spec: GridSpec, dt: float, alpha: float, seed: int) -> HolderEstimate:
     """The pruned loop of both seminorms, over frames (nt, ch) + shape spaced by ``dt``."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
@@ -252,7 +255,7 @@ def _seminorm(u, spec: GridSpec, dt: float, alpha: float, seed: int, per_stratum
     if u.shape[2:] != spec.shape:
         raise ValueError("sample shape mismatch")
     spatial_axes = tuple(range(2, spec.d + 2))
-    ordered, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, u.shape[0], alpha, seed, per_stratum)
+    ordered, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, u.shape[0], alpha, seed)
 
     best = 0.0
     for q in time_offsets:
@@ -274,7 +277,7 @@ def base_differences(base: np.ndarray, spec: GridSpec, nt: int, alpha: float, se
     ``base`` is channels-first, (ch,) + shape.  Entry 0 is max|base|, the
     zero offset; the others follow the offsets of ``_parabolic_pairs``.
     """
-    ordered = _parabolic_pairs(spec, nt, alpha, seed, PER_STRATUM)[0]
+    ordered = _parabolic_pairs(spec, nt, alpha, seed)[0]
     spatial_axes = tuple(range(1, spec.d + 1))
     return np.array([_diff_max(base, o, spatial_axes) for o in ((0,) * spec.d,) + ordered])
 
@@ -290,7 +293,7 @@ def separable_seminorm(
     ``parabolic_seminorm_array``.
     """
     env = np.asarray(env, dtype=np.float64)
-    _, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, len(env), alpha, seed, PER_STRATUM)
+    _, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, len(env), alpha, seed)
     amp = np.array([np.abs(env[q:] - env[:-q]).max() if q else np.abs(env).max() for q in time_offsets])
     tdenom = np.array([(q * dt) ** (alpha / 2.0) for q in time_offsets])
     best = (np.outer(amp, diffs[1:]) / np.add.outer(tdenom, dpows)).max(initial=0.0)
@@ -353,7 +356,14 @@ class KConstants:
 
     @property
     def K(self) -> float:
-        return self.c**2 * self.base
+        """c^2 base; a WindowError where that is not a finite float."""
+        try:
+            k = self.c**2 * self.base
+        except OverflowError:
+            k = math.inf
+        if not math.isfinite(k):
+            raise WindowError(f"K = c^2 base does not fit in floats at c={self.c:g}")
+        return k
 
     def at_c(self, c: float) -> "KConstants":
         """Same data scales, different multiplicative constant."""
@@ -395,13 +405,12 @@ class KProfile:
         Sup, sup grad, sup hess and Hessian seminorm of u0; the three sups of
         g.base and its differences for the seminorm of 17 frames.
         """
-        u0, spec = self.u0, self.u0.grid
-        hess = hessian_arrays(u0.values, spec)
+        spec, b = self.u0.grid, self.g.values
+        hess, sups = _block_sups(self.u0.values[None], spec)
         seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, self.alpha, self.seed).value
-        b = self.g.values
-        base_sups = channel_sup(b, 1), channel_sup(gradient_arrays(b, spec), 2), channel_sup(hessian_arrays(b, spec), 3)
+        base_sups = _block_sups(b[None], spec)[1]
         diffs = base_differences(b, spec, 17, self.alpha, self.seed)
-        return (sup_norm(u0), grad_sup(u0), channel_sup(hess, 3), seminorm) + base_sups + (diffs,)
+        return tuple(float(s[0]) for s in sups) + (seminorm,) + tuple(float(s[0]) for s in base_sups) + (diffs,)
 
     def __call__(self, t: float, c: float = 1.0) -> KConstants:
         if t < 0:

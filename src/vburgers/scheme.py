@@ -24,14 +24,13 @@ from .fields import (
     VectorField,
     dealias_values,
     gradient_arrays,
-    hessian_arrays,
     locate,
     rfft,
     time_derivative_arrays,
 )
 from .forcing import Forcing, ZeroForcing
 from .heat import integrate, n_steps
-from .norms import KConstants, KProfile, frame_sups, parabolic_seminorm_array
+from .norms import KConstants, KProfile, _block_sups, frame_sups, parabolic_seminorm_array
 from .transport import _blocking_guard, _transport_rhs
 
 T_INIT_INFINITE = math.inf
@@ -91,15 +90,6 @@ class IterationRecord:
 
 HELD_TRAJECTORIES = 3  # what one solve at a time held beyond its drift: dealiased drift, new iterate, d_t stack
 _CHUNK_SAMPLES = 2**10  # grid nodes per chunk of a kept trajectory
-
-
-def _block_sups(u: np.ndarray, spec: GridSpec, uh: np.ndarray | None = None) -> tuple:
-    """(Hessians, [sup u, sup grad u, sup hess u]) of a block of frames, forward-transformed once (or given ``uh``)."""
-    uh = rfft(u, spec) if uh is None else uh
-    sup_grad = frame_sups(gradient_arrays(u, spec, uh), 2)
-    hess = hessian_arrays(u, spec, uh)
-    del uh  # the spectrum is not held while the Hessians are reduced: peak memory stays that of two transforms
-    return hess, [frame_sups(u, 1), sup_grad, frame_sups(hess, 3)]
 
 
 class _Frames:
@@ -170,7 +160,7 @@ class _Wavefront:
     Hessian.
 
     A lane keeps its full trajectory only while it may still be returned
-    (m >= min_iters and its running update sup below tol_fp) or while it is
+    (its running update sup below tol_fp, and not iterate 0) or while it is
     the last lane, the next group's drift.  These decisions, the cuts and
     convergence are taken once per tick on the tick's running maxima: as
     ``running`` only grows, they come out as frame by frame.  The group
@@ -192,10 +182,9 @@ class _Wavefront:
     derivatives of its frames.
     """
 
-    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, m0: int, run, min_iters: int, record_holder: bool):
+    def __init__(self, cfg: SchemeConfig, u0: VectorField, drift: _Frames, m0: int, run, record_holder: bool):
         spec = self.spec = cfg.grid
         self.cfg, self.drift, self.m0 = cfg, drift, m0
-        self.min_iters = max(min_iters, 1)  # iterate 0 is never returned
         self.times, self.w_mid, sups0, hess0 = run
         steps = self.steps = len(self.times) - 1
 
@@ -225,7 +214,7 @@ class _Wavefront:
         self.mask = fields._dealias_mask(spec)
 
         # column j B is lane j's frame 0: the datum's sups, a zero update and a time derivative still to come
-        lane = self.lane_ids = np.arange(lanes)
+        lane = np.arange(lanes)
         self.cols = np.zeros((lanes, len(SUP_ROWS), steps + lanes * block))
         for row in (0, 1, 2):
             self.cols[lane, row, lane * block] = sups0[row]
@@ -251,8 +240,8 @@ class _Wavefront:
         return frame_k * (1.0 - w) + self.dal[lo:hi, b + 1] * w
 
     def _may_return(self, lo: int, hi: int) -> np.ndarray:
-        """Whether each of lanes lo .. hi - 1 may still be returned."""
-        return (self.running[lo:hi] < self.cfg.tol_fp) & (self.lane_ids[lo:hi] >= self.min_iters - self.m0 - 1)
+        """Whether each of lanes lo .. hi - 1 may still be returned; iterate 0 (no drift) never is."""
+        return (self.running[lo:hi] < self.cfg.tol_fp) & (self.drift is not None)
 
     def _cut(self, lanes: int) -> None:
         for j in range(lanes, self.lanes):
@@ -380,7 +369,6 @@ def run_picard(
     u0: VectorField,
     g: Forcing | None = None,
     record_holder: bool = False,
-    min_iters: int = 1,
     trace: list | None = None,
 ):
     """Iterate the linear transport solves until the update is negligible.
@@ -406,8 +394,8 @@ def run_picard(
     group's last lane (the next group's drift); while the group holds more
     than one solve at a time did, it is cut from the top, down to the
     highest lane below the last that may still be returned.  The first
-    m >= min_iters whose update sup is below tol_fp stops the run and the
-    lanes above it are discarded; a lane's DivergenceError or
+    m >= 1 whose update sup is below tol_fp stops the run and the lanes
+    above it are discarded; a lane's DivergenceError or
     ResolutionError is raised, with the message a lone solve gives, only if
     every lane below it ends unconverged and no later cut discards the
     lane (the next group then solves its iterate again).  Records, fixed
@@ -436,7 +424,7 @@ def run_picard(
     records, drift, converged = [], None, False
     while not converged and len(records) - 1 < cfg.m_max:
         start = time.perf_counter()
-        front = _Wavefront(cfg, u0, drift, len(records) - 1, run, min_iters, record_holder)
+        front = _Wavefront(cfg, u0, drift, len(records) - 1, run, record_holder)
         lanes = front.lanes
         heat_flow = drift is None  # iterate 0, the forced heat flow: no drift, no blocking guard
         rhs = _transport_rhs(spec, g, None if heat_flow else front.drift_at)

@@ -108,13 +108,17 @@ def _fitted_report(name, params, times, lhs, rhs1, p, c, log_rhs1=None, tol=CHEC
     """Report of lhs against rhs1 c^p at the run's c, with c* = max(1, c_min) and c_min in the params.
 
     rhs1 is the right-hand side at c = 1 and p its power of c; log_rhs1, the
-    log of rhs1, is passed where rhs1 itself can underflow.
+    log of rhs1, is passed where rhs1 itself can underflow.  A right-hand
+    side that is not a finite float at c is a WindowError.
     """
     if log_rhs1 is None:
         with np.errstate(divide="ignore"):
             log_rhs1 = np.log(rhs1)
     c_min = fit_c_star(lhs, log_rhs1, p)
-    rhs = np.asarray(rhs1, dtype=float) * float(c) ** np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.asarray(rhs1, dtype=float) * float(c) ** np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise WindowError(f"the right-hand side of {name}, rhs1 c^p, does not fit in floats at c={c:g}")
     return _make_report(name, {**params, "c_min": c_min}, times, lhs, rhs, max(1.0, c_min), tol)
 
 

@@ -115,7 +115,7 @@ def test_criterion_04_short_time_contraction():
     T = dt * math.floor(0.9 * t_init / dt)
     assert T < t_init
     cfg = SchemeConfig(grid=g, T=T, dt=dt, m_max=8, tol_fp=0.0)
-    recs, fp, conv = run_picard(cfg, u0, min_iters=8)
+    recs, fp, conv = run_picard(cfg, u0)
     peaks = [rec.sup_v.max() for rec in recs]
     ratios = [peaks[m] / peaks[m - 1] for m in range(1, len(peaks))]
     decreasing = all(ratios[m] < ratios[m - 1] for m in range(3, 8))

@@ -15,11 +15,14 @@ from vburgers.scheme import SchemeConfig, run_picard
 COLE_HOPF_DATA = {"kind": "cole_hopf", "epsilon": 0.3}
 
 
+BASE_SCHEME = {"T": 0.125, "dt": 1 / 256, "m_max": 6, "tol_fp": 1e-10}
+
+
 def base_config(tmp_path, **overrides):
     cfg = {
         "name": "smoke",
         "grid": {"d": 1, "n": 64, "L": 6.283185307179586},
-        "scheme": {"T": 0.125, "dt": 1 / 256, "m_max": 6, "tol_fp": 1e-10},
+        "scheme": dict(BASE_SCHEME),
         "data": {"kind": "trig", "seed": 5, "kmax": 3, "amplitude": 0.3},
         "checks": ["uniform_estimates"],
         "out_dir": str(tmp_path / "out"),
@@ -248,6 +251,9 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         ({"forcing": {"kind": "gradient", "seed": 3, "kmax": 2, "amplitude": 1e308}}, "does not fit in floats"),
         ({"forcing": {"kind": "trig", "seed": 3, "kmax": 2, "amplitude": 1e308}}, "does not fit in floats"),
         ({"data": {"kind": "trig", "seed": 5, "kmax": 3, "amplitude": 1e200}}, "does not fit in floats"),
+        ({"scheme": {**BASE_SCHEME, "c": 1e60}}, "at c="),
+        ({"scheme": {**BASE_SCHEME, "c": 1e160}}, "at c="),
+        ({"scheme": {**BASE_SCHEME, "c": 1e200}, "checks": ["short_time"]}, "at c="),
     ],
     ids=[
         "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
@@ -255,6 +261,7 @@ def test_run_divergence_exit_three(tmp_path, capsys):
         "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "forcing_kmax_aliases",
         "out_dir_not_string", "one_step_picard_horizon", "wavenumbers_overflow", "distances_overflow",
         "distances_underflow", "gradient_forcing_overflow", "trig_forcing_overflow", "data_overflow",
+        "bound_overflow_c", "k_overflow_c", "k_overflow_c_short_time",
     ],
 )
 def test_run_malformed_or_out_of_window_exit_two(tmp_path, capsys, overrides, named):

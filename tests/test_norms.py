@@ -69,9 +69,10 @@ def test_frame_sups_skip_unit_channel_axes(channels):
 def test_opnorm_is_largest_singular_value():
     m = np.array([[3.0, 0.0], [4.0, 0.0]])
     assert opnorm_sup(m) == pytest.approx(5.0)
-    # fields of matrices: take the max over nodes
-    stack = np.stack([np.eye(2), 2 * np.eye(2)], axis=-1)
-    assert opnorm_sup(stack) == pytest.approx(2.0)
+    # one constant matrix only: a (d, d) + grid field, even at d = 1, or a non-square matrix is refused
+    for bad in (np.stack([np.eye(2), 2 * np.eye(2)], axis=-1), np.ones((1, 1, 8)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="one square"):
+            opnorm_sup(bad)
 
 
 def test_holder_seminorm_constant_is_zero(grid1d):
@@ -108,14 +109,6 @@ def test_seminorm_scales_linearly(seed):
     assert b == pytest.approx(3 * a, rel=1e-12)
 
 
-def test_seminorm_monotone_in_pairs(grid1d, random_field):
-    # more strata never lowers the sampled value
-    vals = np.stack([c.values for c in random_field.components])
-    lo = iso_seminorm_array(vals, grid1d, 0.5, seed=0, per_stratum=2)
-    hi = iso_seminorm_array(vals, grid1d, 0.5, seed=0, per_stratum=8)
-    assert hi.value >= lo.value - 1e-15
-
-
 def test_parabolic_equals_iso_for_static_trajectory(grid1d, random_field):
     frames = tuple(random_field for _ in range(4))
     traj = Trajectory(grid1d, 0.0, 0.1, frames)
@@ -128,8 +121,8 @@ def test_parabolic_equals_iso_for_static_trajectory(grid1d, random_field):
         spec = GridSpec(d, n, TWO_PI)
         v = _pruning_data(kind, spec)
         for alpha in (0.5, 0.999):
-            iso = iso_seminorm_array(v, spec, alpha, seed=2, per_stratum=4)
-            par = parabolic_seminorm_array(v[None], spec, 0.1, alpha, seed=2, per_stratum=4)
+            iso = iso_seminorm_array(v, spec, alpha, seed=2)
+            par = parabolic_seminorm_array(v[None], spec, 0.1, alpha, seed=2)
             assert (par.value, par.pairs, par.exhaustive) == (iso.value, iso.pairs, iso.exhaustive), (kind, d, n)
 
 
@@ -145,9 +138,9 @@ def test_parabolic_rejects_frames_of_another_grid():
 # sets.  The pruned seminorms must give the same floats and pair counts.
 
 
-def _iso_unpruned(v, spec, alpha, seed=0, per_stratum=8):
+def _iso_unpruned(v, spec, alpha, seed=0):
     spatial_axes = tuple(range(1, spec.d + 1))
-    offsets, exhaustive = _iso_offsets(spec, seed, per_stratum)
+    offsets, exhaustive = _iso_offsets(spec, seed)
     best = 0.0
     pair_count = 0
     for o in offsets:
@@ -158,11 +151,11 @@ def _iso_unpruned(v, spec, alpha, seed=0, per_stratum=8):
     return best, pair_count, exhaustive
 
 
-def _parabolic_unpruned(u, spec, dt, alpha, seed=0, per_stratum=8, time_per_stratum=4):
+def _parabolic_unpruned(u, spec, dt, alpha, seed=0, time_per_stratum=4):
     nt = u.shape[0]
     spatial_axes = tuple(range(2, spec.d + 2))
     exhaustive = (nt * spec.num_nodes) ** 2 / 2 <= EXHAUSTIVE_PAIR_LIMIT
-    space_offsets, space_exh = _iso_offsets(spec, seed, per_stratum, force_sampled=not exhaustive)
+    space_offsets, space_exh = _iso_offsets(spec, seed, force_sampled=not exhaustive)
     if exhaustive and space_exh:
         time_offsets = list(range(nt))
     else:
@@ -219,8 +212,8 @@ def test_iso_pruning_matches_unpruned_loop(kind, d, n, exhaustive):
     spec = GridSpec(d, n, TWO_PI)
     v = _pruning_data(kind, spec)
     for alpha in (0.5, 0.999):
-        est = iso_seminorm_array(v, spec, alpha, seed=2, per_stratum=4)
-        assert (est.value, est.pairs, est.exhaustive) == _iso_unpruned(v, spec, alpha, seed=2, per_stratum=4)
+        est = iso_seminorm_array(v, spec, alpha, seed=2)
+        assert (est.value, est.pairs, est.exhaustive) == _iso_unpruned(v, spec, alpha, seed=2)
         assert est.exhaustive == exhaustive
 
 
@@ -240,8 +233,8 @@ def test_parabolic_pruning_matches_unpruned_loop(kind, d, n, nt, exhaustive):
         u = np.nan_to_num(u)
         u[nt // 2].flat[5] = np.nan
     for alpha in (0.5, 0.999):
-        est = parabolic_seminorm_array(u, spec, 1 / 64, alpha, seed=2, per_stratum=4)
-        assert (est.value, est.pairs, est.exhaustive) == _parabolic_unpruned(u, spec, 1 / 64, alpha, 2, 4)
+        est = parabolic_seminorm_array(u, spec, 1 / 64, alpha, seed=2)
+        assert (est.value, est.pairs, est.exhaustive) == _parabolic_unpruned(u, spec, 1 / 64, alpha, 2)
         assert est.exhaustive == exhaustive
 
 

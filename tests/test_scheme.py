@@ -123,7 +123,7 @@ def test_nonconvergence_reported_not_raised(grid1d):
 def test_contraction_ratios_eventually_decrease(grid1d):
     u0 = make_trig_field(grid1d, seed=3, kmax=3, amplitude=0.3)
     cfg = small_cfg(grid1d, m_max=8, tol_fp=0.0)
-    recs, fp, conv = run_picard(cfg, u0, min_iters=8)
+    recs, fp, conv = run_picard(cfg, u0)
     sups = [r.sup_v.max() for r in recs]
     ratios = [sups[m] / sups[m - 1] for m in range(2, 9)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -343,7 +343,7 @@ def _diagnose_reference(m, traj, prev, alpha, seed, record_holder):
     return IterationRecord(m, traj.times, sup_u, sup_grad, sup_hess, sup_dt, sup_v, sup_grad_v, holder_hess, holder_dt)
 
 
-def _picard_reference(cfg, u0, g=None, record_holder=False, min_iters=1):
+def _picard_reference(cfg, u0, g=None, record_holder=False):
     if g is None:
         g = ZeroForcing(cfg.grid)
     traj = forced_heat(u0, g, cfg.T, cfg.dt)
@@ -352,7 +352,7 @@ def _picard_reference(cfg, u0, g=None, record_holder=False, min_iters=1):
         new = solve_transport(TransportProblem(u0=u0, b=traj, C=None, f=g, T=cfg.T, dt=cfg.dt))
         records.append(_diagnose_reference(m, new, traj, cfg.alpha, cfg.seed, record_holder))
         traj = new
-        if m >= min_iters and float(records[-1].sup_v.max()) < cfg.tol_fp:
+        if float(records[-1].sup_v.max()) < cfg.tol_fp:
             return records, traj, True
     return records, traj, False
 
@@ -376,19 +376,16 @@ def _cole_hopf_datum(n=128, eps=0.5):
 
 
 def _wavefront_case(name):
-    """(cfg, u0, forcing, record_holder, min_iters) of one named case."""
+    """(cfg, u0, forcing, record_holder) of one named case."""
     if name == "criterion01":
         u0 = _cole_hopf_datum()
-        return SchemeConfig(grid=u0.grid, T=0.25, dt=1e-3, m_max=14, tol_fp=1e-10), u0, None, False, 1
+        return SchemeConfig(grid=u0.grid, T=0.25, dt=1e-3, m_max=14, tol_fp=1e-10), u0, None, False
     # 3-D n=16 holds fields.LANE_SAMPLES grid nodes: its groups have one lane
     d, n, T = {"1d": (1, 64, 0.25), "2d": (2, 16, 1 / 4), "3d": (3, 8, 1 / 4), "3d16": (3, 16, 1 / 32)}[name.split("-")[0]]
     g = GridSpec(d, n, TWO_PI)
     u0 = make_trig_field(g, seed=4, kmax=2, amplitude=0.4)
     forcing = TrigForcing(g, seed=9, kmax=1, amplitude=0.2) if "forced" in name else None
     cfg = dict(grid=g, T=T, dt=1 / 256, m_max=8, tol_fp=1e-10)
-    holder, min_iters = "holder" in name, 1
-    if "min-iters" in name:
-        min_iters = 7  # above the first iterate whose update falls below tol_fp
     if "tol-zero" in name:
         cfg["tol_fp"] = 0.0
     if "m-max-below" in name:
@@ -396,7 +393,7 @@ def _wavefront_case(name):
     if "m-max-above" in name:
         cfg.update(grid=GridSpec(2, 32, TWO_PI), T=1 / 16, m_max=9, tol_fp=0.0)  # 4 lanes fit 2-D n=32 at 16 steps
         u0 = make_trig_field(cfg["grid"], seed=4, kmax=2, amplitude=0.4)
-    return SchemeConfig(**cfg), u0, forcing, holder, min_iters
+    return SchemeConfig(**cfg), u0, forcing, "holder" in name
 
 
 _WAVEFRONT_CASES = [
@@ -405,7 +402,6 @@ _WAVEFRONT_CASES = [
     "2d-forced",
     "3d",
     "3d-forced",
-    "1d-min-iters",
     "1d-tol-zero",
     "1d-m-max-below",
     "2d-m-max-above",
@@ -418,10 +414,10 @@ _WAVEFRONT_CASES = [
 
 @pytest.mark.parametrize("name", _WAVEFRONT_CASES)
 def test_wavefront_matches_sequential_loop(name):
-    cfg, u0, forcing, holder, min_iters = _wavefront_case(name)
+    cfg, u0, forcing, holder = _wavefront_case(name)
     trace = []
-    got = run_picard(cfg, u0, forcing, record_holder=holder, min_iters=min_iters, trace=trace)
-    _assert_same_run(got, _picard_reference(cfg, u0, forcing, holder, min_iters))
+    got = run_picard(cfg, u0, forcing, record_holder=holder, trace=trace)
+    _assert_same_run(got, _picard_reference(cfg, u0, forcing, holder))
     assert (trace[0]["first_iterate"], trace[0]["lanes"]) == (0, 1)  # iterate 0's group
     if name == "criterion01":
         assert trace[1]["cut"] is not None  # the memory rule fires on its own here
@@ -432,15 +428,13 @@ def test_wavefront_matches_sequential_loop(name):
     else:  # the first transport group marches at least three lanes to its end
         first = trace[1]["first_iterate"]
         assert (trace[1]["cut"] or first + trace[1]["lanes"] - 1) - first >= 2
-    if name == "1d-min-iters":
-        assert got[0][-1].m > 1 + next(r.m for r in got[0][1:] if r.sup_v.max() < cfg.tol_fp)
 
 
 def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
     # room for the lanes' own arrays and half a trajectory more: a group is cut above its lowest lane that may
     # still be returned
     monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 1.5)
-    cfg, u0, forcing, _, _ = _wavefront_case("2d-forced")
+    cfg, u0, forcing, _ = _wavefront_case("2d-forced")
     trace = []
     got = run_picard(cfg, u0, forcing, trace=trace)
     assert any(group["cut"] is not None for group in trace)
@@ -451,7 +445,7 @@ def test_wavefront_memory_cut_matches_sequential_loop(monkeypatch):
 def test_wavefront_groups_match_sequential_loop(monkeypatch, m_max, lanes):
     # iterate 0 alone, then two lanes per group: the last lane of each group drives the next
     monkeypatch.setattr(fields, "LANE_SAMPLES", 2 * 64)
-    cfg, u0, _, _, _ = _wavefront_case("1d-tol-zero")
+    cfg, u0, _, _ = _wavefront_case("1d-tol-zero")
     cfg = dataclasses.replace(cfg, m_max=m_max)
     trace = []
     got = run_picard(cfg, u0, trace=trace)
@@ -461,7 +455,7 @@ def test_wavefront_groups_match_sequential_loop(monkeypatch, m_max, lanes):
 
 
 def test_run_picard_trace():
-    cfg, u0, forcing, _, _ = _wavefront_case("criterion01")
+    cfg, u0, forcing, _ = _wavefront_case("criterion01")
     trace = []
     traced = run_picard(cfg, u0, forcing, trace=trace)
     _assert_same_run(traced, run_picard(cfg, u0, forcing))
@@ -510,17 +504,6 @@ def test_wavefront_error_order(monkeypatch, amplitude, seed, failing, frame):
     assert str(got.value) == str(want.value)
     assert (trace[-1]["error"], trace[-1]["failed_iterate"]) == ("DivergenceError", failing), trace
     assert trace[-1]["first_iterate"] <= failing < trace[-1]["first_iterate"] + trace[-1]["lanes"]
-
-    # an iterate below the failing one converges: the failure never happened
-    refs, _, _ = _picard_reference(cfg(failing - 1, 0.0), u0)
-    converging = cfg(8, max(r.sup_v.max() for r in refs[1:]) * 1.01)
-    want = _picard_reference(converging, u0, min_iters=failing - 1)
-    assert want[2] and want[0][-1].m == failing - 1
-    trace = []
-    _assert_same_run(run_picard(converging, u0, min_iters=failing - 1, trace=trace), want)
-    # the failing iterate marched in one group with the iterate below it, and no group of the run failed
-    assert all("error" not in group for group in trace), trace
-    assert any(group["first_iterate"] < failing < group["first_iterate"] + group["lanes"] for group in trace), trace
 
 
 # Failures inside a tick's block: 5 lanes of 1-D n=16 over 32 steps take 3 steps a tick, so lane j's frames
@@ -609,18 +592,14 @@ def test_run_picard_needs_two_steps(monkeypatch):
     assert [group["steps_per_tick"] for group in trace] == [1] * len(trace)
 
 
-def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
-    # Lane 5 (iterate 6) fails at tick 7, at its first frame (5): 8 lanes step 4 frames a tick, so lane 3 (iterate
-    # 4) has made its frames up to 16.  Room for every lane until then, none after: the group is cut above lane 3,
-    # the lowest that may still be returned.  Iterate 4 ends above tol_fp, the failure went with lane 5, and the
-    # next group finds iterate 5 converged.
-    cfg, u0, _, _, _ = _wavefront_case("1d")
+def _case_1d_failing_lane_5(monkeypatch):
+    """The 1d case at tol_fp = 1e-9, with a guard that fails lane 5 (iterate 6) of the first transport group at tick
+    7, at its first frame (5): 8 lanes step 4 frames a tick.  Returns (cfg, u0, the ticks the failure fired at)."""
+    cfg, u0, _, _ = _wavefront_case("1d")
     cfg = SchemeConfig(grid=cfg.grid, T=cfg.T, dt=cfg.dt, m_max=cfg.m_max, tol_fp=1e-9)
     block = fields.tick_steps(round(cfg.T / cfg.dt), cfg.m_max, cfg.grid)
     assert block == 4
-    want = _picard_reference(cfg, u0)
-    assert want[2] and want[0][-1].m == 5
-    groups = []
+    groups, fired = [], []
 
     def guard_failing_lane_5(spec):
         guard = transport._blocking_guard(spec)
@@ -629,11 +608,24 @@ def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
         def check(ts, u, u_hat):
             # tick 7's rows are lane-major, a block per lane: lane 0's first frame is 7 * 4 + 1
             if len(groups) == 1 and len(ts) > 5 * block and round(ts[0] / cfg.dt) == 7 * block + 1:
+                fired.append(7)
                 return 5 * block, DivergenceError("lane 5 fails at tick 7")
             return guard(ts, u, u_hat)
 
         return check
 
+    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 100)  # room for every lane
+    monkeypatch.setattr(scheme, "_blocking_guard", guard_failing_lane_5)
+    return cfg, u0, fired
+
+
+def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
+    # lane 3 (iterate 4) has made its frames up to 16 when lane 5 fails.  Room for every lane until then, none
+    # after: the group is cut above lane 3, the lowest that may still be returned.  Iterate 4 ends above tol_fp,
+    # the failure went with lane 5, and the next group finds iterate 5 converged.
+    cfg, u0, fired = _case_1d_failing_lane_5(monkeypatch)
+    want = _picard_reference(cfg, u0)
+    assert want[2] and want[0][-1].m == 5
     take = scheme._Wavefront.take
 
     def take_without_room(self, s, lo, u, failed):
@@ -641,20 +633,31 @@ def test_wavefront_cut_discards_a_failed_lane(monkeypatch):
             self.budget = 0
         return take(self, s, lo, u, failed)
 
-    monkeypatch.setattr(scheme, "HELD_TRAJECTORIES", 100)
-    monkeypatch.setattr(scheme, "_blocking_guard", guard_failing_lane_5)
     monkeypatch.setattr(scheme._Wavefront, "take", take_without_room)
     trace = []
     got = run_picard(cfg, u0, trace=trace)
+    assert fired == [7]
     assert [(group["first_iterate"], group["cut"]) for group in trace] == [(0, None), (1, 4), (5, None)]
     _assert_same_run(got, want)
+
+
+def test_wavefront_converged_lane_discards_a_failure_above_it(monkeypatch):
+    # no cut: lane 5's failure is held while lane 4 (iterate 5) marches on, and goes when iterate 5 converges
+    # inside the group of iterates 1-8
+    cfg, u0, fired = _case_1d_failing_lane_5(monkeypatch)
+    trace = []
+    got = run_picard(cfg, u0, trace=trace)
+    assert fired == [7]
+    assert [(group["first_iterate"], group["lanes"], group["cut"]) for group in trace] == [(0, 1, None), (1, 8, None)]
+    assert all("error" not in group for group in trace), trace
+    _assert_same_run(got, _picard_reference(cfg, u0))
 
 
 @pytest.mark.parametrize("name", ["criterion01", "2d-forced-holder"])
 def test_wavefront_peak_memory_within_sequential(name):
     # criterion 01's run and a run that records the Hoelder seminorms: the wavefront holds no more than the
     # loop it replaced
-    cfg, u0, forcing, holder, _ = _wavefront_case(name)
+    cfg, u0, forcing, holder = _wavefront_case(name)
     if name == "criterion01":
         cfg = dataclasses.replace(cfg, T=1.0)
     warm = dataclasses.replace(cfg, T=10 * cfg.dt, m_max=2)
@@ -693,7 +696,7 @@ def test_picard_transforms_each_frame_block_once(monkeypatch, transform_calls, h
         return out
 
     monkeypatch.setattr(scheme._Wavefront, "take", counted_take)
-    cfg, u0, _, _, _ = _wavefront_case("criterion01")
+    cfg, u0, _, _ = _wavefront_case("criterion01")
     trace = []
     run_picard(cfg, u0, record_holder=holder, trace=trace)
     assert len(ticks) == sum(group["ticks"] for group in trace) > len(trace)
@@ -715,7 +718,7 @@ def test_picard_transforms_each_frame_block_once(monkeypatch, transform_calls, h
 def test_wavefront_starts_only_lanes_that_fit(monkeypatch, config):
     # a group starts the lanes whose own arrays fit, so none is cut at its first tick
     if config == "2d-n16-short":
-        cfg, u0, forcing, _, _ = _wavefront_case("2d-forced")
+        cfg, u0, forcing, _ = _wavefront_case("2d-forced")
         cfg = dataclasses.replace(cfg, T=1 / 16)
     else:  # bench/workloads.py's verify_2d_forced config, without the Hoelder seminorms
         g = GridSpec(2, 32, TWO_PI)
