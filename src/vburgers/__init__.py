@@ -18,7 +18,7 @@ from .fields import (
     gradient,
     make_trig_field,
     read_snapshot,
-    write_snapshot,
+    snapshot_bytes,
 )
 from .forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import ScalingProbeReport, heat_apply, holder_scaling_probe, lacunary_field

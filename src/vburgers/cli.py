@@ -5,9 +5,9 @@ deterministic CSV/JSON artifacts (plus optional field snapshots) to the
 output directory.  No interactive steering; exit status reports the
 overall verdict.
 
-Exit codes: 0 all checks pass, 1 at least one check fails (reports are
-still written), 2 configuration error (including requests outside a
-check's resolvable window), 3 numerical divergence.
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
+error (including requests outside a check's resolvable window), 3
+numerical divergence.  Artifacts are written only on exit 0 or 1.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .fields import (
     VectorField,
     gradient,
     make_trig_field,
-    write_snapshot,
+    snapshot_bytes,
 )
 from .forcing import Forcing, GradientForcing, TrigForcing, ZeroForcing
 from .heat import heat_apply_values, holder_scaling_probe, lacunary_field, n_steps
@@ -213,15 +213,14 @@ def _build_forcing(section: dict, grid: GridSpec):
 
 
 # ---------------------------------------------------------------------------
-# artifact emission
+# artifact files
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+def _atomic_write(path: str, data: str | bytes) -> None:
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -229,16 +228,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_report(out_dir: str, stem: str, report) -> bool:
-    _atomic_write(os.path.join(out_dir, stem + ".json"), report.to_json())
-    _atomic_write(os.path.join(out_dir, stem + ".csv"), report.to_csv())
-    return report.passed
+def _reports(prefix: str, reports: dict) -> tuple[bool, dict]:
+    """(all passed, the files ``prefix<key>.json`` and ``prefix<key>.csv`` of each report in ``{key: report}``)."""
+    files = {}
+    for key, rep in reports.items():
+        files |= {f"{prefix}{key}.json": rep.to_json(), f"{prefix}{key}.csv": rep.to_csv()}
+    return all(rep.passed for rep in reports.values()), files
 
 
-def _emit_verdict(out_dir: str, stem: str, passed: bool, **fields) -> bool:
-    """Write ``stem.json``: the fields in order, then the verdict."""
-    _atomic_write(os.path.join(out_dir, stem + ".json"), json.dumps({**fields, "verdict": "pass" if passed else "fail"}))
-    return passed
+def _verdict(stem: str, passed: bool, **fields) -> tuple[bool, dict]:
+    """(passed, the file ``stem.json``: the fields in order, then the verdict)."""
+    return passed, {stem + ".json": json.dumps({**fields, "verdict": "pass" if passed else "fail"})}
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +258,15 @@ class _Run:
     kfn: KProfile | None
 
 
-def _uniform_estimates(run: _Run, out_dir: str) -> bool:
-    reports = check_uniform(run.records, run.kfn, c=run.scheme.c, alpha=run.scheme.alpha)
-    return all([_emit_report(out_dir, f"uniform_{key}", rep) for key, rep in reports.items()])
+def _uniform_estimates(run: _Run) -> tuple[bool, dict]:
+    return _reports("uniform_", check_uniform(run.records, run.kfn, c=run.scheme.c, alpha=run.scheme.alpha))
 
 
-def _short_time(run: _Run, out_dir: str) -> bool:
-    reports = check_short_time(run.records, run.kfn, c=run.scheme.c, beta=run.scheme.beta)
-    return all([_emit_report(out_dir, f"short_time_{key}", rep) for key, rep in reports.items()])
+def _short_time(run: _Run) -> tuple[bool, dict]:
+    return _reports("short_time_", check_short_time(run.records, run.kfn, c=run.scheme.c, beta=run.scheme.beta))
 
 
-def _gronwall(run: _Run, out_dir: str) -> bool:
+def _gronwall(run: _Run) -> tuple[bool, dict]:
     """Deterministic perturbed coefficient pair derived from the config seed."""
     cfg, u0 = run.scheme, run.u0
     grid = cfg.grid
@@ -278,10 +276,10 @@ def _gronwall(run: _Run, out_dir: str) -> bool:
     f_bar = TrigForcing(grid, cfg.seed + 1, 2, eps)
     p = TransportProblem(u0=u0, b=u0, C=None, f=run.g, T=cfg.T, dt=cfg.dt)
     p_bar = TransportProblem(u0=u0, b=b_bar, C=eps * np.eye(grid.d), f=f_bar, T=cfg.T, dt=cfg.dt)
-    return _emit_report(out_dir, "gronwall", check_gronwall(p, p_bar))
+    return _reports("", {"gronwall": check_gronwall(p, p_bar)})
 
 
-def _schauder(run: _Run, out_dir: str) -> bool:
+def _schauder(run: _Run) -> tuple[bool, dict]:
     """Implied constant of the gradient bound across ball scales on pure heat flow."""
     cfg = run.scheme
     grid, T, dt = cfg.grid, cfg.T, cfg.dt
@@ -292,17 +290,17 @@ def _schauder(run: _Run, out_dir: str) -> bool:
     if not js:
         raise ConfigError("no parabolic ball fits the configured horizon and torus")
     center = tuple(0.0 for _ in range(grid.d))
-    constants = []
-    for j in js:
-        rep = check_schauder_instance(traj, None, None, None, ParabolicBall(T, center, j, M), cfg.alpha, "grad_sup")
-        _emit_report(out_dir, f"schauder_j{abs(j)}", rep)
-        constants.append(rep.c_star)
+    reports = {
+        abs(j): check_schauder_instance(traj, None, None, None, ParabolicBall(T, center, j, M), cfg.alpha, "grad_sup")
+        for j in js
+    }
+    constants = [rep.c_star for rep in reports.values()]
     pos = [c for c in constants if c > 0]
-    passed = bool(pos) and max(pos) / min(pos) < 2.0
-    return _emit_verdict(out_dir, "schauder_sweep", passed, j=js, implied_constants=constants)
+    passed, sweep = _verdict("schauder_sweep", bool(pos) and max(pos) / min(pos) < 2.0, j=js, implied_constants=constants)
+    return passed, {**_reports("schauder_j", reports)[1], **sweep}
 
 
-def _interpolation(run: _Run, out_dir: str) -> bool:
+def _interpolation(run: _Run) -> tuple[bool, dict]:
     cfg = run.scheme
     grid, n_fields = cfg.grid, 50
     gaps_space, gaps_time = [], []
@@ -312,31 +310,29 @@ def _interpolation(run: _Run, out_dir: str) -> bool:
         traj = Trajectory(grid, 0.0, 0.01, np.stack([heat_apply_values(u.values, grid, 0.01 * k) for k in range(5)]))
         gaps_time.append(interpolation_gap(traj, cfg.alpha, seed=cfg.seed))
     worst_space, worst_time = min(gaps_space), min(gaps_time)
-    return _emit_verdict(
-        out_dir, "interpolation", min(worst_space, worst_time) >= -1e-10,
+    return _verdict(
+        "interpolation", min(worst_space, worst_time) >= -1e-10,
         n_fields=n_fields, worst_gap_space=worst_space, worst_gap_spacetime=worst_time,
     )
 
 
-def _heat_scaling(run: _Run, out_dir: str) -> bool:
+def _heat_scaling(run: _Run) -> tuple[bool, dict]:
     t_list = np.geomspace(1e-4, 1e-2, 9)
-    ok = True
-    for kappa in (1, 2):
-        rep = holder_scaling_probe(run.scheme.alpha, kappa, t_list, run.scheme.grid, run.scheme.seed)
-        _atomic_write(os.path.join(out_dir, f"heat_scaling_k{kappa}.json"), rep.to_json())
-        ok &= abs(rep.slope - rep.predicted_slope) <= 0.05
-    return ok
+    cfg = run.scheme
+    reps = {kappa: holder_scaling_probe(cfg.alpha, kappa, t_list, cfg.grid, cfg.seed) for kappa in (1, 2)}
+    passed = all(abs(rep.slope - rep.predicted_slope) <= 0.05 for rep in reps.values())
+    return passed, {f"heat_scaling_k{kappa}.json": rep.to_json() for kappa, rep in reps.items()}
 
 
-def _oracle_compare(run: _Run, out_dir: str) -> bool:
+def _oracle_compare(run: _Run) -> tuple[bool, dict]:
     exact = cole_hopf(run.phi0, None, run.scheme.T, run.scheme.dt)
     diff = float(frame_sups(run.fixed_point.values - exact.values, 1).max())
-    return _emit_verdict(out_dir, "oracle_compare", diff <= 1e-5, sup_difference=diff, tolerance=1e-5)
+    return _verdict("oracle_compare", diff <= 1e-5, sup_difference=diff, tolerance=1e-5)
 
 
-# check name -> (one-line description, runner(run, out_dir) -> passed, needs), where the needs are
-# "records" (the Picard run and K(t)), "holder" (records carrying the Hoelder seminorms) and
-# "cole_hopf" (the cole_hopf data scenario, checked at load)
+# check name -> (one-line description, runner(run) -> (passed, {file name: str or bytes}), needs), where the
+# runner does no I/O and the needs are "records" (the Picard run and K(t)), "holder" (records carrying the
+# Hoelder seminorms) and "cole_hopf" (the cole_hopf data scenario, checked at load)
 REGISTRY = {
     "uniform_estimates": (
         "iterate-uniform sup bounds on u, its gradient and its second derivatives against the reference constants",
@@ -376,31 +372,33 @@ REGISTRY = {
 }
 
 
-def _run_checks(cfg: dict, out_dir: str) -> bool:
+def _run_checks(cfg: dict) -> tuple[bool, dict]:
+    """(all checks passed, {file name: str or bytes} of every artifact) of a loaded config; writes nothing."""
     scheme_cfg, u0, phi0, g = _build(cfg)
     checks = cfg["checks"]
 
     needs = set().union(*(REGISTRY[chk][2] for chk in checks))
     records = fixed_point = kfn = None
+    files = {}
     if "records" in needs:
-        records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder="holder" in needs)
-        _atomic_write(os.path.join(out_dir, "records.csv"), records_to_csv(records))
+        # K(t) first: a c at which K = c^2 base overflows is refused before any iterate marches
         kfn = KProfile(u0, g, scheme_cfg.alpha, scheme_cfg.seed)
         t_init = compute_t_init(u0, g, c=scheme_cfg.c, kfn=kfn)
         kc = kfn(scheme_cfg.T, scheme_cfg.c)
-        res = residual(fixed_point, g).max
         scales = reference_scales(kfn, scheme_cfg)
-        _atomic_write(os.path.join(out_dir, "summary.json"), run_summary_json(t_init, converged, res, kc, scales))
-        _atomic_write(os.path.join(out_dir, "kconstants.json"), kc.to_json())
+        records, fixed_point, converged = run_picard(scheme_cfg, u0, g, record_holder="holder" in needs)
+        files["records.csv"] = records_to_csv(records)
+        res = residual(fixed_point, g).max
+        files["summary.json"] = run_summary_json(t_init, converged, res, kc, scales)
+        files["kconstants.json"] = kc.to_json()
         if cfg.get("snapshots"):
-            write_snapshot(u0, os.path.join(out_dir, "u0.bfld"))
-            write_snapshot(fixed_point.frame(len(fixed_point) - 1), os.path.join(out_dir, "u_final.bfld"))
+            files["u0.bfld"] = snapshot_bytes(u0)
+            files["u_final.bfld"] = snapshot_bytes(fixed_point.frame(len(fixed_point) - 1))
 
     run = _Run(scheme_cfg, u0, phi0, g, records, fixed_point, kfn)
-    all_pass = True
-    for chk in checks:
-        all_pass &= REGISTRY[chk][1](run, out_dir)
-    return all_pass
+    results = [REGISTRY[chk][1](run) for chk in checks]
+    files.update(item for _, chk_files in results for item in chk_files.items())
+    return all(passed for passed, _ in results), files
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +409,19 @@ def cmd_run(path: str) -> int:
     try:
         cfg = load_config(path)
         out_dir = os.environ.get("BURGERS_OUT_DIR") or cfg.get("out_dir") or "."
-        os.makedirs(out_dir, exist_ok=True)
-        ok = _run_checks(cfg, out_dir)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create out_dir: {e}") from e
+        ok, files = _run_checks(cfg)
     except (ConfigError, WindowError, OracleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivergenceError, ResolutionError) as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
+    for name, data in files.items():
+        _atomic_write(os.path.join(out_dir, name), data)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

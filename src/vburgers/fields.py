@@ -14,7 +14,6 @@ trajectory's frames are read-only views of its array.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -463,29 +462,27 @@ def time_derivative_arrays(u: np.ndarray, dt: float) -> np.ndarray:
 # snapshot format
 
 
-def write_snapshot(v: VectorField, path) -> None:
+def snapshot_bytes(v: VectorField) -> bytes:
     """Binary field snapshot: magic 'BFLD', version, d, n, L, ncomp, samples."""
     spec = v.grid
-    with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, spec.d, spec.n, spec.L, len(v.values)))
-        fh.write(np.ascontiguousarray(v.values, dtype="<f8").tobytes())
+    header = _SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, spec.d, spec.n, spec.L, len(v.values))
+    return header + np.ascontiguousarray(v.values, dtype="<f8").tobytes()
 
 
 def read_snapshot(path) -> VectorField:
-    """Inverse of ``write_snapshot``; any malformed file raises ValueError."""
+    """Inverse of ``snapshot_bytes`` on the file at ``path``; any malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_SNAPSHOT_HEADER.size)
-        if len(header) < _SNAPSHOT_HEADER.size:
-            raise ValueError(f"snapshot of {size} bytes is shorter than its header")
-        magic, version, d, n, L, ncomp = _SNAPSHOT_HEADER.unpack(header)
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        if version != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        spec = GridSpec(d, n, L)
-        payload = 8 * ncomp * spec.num_nodes
-        if size - _SNAPSHOT_HEADER.size != payload:
-            raise ValueError(f"snapshot payload is {size - _SNAPSHOT_HEADER.size} bytes, its header implies {payload}")
-        values = np.frombuffer(fh.read(payload), dtype="<f8")
+        raw = fh.read()
+    if len(raw) < _SNAPSHOT_HEADER.size:
+        raise ValueError(f"snapshot of {len(raw)} bytes is shorter than its header")
+    magic, version, d, n, L, ncomp = _SNAPSHOT_HEADER.unpack_from(raw)
+    if magic != _SNAPSHOT_MAGIC:
+        raise ValueError(f"bad snapshot magic {magic!r}")
+    if version != _SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version}")
+    spec = GridSpec(d, n, L)
+    payload = 8 * ncomp * spec.num_nodes
+    if len(raw) - _SNAPSHOT_HEADER.size != payload:
+        raise ValueError(f"snapshot payload is {len(raw) - _SNAPSHOT_HEADER.size} bytes, its header implies {payload}")
+    values = np.frombuffer(raw, dtype="<f8", offset=_SNAPSHOT_HEADER.size)
     return VectorField(spec, values.reshape((ncomp,) + spec.shape))

@@ -24,8 +24,8 @@ from vburgers.fields import (
     make_trig_field,
     read_snapshot,
     rfft,
+    snapshot_bytes,
     time_derivative_frames,
-    write_snapshot,
 )
 
 TWO_PI = 2 * np.pi
@@ -209,20 +209,18 @@ def test_advect_hat_equals_masking_first(spec):
 def test_snapshot_roundtrip(tmp_path, grid2d):
     v = make_trig_field(grid2d, seed=11, kmax=4, amplitude=0.7)
     p = tmp_path / "field.bfld"
-    write_snapshot(v, p)
+    p.write_bytes(snapshot_bytes(v))
     w = read_snapshot(p)
     assert w.grid == grid2d
     assert np.array_equal(w.values, v.values)
 
 
-def _valid_snapshot(tmp_path) -> bytes:
-    p = tmp_path / "valid.bfld"
-    write_snapshot(make_trig_field(GridSpec(1, 8, TWO_PI), seed=1, kmax=2, amplitude=1.0), p)
-    return p.read_bytes()
+def _valid_snapshot() -> bytes:
+    return snapshot_bytes(make_trig_field(GridSpec(1, 8, TWO_PI), seed=1, kmax=2, amplitude=1.0))
 
 
 def test_snapshot_rejects_malformed_headers(tmp_path):
-    valid = _valid_snapshot(tmp_path)
+    valid = _valid_snapshot()
     huge = valid[:9] + struct.pack("<I", 2**31) + valid[13:]  # n = 2**31: a 16 GB payload
     p = tmp_path / "bad.bfld"
     for raw in (valid[:24], valid + b"\0", valid[:-1], huge):
@@ -242,7 +240,7 @@ def test_snapshot_reader_valid_or_value_error(tmp_path, data):
     # arbitrary bytes, or a valid snapshot with a span overwritten, cut short or extended
     raw = data
     if isinstance(data, tuple):
-        valid = _valid_snapshot(tmp_path)
+        valid = _valid_snapshot()
         at, patch, cut, tail = data
         raw = (valid[:at] + patch + valid[at + len(patch):])[:cut] + tail
     p = tmp_path / "fuzz.bfld"
@@ -251,8 +249,7 @@ def test_snapshot_reader_valid_or_value_error(tmp_path, data):
         v = read_snapshot(p)
     except ValueError:
         return
-    write_snapshot(v, p)
-    assert p.read_bytes() == raw
+    assert snapshot_bytes(v) == raw
 
 
 def test_trajectory_wraps_array_read_only(grid1d, sin_field):
@@ -335,5 +332,5 @@ def test_field_arithmetic_checks_its_result(grid1d):
 
 def test_snapshot_magic(tmp_path, random_field):
     p = tmp_path / "f.bfld"
-    write_snapshot(random_field, p)
+    p.write_bytes(snapshot_bytes(random_field))
     assert p.read_bytes()[:4] == b"BFLD"
