@@ -216,15 +216,26 @@ def _build_forcing(section: dict, grid: GridSpec):
 # artifact files
 
 
-def _atomic_write(path: str, data: str | bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+def _write_all(out_dir: str, files: dict) -> None:
+    """Write every artifact into out_dir, or none: stage each as a temp file, then rename them all.
+
+    A directory in a target's place fails before any rename; a failure removes the staged files."""
+    staged = []
     try:
-        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for name, data in files.items():
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"artifact {name} would replace the directory {path}")
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+                fh.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -291,7 +302,7 @@ def _schauder(run: _Run) -> tuple[bool, dict]:
         raise ConfigError("no parabolic ball fits the configured horizon and torus")
     center = tuple(0.0 for _ in range(grid.d))
     reports = {
-        abs(j): check_schauder_instance(traj, None, None, None, ParabolicBall(T, center, j, M), cfg.alpha, "grad_sup")
+        abs(j): check_schauder_instance(traj, None, ParabolicBall(T, center, j, M), cfg.alpha, "grad_sup")
         for j in js
     }
     constants = [rep.c_star for rep in reports.values()]
@@ -414,14 +425,16 @@ def cmd_run(path: str) -> int:
         except OSError as e:
             raise ConfigError(f"cannot create out_dir: {e}") from e
         ok, files = _run_checks(cfg)
+        try:
+            _write_all(out_dir, files)
+        except OSError as e:
+            raise ConfigError(f"cannot write the artifacts: {e}") from e
     except (ConfigError, WindowError, OracleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivergenceError, ResolutionError) as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
-    for name, data in files.items():
-        _atomic_write(os.path.join(out_dir, name), data)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -24,13 +24,14 @@ from .fields import (
     frame_blocks,
     gradient_arrays,
     laplacian_arrays,
+    locate,
     rfft,
     time_derivative_frames,
 )
 from .norms import channel_sup, frame_sups, opnorm_sup
 from .transport import TransportProblem, _amplified_integral, _log_amplification, solve_transport
 
-SCHAUDER_FORMS = ("grad_sup", "grad_holder", "second_sup", "second_holder")
+SCHAUDER_FORMS = ("grad_sup", "grad_holder", "second_sup")
 ROUNDING_FLOOR = 1e3 * np.finfo(float).eps  # relative to the largest iterate norm
 CHECK_TOL = 1e-9  # slack tolerance of the uniform and short-time reports
 SAMPLE_TIMES = 33  # frames sampled by the uniform checks
@@ -367,24 +368,6 @@ def _ball_points(ball: ParabolicBall, taus, offs):
     return ts, pts
 
 
-def _interp_frames(arrs: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
-    if t <= times[0]:
-        return arrs[0]
-    if t >= times[-1]:
-        return arrs[-1]
-    k = int(np.searchsorted(times, t) - 1)
-    w = (t - times[k]) / (times[k + 1] - times[k])
-    return (1 - w) * arrs[k] + w * arrs[k + 1]
-
-
-def _coeff_on(coef, shape: tuple) -> np.ndarray:
-    """A constant coefficient, None (zero), a scalar or one value per channel, on shape (..., channels)."""
-    if coef is None:
-        return np.zeros(shape)
-    arr = np.asarray(coef, dtype=float)
-    return np.broadcast_to(arr if arr.ndim == 0 else arr.reshape(shape[-1]), shape).copy()
-
-
 def _pair_seminorm(vals: np.ndarray, pts: np.ndarray, ts: np.ndarray, alpha: float) -> float:
     """Sampled parabolic seminorm over explicit space-time sample points.
 
@@ -406,71 +389,54 @@ def _pair_seminorm(vals: np.ndarray, pts: np.ndarray, ts: np.ndarray, alpha: flo
 
 def check_schauder_instance(
     u: Trajectory,
-    a,
     b,
-    f,
     ball: ParabolicBall,
     alpha: float = 0.5,
     which: str = "grad_sup",
     residual_tol: float = 1e-5,
 ) -> BoundReport:
-    """One local gradient estimate for (d/dt - Lap + a) u = b . grad u + f.
+    """One local gradient estimate for d/dt u - Lap u = b . grad u, with b None (zero) or one constant d-vector.
 
     `which` selects the estimated quantity on the shrunk ball: "grad_sup",
-    "grad_holder", "second_sup" (time derivative and Hessian sups), or
-    "second_holder".  The right-hand side is assembled exactly, including
-    the drift penalty R_b = (1 + M^{j/2} |b(t0, x0)|)^{-1}; the reported
-    c_star is the implied constant LHS / RHS.  The "second_holder" form
-    uses alpha' = (alpha + 1) / 2.  The coefficients a, b and f are
-    constant: each is None (zero), a scalar or an array of one value per
-    channel (1, d and the channel count of u).  Their Hoelder seminorms are
-    therefore 0, and each right-hand side keeps only its sup_u term.
+    "grad_holder" or "second_sup" (time derivative and Hessian sups).  The
+    right-hand side includes the drift penalty R_b = (1 + M^{j/2} |b|)^{-1};
+    the reported c_star is the implied constant LHS / RHS.
     """
     if which not in SCHAUDER_FORMS:
         raise ValueError(f"which must be one of {SCHAUDER_FORMS}")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    alpha_prime = (alpha + 1.0) / 2.0
     ball.validate_against(u)
     grid = u.grid
     d, ncomp = grid.d, u.values.shape[1]
     M, j = ball.M, ball.j
-    inner = ball.shrunk()
+    b = np.zeros(d) if b is None else np.asarray(b, dtype=float).reshape(d)
 
     taus, offs = _ball_fractions(d)
     ts_out, pts_out = _ball_points(ball, taus, offs)
-    ts_in, pts_in = _ball_points(inner, taus, offs)
+    ts_in, pts_in = _ball_points(ball.shrunk(), taus, offs)
 
-    times = u.times
     u_arr = u.values
     u_hat = rfft(u_arr, grid)
     grad_arr = gradient_arrays(u_arr, grid, u_hat).reshape((len(u), ncomp * d) + grid.shape)
     lap_arr = laplacian_arrays(u_arr, grid, u_hat)
     dt_arr = time_derivative_frames(u)
 
-    def sample(arrs, ts, pts):
-        return np.stack([evaluate_arrays(_interp_frames(arrs, times, t), grid, pts) for t in ts])
+    def sample(arrs, ts, pts):  # linear in time between frames, as Trajectory.values_at
+        locs = [locate(t, u.t0, u.dt, len(u)) for t in ts]
+        frames = [arrs[k] if w == 0.0 else (1 - w) * arrs[k] + w * arrs[k + 1] for k, w in locs]
+        return np.stack([evaluate_arrays(frame, grid, pts) for frame in frames])
 
-    # hypothesis checks: nonnegative zeroth-order coefficient, u solves the PDE
-    on_out = (len(ts_out), len(pts_out))
-    a_out = _coeff_on(a, on_out + (1,))[..., 0]
-    if a_out.min() < -1e-12:
-        raise ValueError("the zeroth-order coefficient must be nonnegative on the ball")
+    # the hypothesis: u solves the equation on the ball
     u_out = sample(u_arr, ts_out, pts_out)
-    du_out = sample(dt_arr, ts_out, pts_out)
-    lap_out = sample(lap_arr, ts_out, pts_out)
-    grad_out = sample(grad_arr, ts_out, pts_out)
-    b_out = _coeff_on(b, on_out + (d,))
-    f_out = _coeff_on(f, on_out + (ncomp,))
-    adv = np.einsum("tpk,tpck->tpc", b_out, grad_out.reshape(len(ts_out), -1, ncomp, d))
-    res = du_out + a_out[:, :, None] * u_out - lap_out - adv - f_out
+    grad_out = sample(grad_arr, ts_out, pts_out).reshape(len(ts_out), -1, ncomp, d)
+    res = sample(dt_arr, ts_out, pts_out) - sample(lap_arr, ts_out, pts_out) - grad_out @ b
     res_max = float(np.abs(res).max())
     if res_max > residual_tol:
         raise OracleError(f"field does not solve the equation on the ball (residual {res_max:.3e})")
 
     sup_u = float(np.sqrt((u_out**2).sum(-1)).max())
-    b_center = _coeff_on(b, (d,))
-    R_b = 1.0 / (1.0 + M ** (j / 2.0) * float(np.linalg.norm(b_center)))
+    R_b = 1.0 / (1.0 + M ** (j / 2.0) * float(np.linalg.norm(b)))
 
     # the estimated quantities on the shrunk ball: the gradient, or the time derivative and the Hessian
     if which.startswith("grad"):
@@ -487,26 +453,24 @@ def check_schauder_instance(
         rhs = M ** (j / 2.0) / R_b * (M ** (-j) * sup_u)
     elif which == "grad_holder":
         rhs = M ** (-j * alpha / 2.0) * R_b ** (-(1.0 + alpha) / 2.0) * (M ** (-j / 2.0) * sup_u)
-    elif which == "second_sup":
-        rhs = (1.0 / R_b) * (M ** (-j) * sup_u)
     else:
-        rhs = M ** (-j * alpha / 2.0) * R_b ** (-(1.0 + alpha_prime / 2.0)) * (M ** (-j) * sup_u)
+        rhs = (1.0 / R_b) * (M ** (-j) * sup_u)
 
     implied = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     params = {
-        "which": which, "alpha": alpha, "alpha_prime": alpha_prime, "M": M, "j": j,
+        "which": which, "alpha": alpha, "M": M, "j": j,
         "R_b": R_b, "sup_u": sup_u, "residual": res_max, "seed": BALL_SEED,
     }
     return _make_report(f"schauder_{which}", params, np.array([ball.t0]), np.array([lhs]), np.array([rhs]), implied)
 
 
-def parabolic_rescale(u: Trajectory, coefficients: dict, j: int, M: float, ball: ParabolicBall | None = None):
+def parabolic_rescale(u: Trajectory, b, j: int, M: float, ball: ParabolicBall | None = None):
     """Zoom to unit scale: t -> M^{-j} t, x -> M^{-j/2} x, nodes preserved.
 
     Field values are untouched; the grid period, the frame spacing and the
-    coefficient amplitudes absorb the scaling (drift by M^{j/2}, zeroth
-    order and forcing by M^j).  Returns (trajectory, coefficients, ball);
-    the rescaled residual equals M^j times the original at the same nodes.
+    drift b (None or a constant d-vector, scaled by M^{j/2}) absorb the
+    scaling.  Returns (trajectory, b, ball); the rescaled residual equals
+    M^j times the original at the same nodes.
     """
     if M <= 1:
         raise ValueError("M must exceed 1")
@@ -514,12 +478,8 @@ def parabolic_rescale(u: Trajectory, coefficients: dict, j: int, M: float, ball:
     sx = float(M) ** (j / 2.0)
     g2 = GridSpec(u.grid.d, u.grid.n, u.grid.L / sx)
     u2 = Trajectory(g2, u.t0 / sj, u.dt / sj, u.values)
-
-    def scale_coef(coef, amp):
-        return None if coef is None else amp * np.asarray(coef, dtype=float)
-
-    out = {key: scale_coef(coefficients.get(key), amp) for key, amp in (("a", sj), ("b", sx), ("f", sj))}
+    b2 = None if b is None else sx * np.asarray(b, dtype=float)
     ball2 = None
     if ball is not None:
         ball2 = ParabolicBall(ball.t0 / sj, tuple(x / sx for x in ball.x0), ball.j - j, ball.M)
-    return u2, out, ball2
+    return u2, b2, ball2

@@ -91,7 +91,8 @@ def test_criterion_02_maximum_principle(battery_runs):
 
 
 def test_criterion_03_heat_iterate_gradient_bound(battery_runs):
-    worst = math.inf
+    # K1(0) = sup grad u0 by construction, so the slack over t > 0 is reported as well
+    worst = worst_positive = math.inf
     for g, u0, recs, fp in battery_runs:
         for forcing in (None, TrigForcing(g, seed=101, kmax=2, amplitude=0.2)):
             if forcing is None:
@@ -101,9 +102,12 @@ def test_criterion_03_heat_iterate_gradient_bound(battery_runs):
                 rec0 = run_picard(cfg, u0, g=forcing)[0][0]
             kfn = KProfile(u0, forcing if forcing is not None else ZeroForcing(g))
             k1 = np.array([kfn(float(t)).K1 for t in rec0.times])
-            worst = min(worst, float((k1 - rec0.sup_grad_u).min()))
-    ok = worst >= -1e-8
-    _verdict(3, ok, f"zeroth-iterate gradient slack {worst:.3e} >= -1e-8, forcing on and off")
+            slack = k1 - rec0.sup_grad_u
+            worst = min(worst, float(slack.min()))
+            worst_positive = min(worst_positive, float(slack[rec0.times > 0].min()))
+    ok = worst >= -1e-8 and worst_positive >= -1e-8
+    _verdict(3, ok, f"zeroth-iterate gradient slack {worst:.3e} (over t > 0: {worst_positive:.3e}) >= -1e-8, "
+                    "forcing on and off")
 
 
 def test_criterion_04_short_time_contraction():
@@ -161,12 +165,12 @@ def test_criterion_05_minimal_constants_stable():
             for key, (c_star, c_min) in base.items():
                 worst_drift = max(worst_drift, drift(other[key][0], c_star))
                 worst_min_drift = max(worst_min_drift, drift(other[key][1], c_min))
-    ok = worst_drift <= 1.2
+    ok = worst_min_drift <= 1.2
     _verdict(
         5,
         ok,
-        f"c* finite on all four uniform bounds, drift under dt/2 and 2n <= x{worst_drift:.3f} (<= x1.2); "
-        f"c_min drift x{worst_min_drift:.3f}",
+        f"c* finite on all four uniform bounds, c_min drift under dt/2 and 2n <= x{worst_min_drift:.3f} (<= x1.2); "
+        f"c* drift x{worst_drift:.3f}",
     )
 
 
@@ -257,7 +261,7 @@ def test_criterion_10_schauder_scale_invariance():
         VectorField.from_arrays(g, [np.exp(-k * dt) * np.sin(x)]) for k in range(nt)))
 
     consts = [
-        check_schauder_instance(heat, None, None, None, ParabolicBall(1.0, (0.0,), j, 2.0), 0.5, "grad_sup").c_star
+        check_schauder_instance(heat, None, ParabolicBall(1.0, (0.0,), j, 2.0), 0.5, "grad_sup").c_star
         for j in range(0, -5, -1)
     ]
     spread = max(consts) / min(consts)
@@ -269,14 +273,14 @@ def test_criterion_10_schauder_scale_invariance():
         frames = tuple(VectorField.from_arrays(g, [np.exp(-k * dts) * np.sin(x + b0 * k * dts)]) for k in range(nts))
         traj = Trajectory(g, 0.0, dts, frames)
         rep = check_schauder_instance(
-            traj, None, np.array([b0]), None, ParabolicBall(1.0, (0.0,), -2, 2.0),
+            traj, np.array([b0]), ParabolicBall(1.0, (0.0,), -2, 2.0),
             0.5, "grad_sup", residual_tol=2e-2 * (1 + b0**2),
         )
         drift.append(rep.c_star)
     monotone = all(b <= a * (1 + 1e-9) for a, b in zip(drift, drift[1:]))
 
     j, M = -2, 2.0
-    u2, _, _ = parabolic_rescale(heat, {}, j, M)
+    u2, _, _ = parabolic_rescale(heat, None, j, M)
     from vburgers.fields import laplacian_arrays, time_derivative_frames
 
     def heat_resid(tr):

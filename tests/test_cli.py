@@ -287,6 +287,16 @@ def test_run_malformed_or_out_of_window_exit_two(tmp_path, monkeypatch, capsys, 
     _assert_nothing_written(tmp_path / "out")
 
 
+def test_failed_write_exits_two_and_leaves_nothing(tmp_path, capsys):
+    # a directory where summary.json goes fails before any artifact is renamed into place
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    assert main(["run", base_config(tmp_path, checks=["short_time"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: cannot write the artifacts: ") and "summary.json" in captured.err
+    assert os.listdir(tmp_path / "out") == ["summary.json"] and os.listdir(tmp_path / "out" / "summary.json") == []
+
+
 @pytest.mark.parametrize(
     "c, checks",
     [(1e160, ["uniform_estimates"]), (1e200, ["short_time"])],
@@ -353,6 +363,13 @@ DIGEST_CONFIGS = {
         "data": {"kind": "cole_hopf", "epsilon": 0.5},
         "checks": ["oracle_compare", "short_time"],
     },
+    # verify_2d_forced's grid, horizon and forcing, with the Gronwall check only
+    "gronwall_2d_forced": {
+        "grid": {"d": 2, "n": 32, "L": 6.283185307179586},
+        "scheme": {"T": 1 / 16, "dt": 1 / 128, "seed": 0},
+        "forcing": {"kind": "trig", "seed": 11, "kmax": 2, "amplitude": 0.2},
+        "checks": ["gronwall"],
+    },
     # test_run_failing_check_exit_one's config: oracle_compare fails, so the run exits 1
     "cole_hopf_coarse_fails": {
         "grid": {"d": 1, "n": 32, "L": 6.283185307179586},
@@ -413,6 +430,10 @@ ARTIFACT_DIGESTS = {
         "short_time_sup.json": "57fbffd66255754fac54560dac4d7fc80029fd4ae80a9dc7dde075c32c6ce5c8",
         "summary.json": "3462fdeb80a98e445501537482b1ce99d8b4048776094849dd9d1ed7763905ee",
     },
+    "gronwall_2d_forced": {
+        "gronwall.csv": "57f8e9c2492caf4c02fbf985a2c7d06062118e5b65025b730f0667744a50f1e5",
+        "gronwall.json": "b11c9988ca84c90f0b43c055b6048579c74f88450c7dd772c7225641563c3e24",
+    },
     "cole_hopf_coarse_fails": {
         "kconstants.json": "383bb0a65f4c537e1f9d78dc16138c1300d4c1e3fa62fc401cea9d1f1f6f5b3a",
         "oracle_compare.json": "60260aaf76314ffebc560eda41e14deda4180f3b2fac7d310c43904bedff092b",
@@ -423,11 +444,12 @@ ARTIFACT_DIGESTS = {
         "gronwall.csv": "d71d65521da69f9f7adc95fd94571b32b1b89e819648cef2560de9cb69c8c978",
         "gronwall.json": "f12fc9af594cabc0fbdc3023d76e2ee8b70c7d0f8f4bdd6f9dcb96dd84566e10",
     },
+    # the per-scale reports' params carry no alpha_prime since the second_holder form is gone
     "no_picard_schauder": {
         "schauder_j3.csv": "94e1e660989958619d30d8b314d2d1dce52d31ff9c1d57b82a9ab01210dc5e03",
-        "schauder_j3.json": "579dd1de90f596f0d88f383b3878354b45eff6be9dfe8c3882fbb677420cd80e",
+        "schauder_j3.json": "1020a3d7eb548eafdbaa430ef17b2c640b6446beea090e3a616b5bbb484981db",
         "schauder_j4.csv": "d53f9159120209c94a16fdc41cb61815442a4cac4be888dfdc1351305138a1fb",
-        "schauder_j4.json": "2e4650b2ea735b15c69b1328204761e36de856f24e0414afdf9cb9e2f1a2ea4a",
+        "schauder_j4.json": "9ba71f9fc662c9091afb95dcd009602f0d79e690cf4ab0a4ebf0c8b2480b0d49",
         "schauder_sweep.json": "0a08296ddb59800265552fec4205e4a0c38aabddf43e34233c851a6144cdee43",
     },
     "no_picard_interpolation": {
