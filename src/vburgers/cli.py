@@ -383,8 +383,8 @@ REGISTRY = {
 }
 
 
-def _run_checks(cfg: dict) -> tuple[bool, dict]:
-    """(all checks passed, {file name: str or bytes} of every artifact) of a loaded config; writes nothing."""
+def _run_checks(cfg: dict) -> tuple[list, dict]:
+    """(the failed checks in request order, {file name: str or bytes}) of a loaded config; writes nothing."""
     scheme_cfg, u0, phi0, g = _build(cfg)
     checks = cfg["checks"]
 
@@ -409,7 +409,7 @@ def _run_checks(cfg: dict) -> tuple[bool, dict]:
     run = _Run(scheme_cfg, u0, phi0, g, records, fixed_point, kfn)
     results = [REGISTRY[chk][1](run) for chk in checks]
     files.update(item for _, chk_files in results for item in chk_files.items())
-    return all(passed for passed, _ in results), files
+    return [chk for chk, (passed, _) in zip(checks, results) if not passed], files
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def cmd_run(path: str) -> int:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"cannot create out_dir: {e}") from e
-        ok, files = _run_checks(cfg)
+        failed, files = _run_checks(cfg)
         try:
             _write_all(out_dir, files)
         except OSError as e:
@@ -435,8 +435,8 @@ def cmd_run(path: str) -> int:
     except (DivergenceError, ResolutionError) as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    print(f"FAIL: {', '.join(failed)}" if failed else "PASS")
+    return 1 if failed else 0
 
 
 def cmd_list() -> int:

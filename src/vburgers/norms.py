@@ -5,22 +5,21 @@ runs over sampled pairs only.  Pair evaluation is exhaustive (all cyclic
 shifts) when the pair count fits the budget, otherwise stratified random
 offsets grouped by dyadic distance.
 
-Offsets are visited in order of increasing denominator, and the loop over
-the spatial offsets of one differenced array ``a`` (``u``, or a time
-difference ``u[q:] - u[:-q]``) stops at the first offset with
-``cap / denom <= best``, where ``cap = 2 max|a| (1 + 1e-12)``.  By the
-triangle inequality every pair difference of ``a`` is at most
-``2 max|a|``; the relative margin covers the rounding of the computed
-differences, so no skipped quotient can exceed the running maximum ``best``
-and the result is the same float the full loop gives.  The skipped pairs
-still count in ``pairs``: they were sampled, their quotients are only
-known not to matter, so the estimate stays a lower bound over the same
-pair set.  Where squares of ``a`` could overflow or go subnormal (and lose
-their relative accuracy), nothing is skipped.
-
-One loop, ``_seminorm``, serves both seminorms: the isotropic seminorm of
-a field is the parabolic one of that field as a single frame, whose only
-time offset is 0, so its denominators are the spatial ``dist**alpha``.
+A pair (t + q dt, x), (t, x - o) has the denominator
+``|o|**alpha + (q dt)**(alpha/2)``, and its difference is at most the time
+difference at x plus the space difference at t, so no quotient exceeds the
+larger of the space part (q = 0) and the time part (o = 0, q > 0).
+``_seminorm`` takes only those, on finite samples (a NaN would drop the
+quotients it touches), and of each mirrored offset pair o, -o one offset.
+Its spatial loop visits the offsets in order of increasing denominator and
+stops at the first with ``cap / denom <= best``: ``cap = 2 max|u| (1 +
+1e-12)`` bounds every pair difference, with a margin for rounding, so the
+result is the float the full loop gives.  The skipped pairs, like those
+with q > 0 and o != 0, still count in ``pairs``: their quotients are only
+known not to matter, so the estimate stays a lower bound over the same pair
+set.  Where squares of ``u`` could overflow or go subnormal, nothing is
+skipped.  The isotropic seminorm of a field is the parabolic one of that
+field as a single frame.
 
 The parabolic pair set (spatial offsets, time offsets, pair count and the
 exhaustive flag) depends only on the grid, the frame count, alpha and the
@@ -30,9 +29,9 @@ such as the forcing inside K(t): the largest difference over the pairs of
 time offset q and spatial offset o is A(q) D(o), with A(q) the largest
 envelope difference at lag q (the largest |env| at q = 0) and D(o) the
 largest base difference at offset o (``base_differences``, taken once).
-So one table over the same pairs gives the value ``parabolic_seminorm_array``
-gives on the frame stack, up to the rounding of the factored products, and
-it is the same lower bound.
+So the larger of its q = 0 row and o = 0 column is the value
+``parabolic_seminorm_array`` gives on the frame stack, up to the rounding of
+the factored products, and it is the same lower bound.
 """
 from __future__ import annotations
 
@@ -120,6 +119,8 @@ def opnorm_sup(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class HolderEstimate:
+    """A sampled seminorm: its value, the sampled pairs (each +/- pair once) and whether they are all pairs."""
+
     value: float
     pairs: int
     exhaustive: bool
@@ -176,13 +177,10 @@ def _pruned_max(a, offsets, denoms, cap: float, best: float, spatial_axes) -> fl
 
 
 def _iso_offsets(spec: GridSpec, seed: int, force_sampled: bool = False):
-    """(spatial offsets, exhaustive flag): every offset when affordable, else stratified samples."""
+    """(spatial offsets, exhaustive flag): one of each pair o, -o; all when affordable, else stratified samples."""
     n, d = spec.n, spec.d
     if not force_sampled and spec.num_nodes**2 / 2 <= EXHAUSTIVE_PAIR_LIMIT:
-        if d == 1:
-            return [(o,) for o in range(1, n // 2 + 1)], True
-        offsets = [o for o in np.ndindex(*spec.shape) if any(o)]
-        return offsets, True
+        return [o for o in np.ndindex(*spec.shape) if any(o) and o <= tuple(-x % n for x in o)], True
     rng = np.random.default_rng(seed)
     offsets = set()
     n_strata = int(math.log2(n // 2)) + 1
@@ -193,7 +191,7 @@ def _iso_offsets(spec: GridSpec, seed: int, force_sampled: bool = False):
             centered = max(min(oi, n - oi) for oi in o)
             if centered >= lo or s == 0:
                 if any(o):
-                    offsets.add(o)
+                    offsets.add(min(o, tuple(-x % n for x in o)))
     # always include the nearest-neighbour shells
     for axis in range(d):
         for step in (1, 2):
@@ -248,26 +246,20 @@ def parabolic_seminorm_array(u: np.ndarray, spec: GridSpec, dt: float, alpha: fl
 
 
 def _seminorm(u, spec: GridSpec, dt: float, alpha: float, seed: int) -> HolderEstimate:
-    """The pruned loop of both seminorms, over frames (nt, ch) + shape spaced by ``dt``."""
+    """Both seminorms over finite frames (nt, ch) + shape spaced by ``dt``: the larger of the space and time parts."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     u = np.asarray(u, dtype=np.float64)
     if u.shape[2:] != spec.shape:
         raise ValueError("sample shape mismatch")
-    spatial_axes = tuple(range(2, spec.d + 2))
+    if not np.isfinite(u).all():
+        raise ValueError("the seminorms take finite samples")
+    spatial_axes, zero = tuple(range(2, spec.d + 2)), (0,) * spec.d
     ordered, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, u.shape[0], alpha, seed)
-
-    best = 0.0
-    for q in time_offsets:
-        tdenom = (q * dt) ** (alpha / 2.0)
-        a = u[q:] - u[:-q] if q else u
-        peak = _diff_max(a, (0,) * spec.d, spatial_axes)
-        if q:
-            # the zero spatial offset: the time difference alone, denominator tdenom
-            best = max(best, peak / tdenom)
-        # adding tdenom keeps the ascending order of dpows
-        denoms = [p + tdenom for p in dpows]
-        best = _pruned_max(a, ordered, denoms, _pair_cap(a, peak), best, spatial_axes)
+    best = _pruned_max(u, ordered, dpows, _pair_cap(u, _diff_max(u, zero, spatial_axes)), 0.0, spatial_axes)
+    for q in time_offsets[1:]:
+        a = u[q:] - u[:-q]  # bound to a name: a temporary passed on directly ran slower
+        best = max(best, _diff_max(a, zero, spatial_axes) / (q * dt) ** (alpha / 2.0))
     return HolderEstimate(best, pairs, exhaustive)
 
 
@@ -289,16 +281,16 @@ def separable_seminorm(
 
     A(q) = max_k |env[k + q] - env[k]| (A(0) = max_k |env[k]|) times D(o)
     is the largest difference over the pairs of time offset q and spatial
-    offset o; the pairs, their count and the exhaustive flag are those of
-    ``parabolic_seminorm_array``.
+    offset o, and the value is the largest quotient of the q = 0 row and
+    the o = 0 column; the pairs, their count and the exhaustive flag are
+    those of ``parabolic_seminorm_array``.
     """
     env = np.asarray(env, dtype=np.float64)
     _, dpows, time_offsets, exhaustive, pairs = _parabolic_pairs(spec, len(env), alpha, seed)
     amp = np.array([np.abs(env[q:] - env[:-q]).max() if q else np.abs(env).max() for q in time_offsets])
-    tdenom = np.array([(q * dt) ** (alpha / 2.0) for q in time_offsets])
-    best = (np.outer(amp, diffs[1:]) / np.add.outer(tdenom, dpows)).max(initial=0.0)
-    # the zero spatial offset pairs frames at the same node, for q > 0 only
-    best = max(best, (amp[1:] * diffs[0] / tdenom[1:]).max(initial=0.0))
+    tdenom = np.array([(q * dt) ** (alpha / 2.0) for q in time_offsets[1:]])
+    # the row: frames at one time; the column: frames at one node, q > 0 only
+    best = max((amp[0] * diffs[1:] / dpows).max(initial=0.0), (amp[1:] * diffs[0] / tdenom).max(initial=0.0))
     return HolderEstimate(float(best), pairs, exhaustive)
 
 

@@ -195,7 +195,7 @@ def test_run_failing_check_exit_one(tmp_path, capsys):
         checks=["oracle_compare"],
     )
     assert main(["run", path]) == 1
-    assert capsys.readouterr().out.strip().endswith("FAIL")
+    assert capsys.readouterr().out == "FAIL: oracle_compare\n"
     report = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
     assert report["verdict"] == "fail" and report["sup_difference"] > report["tolerance"] == 1e-5
 
@@ -470,11 +470,20 @@ def _artifact_digests(out) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in sorted(os.listdir(out))}
 
 
+def test_readme_example_is_the_pinned_config(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        example = json.loads(f.read().split("```json\n", 1)[1].split("```", 1)[0])
+    with open(base_config(tmp_path, **DIGEST_CONFIGS["readme_snapshots"])) as f:
+        pinned = json.load(f)
+    keys = ("grid", "scheme", "data", "checks")
+    assert {k: example[k] for k in keys} == {k: pinned[k] for k in keys}
+
+
 @pytest.mark.parametrize("key", DIGEST_CONFIGS)
 def test_run_artifacts_keep_their_bytes(tmp_path, capsys, key):
     fails = key == "cole_hopf_coarse_fails"
     assert main(["run", base_config(tmp_path, **DIGEST_CONFIGS[key])]) == int(fails)
-    assert capsys.readouterr().out == ("FAIL\n" if fails else "PASS\n")
+    assert capsys.readouterr().out == ("FAIL: oracle_compare\n" if fails else "PASS\n")
     assert _artifact_digests(tmp_path / "out") == ARTIFACT_DIGESTS[key]
 
 

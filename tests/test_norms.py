@@ -121,6 +121,12 @@ def test_parabolic_equals_iso_for_static_trajectory(grid1d, random_field):
         spec = GridSpec(d, n, TWO_PI)
         v = _pruning_data(kind, spec)
         for alpha in (0.5, 0.999):
+            if kind == "nan":
+                with pytest.raises(ValueError, match="finite"):
+                    iso_seminorm_array(v, spec, alpha)
+                with pytest.raises(ValueError, match="finite"):
+                    parabolic_seminorm_array(v[None], spec, 0.1, alpha)
+                continue
             iso = iso_seminorm_array(v, spec, alpha, seed=2)
             par = parabolic_seminorm_array(v[None], spec, 0.1, alpha, seed=2)
             assert (par.value, par.pairs, par.exhaustive) == (iso.value, iso.pairs, iso.exhaustive), (kind, d, n)
@@ -135,7 +141,8 @@ def test_parabolic_rejects_frames_of_another_grid():
 
 
 # The unpruned loops: every offset's quotient, in the offset order of the
-# sets.  The pruned seminorms must give the same floats and pair counts.
+# sets, mixed (time and space) differences included.  The seminorms must
+# give the same floats and pair counts.
 
 
 def _iso_unpruned(v, spec, alpha, seed=0):
@@ -181,6 +188,20 @@ def _parabolic_unpruned(u, spec, dt, alpha, seed=0, time_per_stratum=4):
     return best, pair_count, exhaustive
 
 
+def _parabolic_true_pairs(u, spec, dt, alpha, seed=0):
+    """max |u[k+q](x) - u[k](x - o)| / (|o|^alpha + (q dt)^{alpha/2}) over sampled q, o, -o (o = 0 if q > 0)."""
+    nt, spatial_axes = u.shape[0], tuple(range(2, spec.d + 2))
+    offsets, _, time_offsets, _, _ = norms._parabolic_pairs(spec, nt, alpha, seed)
+    mirrors = [tuple(-x % spec.n for x in o) for o in offsets]
+    best = 0.0
+    for q in time_offsets:
+        for o in ([(0,) * spec.d] if q else []) + list(offsets) + mirrors:
+            diff = u[q:] - np.roll(u[: nt - q], shift=o, axis=spatial_axes)
+            mag = float(np.sqrt((diff**2).sum(axis=1).max()))
+            best = max(best, mag / (_offset_distance(spec, o) ** alpha + (q * dt) ** (alpha / 2.0)))
+    return best
+
+
 def _pruning_data(kind, spec):
     """A (2,) + shape array of the named kind."""
     rng = np.random.default_rng(3)
@@ -204,6 +225,23 @@ def _pruning_data(kind, spec):
 PRUNING_KINDS = ["trig", "lacunary", "constant", "zero", "nan", "subnormal"]
 
 
+def _pruning_frames(kind, spec, nt):
+    """(nt, 2) + shape frames of the named kind: a time-varying amplitude plus a drift that is constant in space."""
+    v = _pruning_data(kind, spec)
+    t = np.arange(nt).reshape((nt,) + (1,) * v.ndim) / nt
+    return v[None] * (1 + 0.5 * np.sin(3 * t)) + (0.0 if kind in ("zero", "subnormal") else t)
+
+
+def test_iso_offsets_keep_one_of_each_mirror_pair():
+    for (d, n), force_sampled in itertools.product([(1, 64), (2, 16), (3, 8), (2, 128)], (False, True)):
+        offsets, exhaustive = _iso_offsets(GridSpec(d, n, TWO_PI), 2, force_sampled)
+        kept, mirrors = set(offsets), [tuple(-x % n for x in o) for o in offsets]
+        assert len(kept) == len(offsets)
+        assert all(o == m or m not in kept for o, m in zip(offsets, mirrors))
+        if exhaustive:
+            assert kept | set(mirrors) == {o for o in np.ndindex(*(n,) * d) if any(o)}
+
+
 @pytest.mark.parametrize("kind", PRUNING_KINDS)
 @pytest.mark.parametrize(
     "d, n, exhaustive", [(1, 64, True), (2, 16, True), (3, 8, True), (1, 8192, False), (2, 128, False), (3, 32, False)]
@@ -212,6 +250,10 @@ def test_iso_pruning_matches_unpruned_loop(kind, d, n, exhaustive):
     spec = GridSpec(d, n, TWO_PI)
     v = _pruning_data(kind, spec)
     for alpha in (0.5, 0.999):
+        if kind == "nan":
+            with pytest.raises(ValueError, match="finite"):
+                iso_seminorm_array(v, spec, alpha, seed=2)
+            continue
         est = iso_seminorm_array(v, spec, alpha, seed=2)
         assert (est.value, est.pairs, est.exhaustive) == _iso_unpruned(v, spec, alpha, seed=2)
         assert est.exhaustive == exhaustive
@@ -224,18 +266,26 @@ def test_iso_pruning_matches_unpruned_loop(kind, d, n, exhaustive):
 )
 def test_parabolic_pruning_matches_unpruned_loop(kind, d, n, nt, exhaustive):
     spec = GridSpec(d, n, TWO_PI)
-    v = _pruning_data(kind, spec)
-    t = np.arange(nt).reshape((nt,) + (1,) * v.ndim) / nt
-    # time-varying amplitude plus a drift that is constant in space
-    u = v[None] * (1 + 0.5 * np.sin(3 * t)) + (0.0 if kind in ("zero", "subnormal") else t)
-    if kind == "nan":
-        # one NaN, in the middle frame: the longest time differences miss it
-        u = np.nan_to_num(u)
-        u[nt // 2].flat[5] = np.nan
+    u = _pruning_frames(kind, spec, nt)
     for alpha in (0.5, 0.999):
+        if kind == "nan":
+            with pytest.raises(ValueError, match="finite"):
+                parabolic_seminorm_array(u, spec, 1 / 64, alpha, seed=2)
+            continue
         est = parabolic_seminorm_array(u, spec, 1 / 64, alpha, seed=2)
         assert (est.value, est.pairs, est.exhaustive) == _parabolic_unpruned(u, spec, 1 / 64, alpha, 2)
         assert est.exhaustive == exhaustive
+
+
+@pytest.mark.parametrize("kind", [k for k in PRUNING_KINDS if k != "nan"])
+@pytest.mark.parametrize("d, n, nt", [(1, 64, 9), (2, 16, 5)])
+def test_parabolic_matches_true_pair_reference(kind, d, n, nt):
+    # the value is the max over the sampled pairs, those at both a time and a space offset included
+    spec = GridSpec(d, n, TWO_PI)
+    u = _pruning_frames(kind, spec, nt)
+    for alpha in (0.5, 0.999):
+        est = parabolic_seminorm_array(u, spec, 1 / 64, alpha, seed=2)
+        assert est.value == _parabolic_true_pairs(u, spec, 1 / 64, alpha, seed=2)
 
 
 def test_pruning_subnormal_data_is_not_skipped():
