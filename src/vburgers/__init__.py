@@ -21,7 +21,7 @@ from .fields import (
     snapshot_bytes,
 )
 from .forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
-from .heat import ScalingProbeReport, heat_apply, holder_scaling_probe, lacunary_field
+from .heat import ScalingProbeReport, holder_scaling_probe, lacunary_field
 from .norms import (
     HolderEstimate,
     KConstants,

@@ -174,8 +174,10 @@ def _build_scheme(section: dict, grid: GridSpec) -> SchemeConfig:
 
 
 def _cole_hopf_potential(grid: GridSpec, epsilon: float) -> ScalarField:
-    if not 0 < epsilon < 1:
-        raise ConfigError("epsilon must be in (0, 1) to keep the potential positive")
+    # the potential's minimum 1 - epsilon (1 + 1/2 + ... + 1/d) is at the box's centre, a node for even n
+    bound = 1.0 / sum(1.0 / k for k in range(1, grid.d + 1))
+    if not 0 < epsilon < bound:
+        raise ConfigError(f"epsilon must be in (0, {bound:g}) to keep the potential positive")
     mesh = grid.mesh()
     vals = 1.0 + epsilon * np.cos(2 * np.pi / grid.L * mesh[0])
     for ax in range(1, grid.d):

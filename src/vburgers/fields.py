@@ -397,7 +397,6 @@ def evaluate_arrays(values: np.ndarray, spec: GridSpec, points: np.ndarray) -> n
 def _band_modes(d: int, kmax: int) -> tuple:
     """Canonical half-space of nonzero integer modes with |k|_inf <= kmax."""
     modes = []
-    ranges = [range(-kmax, kmax + 1)] * d
     for m in np.ndindex(*[2 * kmax + 1] * d):
         vec = tuple(mi - kmax for mi in m)
         if all(v == 0 for v in vec):
@@ -439,16 +438,11 @@ def make_trig_field(spec: GridSpec, seed: int, kmax: int, amplitude: float) -> V
     return VectorField(spec, comps)
 
 
-def time_derivative_frames(traj: Trajectory) -> np.ndarray:
-    """Centered time differences per frame (one-sided second order at ends).
-
-    Returns an array shaped like ``traj.values``.
-    """
-    return time_derivative_arrays(traj.values, traj.dt)
-
-
 def time_derivative_arrays(u: np.ndarray, dt: float) -> np.ndarray:
-    """``time_derivative_frames`` of frames stacked on the leading axis of ``u``, spaced ``dt`` apart."""
+    """Centered time differences of frames stacked on the leading axis of ``u``, spaced ``dt`` apart.
+
+    One-sided second order at the ends; returns an array shaped like ``u``.
+    """
     if len(u) < 3:
         raise ValueError("need at least 3 frames for time differences")
     out = np.empty_like(u)

@@ -37,9 +37,6 @@ class Forcing:
         env = np.array([self.env(t) for t in times])
         return env.reshape((-1,) + (1,) * self.base_hat.ndim) * self.base_hat
 
-    def at(self, t: float) -> VectorField:
-        return self.base * self.env(t)
-
     def frames(self, times) -> np.ndarray:
         """Samples on ``times``, shape (nt, d) + grid shape."""
         env = np.array([self.env(float(t)) for t in times])

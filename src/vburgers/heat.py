@@ -16,7 +16,6 @@ from .errors import DivergenceError, WindowError
 from .fields import (
     GridSpec,
     ScalarField,
-    VectorField,
     _ksq_half,
     gradient_arrays,
     hessian_arrays,
@@ -32,18 +31,12 @@ def heat_multiplier(spec: GridSpec, tau: float) -> np.ndarray:
 
 
 def heat_apply_values(values: np.ndarray, spec: GridSpec, tau: float) -> np.ndarray:
+    """Exact semigroup e^{tau * Laplacian} on the trigonometric interpolant of ``values``."""
     if tau < 0:
         raise ValueError("backward heat flow (tau < 0) is ill-posed")
     if tau == 0:
         return values.copy()
     return irfft(rfft(values, spec) * heat_multiplier(spec, tau), spec)
-
-
-def heat_apply(f, tau: float):
-    """Exact semigroup e^{tau * Laplacian} on the trigonometric interpolant."""
-    if not isinstance(f, (ScalarField, VectorField)):
-        raise TypeError(f"cannot heat-apply {type(f).__name__}")
-    return type(f)(f.grid, heat_apply_values(f.values, f.grid, tau))
 
 
 def n_steps(T: float, dt: float) -> int:

@@ -45,14 +45,13 @@ import numpy as np
 from .errors import WindowError
 from .fields import (
     GridSpec,
-    ScalarField,
     Trajectory,
     VectorField,
     frame_blocks,
     gradient_arrays,
     hessian_arrays,
     rfft,
-    time_derivative_frames,
+    time_derivative_arrays,
 )
 from .forcing import Forcing
 
@@ -67,11 +66,9 @@ TIME_PER_STRATUM = 4  # sampled time offsets per dyadic stratum of the parabolic
 
 def sup_norm(f) -> float:
     """Maximum Euclidean magnitude over nodes."""
-    if isinstance(f, ScalarField):
-        return float(np.abs(f.values).max())
-    if isinstance(f, VectorField):
-        return channel_sup(f.values)
-    raise TypeError(f"cannot take sup norm of {type(f).__name__}")
+    if not isinstance(f, VectorField):
+        raise TypeError(f"cannot take sup norm of {type(f).__name__}")
+    return channel_sup(f.values)
 
 
 def frame_sups(arr: np.ndarray, n_channel_axes: int = 1) -> np.ndarray:
@@ -295,8 +292,6 @@ def separable_seminorm(
 
 
 def _field_channels(f) -> tuple:
-    if isinstance(f, ScalarField):
-        return f.values[None], f.grid
     if isinstance(f, VectorField):
         return f.values, f.grid
     raise TypeError(f"cannot compute seminorm of {type(f).__name__}")
@@ -479,7 +474,7 @@ def interpolation_gap(u, alpha: float, seed: int = 0) -> float:
         s = channel_sup(values, 1)
         gsup = channel_sup(gradient_arrays(values, grid), 2)
         return 2.0 ** (1.0 - alpha) * s ** (1.0 - alpha) * gsup**alpha - lhs
-    dts = time_derivative_frames(u)
+    dts = time_derivative_arrays(u.values, u.dt)
     sups = []
     for sl in frame_blocks(len(u), u.grid):
         ub = u.values[sl]

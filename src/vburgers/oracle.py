@@ -2,8 +2,8 @@
 
 The transform u = lam * grad(log phi) converts gradient-forced Burgers into
 the scalar linear PDE d_t phi = Lap phi + f phi (unit-viscosity frame).
-The constant lam is supplied and validated by residual rather than assumed:
-with our sign conventions the residual-validated value is lam = -2.
+With our sign conventions lam = ``COLE_HOPF_LAMBDA`` = -2; the tests
+validate that constant by residual rather than assume it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .fields import (
     irfft,
     laplacian_arrays,
     rfft,
-    time_derivative_frames,
+    time_derivative_arrays,
 )
 from .forcing import Forcing
 from .heat import integrate
@@ -53,7 +53,7 @@ class ResidualSeries:
 def residual(u: Trajectory, g: Forcing | None = None) -> ResidualSeries:
     """Burgers residual with spectral space derivatives and dealiased u.grad u."""
     spec, times = u.grid, u.times
-    dt_u = time_derivative_frames(u)
+    dt_u = time_derivative_arrays(u.values, u.dt)
     out = []
     for sl in frame_blocks(len(u), spec):
         ub = u.values[sl]
@@ -66,17 +66,12 @@ def residual(u: Trajectory, g: Forcing | None = None) -> ResidualSeries:
     return ResidualSeries(tuple(float(t) for t in times), tuple(float(r) for r in np.concatenate(out)))
 
 
-def cole_hopf(
-    phi0: ScalarField,
-    f=None,
-    T: float = 1.0,
-    dt: float = 1e-3,
-    lam: float = COLE_HOPF_LAMBDA,
-) -> Trajectory:
+def cole_hopf(phi0: ScalarField, f=None, T: float = 1.0, dt: float = 1e-3) -> Trajectory:
     """Exact-solution trajectory via the logarithmic gradient transform.
 
     ``f`` is an optional scalar potential forcing (callable t -> ScalarField
-    or a constant ScalarField); the matching Burgers forcing is lam * grad f.
+    or a constant ScalarField); the matching Burgers forcing is lam * grad f
+    with lam = ``COLE_HOPF_LAMBDA``.
     The scalar PDE is solved spectrally (exact heat propagator, midpoint
     stage for the f*phi term); phi must stay positive throughout.
     """
@@ -99,7 +94,7 @@ def cole_hopf(
     phis = integrate(phi0.values[None], spec, T, dt, rhs, positive)
     u = np.empty((len(phis), spec.d) + spec.shape)
     for sl in frame_blocks(len(phis), spec):
-        u[sl] = lam * gradient_arrays(np.log(phis[sl, 0]), spec)
+        u[sl] = COLE_HOPF_LAMBDA * gradient_arrays(np.log(phis[sl, 0]), spec)
     return Trajectory(spec, 0.0, dt, u)
 
 

@@ -553,16 +553,10 @@ def records_to_csv(records) -> str:
     """All iterates in one long table, one row per (m, t)."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["m", "t", "sup_u", "sup_grad_u", "sup_hess_u", "sup_dt_u", "sup_v", "sup_grad_v"])
+    w.writerow(["m", "t", *SUP_ROWS])
     for r in records:
         for k, t in enumerate(r.times):
-            w.writerow(
-                [r.m]
-                + [
-                    f"{v:.17g}"
-                    for v in (t, r.sup_u[k], r.sup_grad_u[k], r.sup_hess_u[k], r.sup_dt_u[k], r.sup_v[k], r.sup_grad_v[k])
-                ]
-            )
+            w.writerow([r.m] + [f"{v:.17g}" for v in (t, *(getattr(r, name)[k] for name in SUP_ROWS))])
     return buf.getvalue()
 
 

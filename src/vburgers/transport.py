@@ -70,10 +70,8 @@ class TransportProblem:
     def n_steps(self) -> int:
         return n_steps(self.T, self.dt)
 
-    def drift_at(self, t: float) -> np.ndarray | None:
-        """The drift array (d,) + grid.shape at time t, or None."""
-        if self.b is None:
-            return None
+    def drift_at(self, t: float) -> np.ndarray:
+        """The drift array (d,) + grid.shape at time t; ``b`` must not be None."""
         if isinstance(self.b, VectorField):
             return self.b.values
         return self.b.values_at(t)
@@ -183,13 +181,8 @@ def amplification_factors(p: TransportProblem, times: np.ndarray) -> np.ndarray:
     return np.exp(_log_amplification(p, times))
 
 
-def mp_tolerance(p: TransportProblem, scale: float | None = None) -> float:
-    """Discrete maximum-principle tolerance: O(dt^2) plus a rounding floor."""
-    if scale is None:
-        g = p.f
-        times = np.arange(p.n_steps + 1) * p.dt
-        env = max(abs(g.env(float(t))) for t in times[:: max(1, p.n_steps // 8)])
-        scale = sup_norm(p.u0) + p.T * env * channel_sup(g.values)
+def mp_tolerance(p: TransportProblem, scale: float) -> float:
+    """Discrete maximum-principle tolerance: O(dt^2) of the solution's ``scale``, plus a rounding floor."""
     return MP_DT2_FACTOR * scale * p.dt**2 + 1e-10
 
 

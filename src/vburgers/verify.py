@@ -26,7 +26,7 @@ from .fields import (
     laplacian_arrays,
     locate,
     rfft,
-    time_derivative_frames,
+    time_derivative_arrays,
 )
 from .norms import channel_sup, frame_sups, opnorm_sup
 from .transport import TransportProblem, _amplified_integral, _log_amplification, solve_transport
@@ -94,15 +94,11 @@ def _make_report(name, params, times, lhs, rhs, c_star, tol=1e-12) -> BoundRepor
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     slack = rhs - lhs
-    verdict = "pass" if (slack.size == 0 or slack.min() >= -tol) else "fail"
+    verdict = "pass" if slack.min() >= -tol else "fail"
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 0.0))
-    if times.size:
-        k = int(np.argmax(ratio))
-        worst_t, worst_ratio = float(times[k]), float(ratio[k])
-    else:
-        worst_t, worst_ratio = math.nan, 0.0
-    return BoundReport(name, dict(params), times, lhs, rhs, float(c_star), verdict, worst_t, worst_ratio)
+    k = int(np.argmax(ratio))
+    return BoundReport(name, dict(params), times, lhs, rhs, float(c_star), verdict, float(times[k]), float(ratio[k]))
 
 
 def _fitted_report(name, params, times, lhs, rhs1, p, c, log_rhs1=None, tol=CHECK_TOL) -> BoundReport:
@@ -382,8 +378,6 @@ def _pair_seminorm(vals: np.ndarray, pts: np.ndarray, ts: np.ndarray, alpha: flo
     dtm = np.abs(Tm[:, None] - Tm[None, :])
     den = dx**alpha + dtm ** (alpha / 2.0)
     mask = den > 0
-    if not mask.any():
-        return 0.0
     return float((dv[mask] / den[mask]).max())
 
 
@@ -420,7 +414,7 @@ def check_schauder_instance(
     u_hat = rfft(u_arr, grid)
     grad_arr = gradient_arrays(u_arr, grid, u_hat).reshape((len(u), ncomp * d) + grid.shape)
     lap_arr = laplacian_arrays(u_arr, grid, u_hat)
-    dt_arr = time_derivative_frames(u)
+    dt_arr = time_derivative_arrays(u_arr, u.dt)
 
     def sample(arrs, ts, pts):  # linear in time between frames, as Trajectory.values_at
         locs = [locate(t, u.t0, u.dt, len(u)) for t in ts]

@@ -14,7 +14,7 @@ import pytest
 
 from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, make_trig_field
 from vburgers.forcing import ConstantForcing, TrigForcing, ZeroForcing
-from vburgers.heat import heat_apply, holder_scaling_probe
+from vburgers.heat import heat_apply_values, holder_scaling_probe
 from vburgers.norms import KProfile, compute_k_constants, interpolation_gap, sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, residual as burgers_residual
 from vburgers.scheme import SchemeConfig, compute_t_init, run_picard, series_majorant
@@ -212,7 +212,7 @@ def test_criterion_06_interpolation_battery():
         if gap < -1e-10 * scale:
             violations += 1
         v = make_trig_field(g_t, seed=seed + 5000, kmax=4, amplitude=1.0)
-        frames = tuple(heat_apply(v, 0.02 * k) for k in range(6))
+        frames = np.stack([heat_apply_values(v.values, g_t, 0.02 * k) for k in range(6)])
         traj = Trajectory(g_t, 0.0, 0.02, frames)
         gap = interpolation_gap(traj, alpha, seed=seed)
         if gap < -1e-10 * (1.0 + sup_norm(v)):
@@ -304,10 +304,10 @@ def test_criterion_10_schauder_scale_invariance():
 
     j, M = -2, 2.0
     u2, _, _ = parabolic_rescale(heat, None, j, M)
-    from vburgers.fields import laplacian_arrays, time_derivative_frames
+    from vburgers.fields import laplacian_arrays, time_derivative_arrays
 
     def heat_resid(tr):
-        dfr = time_derivative_frames(tr)
+        dfr = time_derivative_arrays(tr.values, tr.dt)
         return np.stack([
             dfr[k] - np.stack([laplacian_arrays(c.values, tr.grid) for c in tr.frame(k).components])
             for k in range(1, len(tr) - 1)

@@ -185,6 +185,25 @@ def test_oracle_compare_passes_on_cole_hopf_data(tmp_path):
     assert report["verdict"] == "pass" and report["sup_difference"] <= report["tolerance"]
 
 
+def test_oracle_compare_passes_on_2d_cole_hopf_data(tmp_path):
+    path = base_config(
+        tmp_path,
+        grid={"d": 2, "n": 32, "L": 6.283185307179586},
+        scheme={"T": 1 / 8, "dt": 1 / 1024, "m_max": 14, "tol_fp": 1e-10},
+        data=COLE_HOPF_DATA,
+        checks=["oracle_compare"],
+    )
+    assert main(["run", path]) == 0
+    report = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
+    assert report["verdict"] == "pass" and report["sup_difference"] <= report["tolerance"]
+
+
+def test_zero_data_passes_the_estimate_checks(tmp_path, capsys):
+    path = base_config(tmp_path, data={"kind": "zero"}, checks=["uniform_estimates", "short_time"])
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+
+
 def test_run_failing_check_exit_one(tmp_path, capsys):
     # a coarse step misses the exact Cole-Hopf solution by about 5.9e-4, above the 1e-5 tolerance
     path = base_config(
@@ -253,6 +272,9 @@ def _assert_nothing_written(out) -> None:
         ({"scheme": {"T": 0.125, "dt": 1 / 256, "c": float("inf")}}, "finite"),
         ({"grid": {"d": 3, "n": 128, "L": 6.283185307179586}}, "nodes"),
         ({"data": {"kind": "lacunary", "alpha": 1.5, "seed": 1}}, "alpha"),
+        # 1 + eps cos x + eps/2 cos y (+ eps/3 cos z) reaches 1 - eps (1 + ... + 1/d) at the box's centre
+        ({"grid": {"d": 2, "n": 16, "L": 6.283185307179586}, "data": {"kind": "cole_hopf", "epsilon": 0.8}}, "epsilon"),
+        ({"grid": {"d": 3, "n": 8, "L": 6.283185307179586}, "data": {"kind": "cole_hopf", "epsilon": 0.6}}, "epsilon"),
         ({"forcing": {"kind": "trig", "seed": 1, "kmax": 40, "amplitude": 0.1}}, "alias"),
         ({"out_dir": 7}, "out_dir"),
         ({"grid": {"d": 1, "n": 16, "L": 6.283185307179586}, "scheme": {"T": 1 / 128, "dt": 1 / 128}}, "T >= 2 dt"),
@@ -273,7 +295,8 @@ def _assert_nothing_written(out) -> None:
         "grid_not_object", "T_not_number", "nu_not_one", "constant_wrong_length", "heat_scaling_window",
         "schauder_residual", "uniform_then_schauder_residual", "d_not_integer", "seed_not_integer", "kmax_not_integer",
         "seed_negative",
-        "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "forcing_kmax_aliases",
+        "c_infinite", "grid_above_node_limit", "lacunary_alpha_out_of_range", "cole_hopf_epsilon_2d",
+        "cole_hopf_epsilon_3d", "forcing_kmax_aliases",
         "out_dir_not_string", "one_step_picard_horizon", "wavenumbers_overflow", "distances_overflow",
         "distances_underflow", "gradient_forcing_overflow", "trig_forcing_overflow", "data_overflow",
         "bound_overflow_c", "k_overflow_c", "k_overflow_c_short_time", "out_dir_is_file", "out_dir_under_file",

@@ -25,7 +25,7 @@ from vburgers.fields import (
     read_snapshot,
     rfft,
     snapshot_bytes,
-    time_derivative_frames,
+    time_derivative_arrays,
 )
 
 TWO_PI = 2 * np.pi
@@ -113,6 +113,14 @@ def test_trig_interpolation_exact_at_nodes(grid1d, random_field):
     assert np.allclose(vals, random_field.components[0].values, atol=1e-12)
 
 
+def test_trig_interpolation_exact_at_nodes_3d():
+    g = GridSpec(3, 8, TWO_PI)
+    v = make_trig_field(g, seed=3, kmax=2, amplitude=1.0)
+    pts = np.stack([m.ravel() for m in g.mesh()], axis=1)
+    vals = evaluate_arrays(v.values, g, pts)
+    assert np.abs(vals - v.values.reshape(3, -1).T).max() < 1e-13
+
+
 def test_trig_interpolation_matches_closed_form_off_nodes(grid1d):
     x = grid1d.axis_coords()
     f = ScalarField(grid1d, np.sin(2 * x) + 0.3 * np.cos(5 * x))
@@ -139,12 +147,12 @@ def test_trajectory_interpolation(grid1d, sin_field):
     assert traj.t_end == pytest.approx(1.5)
 
 
-def test_time_derivative_frames_second_order(grid1d, sin_field):
+def test_time_derivative_arrays_second_order(grid1d, sin_field):
     # u(t) = e^t * sin(x); centered differences are O(dt^2)
     dt = 1e-3
     frames = tuple(sin_field * float(np.exp(k * dt)) for k in range(5))
     traj = Trajectory(grid1d, 0.0, dt, frames)
-    d = time_derivative_frames(traj)
+    d = time_derivative_arrays(traj.values, traj.dt)
     expect = np.exp(2 * dt) * sin_field.values
     assert np.abs(d[2] - expect).max() < 1e-6
 

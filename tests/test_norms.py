@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vburgers import norms
 from vburgers.fields import GridSpec, Trajectory, VectorField, hessian_arrays, make_trig_field
 from vburgers.forcing import ConstantForcing, Forcing, GradientForcing, TrigForcing, ZeroForcing
-from vburgers.heat import heat_apply, lacunary_field
+from vburgers.heat import heat_apply_values, lacunary_field
 from vburgers.norms import (
     EXHAUSTIVE_PAIR_LIMIT,
     KConstants,
@@ -352,7 +352,7 @@ def test_interpolation_gap_space_nonnegative():
 def test_interpolation_gap_spacetime_nonnegative(grid1d):
     for seed in range(10):
         u = make_trig_field(grid1d, seed=seed, kmax=6, amplitude=1.0)
-        frames = tuple(heat_apply(u, 0.02 * k) for k in range(5))
+        frames = np.stack([heat_apply_values(u.values, grid1d, 0.02 * k) for k in range(5)])
         traj = Trajectory(grid1d, 0.0, 0.02, frames)
         assert interpolation_gap(traj, 0.5) >= -1e-10 * sup_norm(u)
 
@@ -463,16 +463,16 @@ def test_sin_seminorm_feeds_k2alpha(grid1d, sin_field):
 
 
 def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
-    """K(t) one frame at a time: per-frame sups of g.at(s) and g.base * env_dt(s), and a trapezoid on 64 steps."""
+    """K(t) one frame at a time: per-frame sups of g.base * env(s) and g.base * env_dt(s), a trapezoid on 64 steps."""
     spec = u0.grid
     hess = hessian_arrays(u0.values, spec)
     hess_seminorm = iso_seminorm_array(hess.reshape((spec.d**3,) + spec.shape), spec, alpha, seed).value
     sup_u0, grad_u0, hess_u0 = sup_norm(u0), grad_sup(u0), channel_sup(hess, 3)
     int_g = int_dg = int_hess_dt = g_seminorm = 0.0
-    sup_g0 = sup_norm(g.at(0.0))
+    sup_g0 = sup_norm(g.base * g.env(0.0))
     if not g.is_zero and t > 0:
         times = np.linspace(0.0, t, 65)
-        frames = [g.at(float(s)) for s in times]
+        frames = [g.base * g.env(float(s)) for s in times]
         sup_g = np.array([sup_norm(f) for f in frames])
         sup_hg = np.array([hessian_sup(f) for f in frames])
         sup_tg = np.array([sup_norm(g.base * g.env_dt(float(s))) for s in times])
@@ -480,7 +480,7 @@ def _reference_k(u0, g, t, c, alpha=0.5, seed=0):
         int_dg = float(np.trapezoid([grad_sup(f) for f in frames], times))
         int_hess_dt = float(np.trapezoid(sup_hg + sup_tg, times))
         sup_g0 = float(sup_g[0])
-        samples = Trajectory(g.grid, 0.0, t / 16, [g.at(k * (t / 16)) for k in range(17)])
+        samples = Trajectory(g.grid, 0.0, t / 16, [g.base * g.env(k * (t / 16)) for k in range(17)])
         g_seminorm = holder_seminorm(samples, alpha, seed).value
     K0, K1 = sup_u0 + int_g, grad_u0 + int_dg
     K2 = hess_u0 + sup_u0 * grad_u0 + sup_g0 + int_hess_dt

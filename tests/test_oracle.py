@@ -3,7 +3,7 @@ import pytest
 
 from vburgers import oracle
 from vburgers.errors import OracleError, ResolutionError
-from vburgers.fields import GridSpec, ScalarField, VectorField, gradient, make_trig_field
+from vburgers.fields import GridSpec, ScalarField, Trajectory, VectorField, gradient, make_trig_field
 from vburgers.forcing import GradientForcing
 from vburgers.norms import sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve, residual
@@ -24,8 +24,14 @@ def test_cole_hopf_residual_small():
 
 
 def _best_lambda(phi0, T, dt, candidates=(-2.0, -1.0, 1.0, 2.0)):
-    """The residual-minimizing transform constant over candidate values, and every score."""
-    scores = {lam: residual(cole_hopf(phi0, None, T, dt, lam)).max for lam in candidates}
+    """The residual-minimizing transform constant over candidate values, and every score.
+
+    u = lam grad log phi, so a candidate's frames are ``cole_hopf``'s scaled by lam / COLE_HOPF_LAMBDA.
+    """
+    u = cole_hopf(phi0, None, T, dt)
+    scores = {
+        lam: residual(Trajectory(u.grid, u.t0, u.dt, u.values * (lam / COLE_HOPF_LAMBDA))).max for lam in candidates
+    }
     return min(scores, key=scores.get), scores
 
 

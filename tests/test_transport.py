@@ -17,7 +17,7 @@ from vburgers.fields import (
     rfft,
 )
 from vburgers.forcing import Forcing, TrigForcing
-from vburgers.heat import heat_apply, heat_multiplier, n_steps
+from vburgers.heat import heat_apply_values, heat_multiplier, n_steps
 from vburgers.norms import sup_norm
 from vburgers.oracle import COLE_HOPF_LAMBDA, cole_hopf, direct_solve
 from vburgers.transport import (
@@ -37,8 +37,8 @@ TWO_PI = 2 * np.pi
 def test_zero_drift_reduces_to_heat(grid1d, random_field):
     p = TransportProblem(u0=random_field, b=None, C=None, f=None, T=0.5, dt=1e-3)
     traj = solve_transport(p)
-    expect = heat_apply(random_field, 0.5)
-    err = np.abs(traj.frame(len(traj) - 1).values - expect.values).max()
+    expect = heat_apply_values(random_field.values, grid1d, 0.5)
+    err = np.abs(traj.frame(len(traj) - 1).values - expect).max()
     assert err < 1e-12  # diffusion handled exactly by the integrating factor
 
 
@@ -135,7 +135,7 @@ def test_matrix_coefficient_checked_when_built(grid2d):
 
 
 def test_time_varying_drift_accepts_trajectory(grid1d, random_field):
-    frames = tuple(heat_apply(random_field, 0.05 * k) for k in range(6))
+    frames = np.stack([heat_apply_values(random_field.values, grid1d, 0.05 * k) for k in range(6)])
     drift = Trajectory(grid1d, 0.0, 0.05, frames)
     p = TransportProblem(u0=random_field, b=drift, C=None, f=None, T=0.25, dt=1 / 512)
     traj = solve_transport(p)
@@ -218,7 +218,7 @@ def test_solve_transport_matches_physical_midpoint(spec):
     def rhs(t, u):
         k, w = drift.locate(t)
         bt = b[k] if w == 0.0 else b[k] * (1.0 - w) + b[k + 1] * w
-        return f.at(t).values - _physical_advect(bt, u, spec) - np.tensordot(C, u, axes=(1, 0))
+        return (f.base * f.env(t)).values - _physical_advect(bt, u, spec) - np.tensordot(C, u, axes=(1, 0))
 
     _assert_rel_close(traj.values, _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, rhs))
 
@@ -230,7 +230,7 @@ def test_direct_solve_matches_physical_midpoint(spec):
     traj = direct_solve(u0, f, _REF_T, _REF_DT)
 
     def rhs(t, u):
-        return f.at(t).values - _physical_advect(dealias_values(u, spec), u, spec)
+        return (f.base * f.env(t)).values - _physical_advect(dealias_values(u, spec), u, spec)
 
     _assert_rel_close(traj.values, _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, rhs))
 
@@ -240,7 +240,7 @@ def test_duhamel_forced_heat_matches_physical_midpoint(spec):
     u0 = _ref_datum(spec)
     f = TrigForcing(spec, seed=5, kmax=2, amplitude=0.3, omega=2.0)
     traj = forced_heat(u0, f, _REF_T, _REF_DT)
-    ref = _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, lambda t, u: f.at(t).values)
+    ref = _physical_midpoint(u0.values, spec, _REF_T, _REF_DT, lambda t, u: (f.base * f.env(t)).values)
     _assert_rel_close(traj.values, ref)
 
 

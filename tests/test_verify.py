@@ -270,6 +270,19 @@ def test_schauder_scale_stability_heat():
     assert max(consts) / min(consts) < 2.0
 
 
+def test_schauder_scale_stability_heat_3d():
+    # the 3-D ball samples along seeded directions; u = (e^{-t} sin x, 0, 0) is exact heat flow
+    g = GridSpec(3, 8, TWO_PI)
+    x = g.mesh()[0]
+    dt, T = 1 / 256, 1 / 16
+    zero = np.zeros_like(x)
+    traj = Trajectory(g, 0.0, dt, np.stack([[np.exp(-k * dt) * np.sin(x), zero, zero] for k in range(17)]))
+    reps = [check_schauder_instance(traj, None, ParabolicBall(T, (0.0, 0.0, 0.0), j, 2.0)) for j in (-4, -5, -6)]
+    consts = [rep.c_star for rep in reps]
+    assert max(rep.params["residual"] for rep in reps) < 1e-5
+    assert min(consts) > 0 and max(consts) / min(consts) < 2.0
+
+
 @pytest.mark.parametrize("which", SCHAUDER_FORMS)
 def test_schauder_forms_scale_stable(which):
     # u = 1 - e^{-(t-1)} cos x is about (t - 1) + x^2/2 at the ball's centre: every form's implied constant
@@ -323,7 +336,7 @@ def test_parabolic_rescale_identity_at_j_zero(grid1d, random_field):
 
 def test_parabolic_rescale_residual_covariance():
     # residual of the rescaled bundle = M^j * original residual, node for node
-    from vburgers.fields import laplacian_arrays, time_derivative_frames
+    from vburgers.fields import laplacian_arrays, time_derivative_arrays
 
     g = GridSpec(1, 128, TWO_PI)
     x = g.axis_coords()
@@ -332,7 +345,7 @@ def test_parabolic_rescale_residual_covariance():
     u2, _, _ = parabolic_rescale(traj, None, j, M)
 
     def heat_residual(tr):
-        dts = time_derivative_frames(tr)
+        dts = time_derivative_arrays(tr.values, tr.dt)
         out = []
         for k in range(1, len(tr) - 1):
             f = tr.frame(k)
