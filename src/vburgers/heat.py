@@ -8,7 +8,7 @@ build the integrator's right-hand sides with ``transport._transport_rhs``;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -199,16 +199,7 @@ class ScalingProbeReport:
             raise ValueError("fitted slope must be finite")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "kappa": self.kappa,
-                "times": list(self.times),
-                "norms": list(self.norms),
-                "slope": self.slope,
-                "predicted_slope": self.predicted_slope,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def holder_scaling_probe(

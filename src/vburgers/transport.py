@@ -182,7 +182,7 @@ def amplification_factors(p: TransportProblem, times: np.ndarray) -> np.ndarray:
 
 
 def mp_tolerance(p: TransportProblem, scale: float) -> float:
-    """Discrete maximum-principle tolerance: O(dt^2) of the solution's ``scale``, plus a rounding floor."""
+    """Tolerance of the maximum-principle and Gronwall checks: O(dt^2) of ``scale``, plus a rounding floor."""
     return MP_DT2_FACTOR * scale * p.dt**2 + 1e-10
 
 

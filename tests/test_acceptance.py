@@ -297,7 +297,7 @@ def test_criterion_10_schauder_scale_invariance():
         traj = Trajectory(g, 0.0, dts, frames)
         rep = check_schauder_instance(
             traj, np.array([b0]), ParabolicBall(1.0, (0.0,), -2, 2.0),
-            0.5, "grad_sup", residual_tol=2e-2 * (1 + b0**2),
+            0.5, "grad_sup",
         )
         drift.append(rep.c_star)
     monotone = all(b <= a * (1 + 1e-9) for a, b in zip(drift, drift[1:]))

@@ -131,9 +131,13 @@ def test_run_pass_exit_zero(tmp_path, capsys):
 NO_PICARD_FORCING = {"kind": "trig", "seed": 2, "kmax": 2, "amplitude": 0.2}
 NO_PICARD_CASES = {
     "gronwall": ("gronwall", {}, ["gronwall.csv", "gronwall.json"]),
-    # the heat trajectory solves the equation on the balls to 1e-5 only with a finer step
+    # a horizon of 1/8 fits the balls of j = -3 and -4 only
     "schauder": ("schauder", {"scheme": {"T": 0.125, "dt": 1 / 1024}},
                  ["schauder_j3.csv", "schauder_j3.json", "schauder_j4.csv", "schauder_j4.json", "schauder_sweep.json"]),
+    # the README example's horizon and step: its residual is within the stencil error there
+    "schauder-readme-step": ("schauder", {"scheme": {"T": 0.25, "dt": 0.00390625}},
+                             ["schauder_j2.csv", "schauder_j2.json", "schauder_j3.csv", "schauder_j3.json",
+                              "schauder_j4.csv", "schauder_j4.json", "schauder_sweep.json"]),
     "interpolation": ("interpolation", {}, ["interpolation.json"]),
     # the probe times start at 1e-4, which resolves only on n >= 400
     "heat_scaling": ("heat_scaling", {"grid": {"d": 1, "n": 512, "L": 6.283185307179586}},
@@ -485,6 +489,15 @@ ARTIFACT_DIGESTS = {
     "no_picard_gronwall-one-step": {
         "gronwall.csv": "77df82db43e464d3f721925ea494c540bd5d30ad663582b8b0001456cf246c7f",
         "gronwall.json": "ef1a4c478f8dfa56f8af358c157d823961e682b610a86cf82ad7a6f65ce2b355",
+    },
+    "no_picard_schauder-readme-step": {
+        "schauder_j2.csv": "b8ddbb851dfd0d60edbe3d5c88a07269ea4be212fcbdab0e272d852366eb25d5",
+        "schauder_j2.json": "e1e2fa60b5c8a18ecc06833ce4d108388a32af091ade3d30dc31cd7f39f458b3",
+        "schauder_j3.csv": "20016e0bd76dfae54acaa0cf5730beb7742b834a7fff89eda6eaf5f0e28e4339",
+        "schauder_j3.json": "b7277ed09f9a1365474f0358875ecc5046a45755499cb3d74c5b78833554fd6b",
+        "schauder_j4.csv": "3163f36aff46e0e828653c7c0fc9601b0ac63f115e7aadcded764992196eace8",
+        "schauder_j4.json": "5cd779996562fccd76a39b95a54d13bf3bd6fae4cd9af8dbde6fdfb17209832b",
+        "schauder_sweep.json": "9ff987e36b3ad6e3bea52a13698c8b449f2b2a9a66ee19b5e76a8cf36a9a45a2",
     },
 }
 
