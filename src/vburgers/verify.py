@@ -38,9 +38,8 @@ SAMPLE_TIMES = 33  # frames sampled by the uniform checks
 C_STAR_TOL = 1e-12  # fit_c_star's slack, relative to the largest LHS
 BALL_SEED = 0  # directions of the 3-D ball samples
 BALL_TIMES, BALL_RADII, BALL_DIRECTIONS = 7, 4, 8  # ball sample layout
-# the Schauder hypothesis, with est the time stencil's error: residual on the ball <= STENCIL_MARGIN est + 1e-10
-# (residual / est tends to at most 1 as dt -> 0; the tests' solutions read 0.09-1.001, heat flow at dt = 1/4 1.96)
-# and est <= STENCIL_RESOLUTION max|d_t u| (solutions <= 1.9e-4, dt = 1/4 0.125, frames jumping at random 1.1)
+# the Schauder hypothesis, est the time stencil's error near the ball: residual <= STENCIL_MARGIN est + 1e-10 and
+# est <= STENCIL_RESOLUTION max|d_t u|; heat flows the CLI accepts read <= 1.27 and 0.0099, refused >= 1.50 or 0.0105
 STENCIL_MARGIN, STENCIL_RESOLUTION = 1.5, 1e-2
 
 
@@ -394,11 +393,10 @@ def check_schauder_instance(
 ) -> BoundReport:
     """One local gradient estimate for d/dt u - Lap u = b . grad u, with b None (zero) or one constant d-vector.
 
-    `which` selects the estimated quantity on the shrunk ball: "grad_sup",
-    "grad_holder" or "second_sup" (time derivative and Hessian sups).  The
-    right-hand side includes the drift penalty R_b = (1 + M^{j/2} |b|)^{-1};
-    the reported c_star is the implied constant LHS / RHS.  A trajectory of fewer than four frames, not resolved
-    in time, or whose residual on the ball exceeds the time stencil's error est is an OracleError.
+    `which` selects the estimated quantity on the shrunk ball: "grad_sup", "grad_holder" or "second_sup" (time
+    derivative and Hessian sups).  The right-hand side includes the drift penalty R_b = (1 + M^{j/2} |b|)^{-1}; the
+    reported c_star is the implied constant LHS / RHS.  A trajectory of fewer than four frames, not resolved in time,
+    or whose residual on the ball exceeds the time stencil's error est near the ball is an OracleError.
     """
     if which not in SCHAUDER_FORMS:
         raise ValueError(f"which must be one of {SCHAUDER_FORMS}")
@@ -421,7 +419,9 @@ def check_schauder_instance(
     grad_arr = gradient_arrays(u_arr, grid, u_hat).reshape((len(u), ncomp * d) + grid.shape)
     lap_arr = laplacian_arrays(u_arr, grid, u_hat)
     dt_arr = time_derivative_arrays(u_arr, u.dt)
-    est = float(np.abs(np.diff(u_arr, 3, axis=0)).max()) / (3 * u.dt)  # dt^2/3 |u_ttt|, the one-sided end's error
+    k_lo, k_hi = (locate(t, u.t0, u.dt, len(u))[0] for t in (ball.t_lo, ball.t0))
+    near = slice(max(k_lo - 3, 0), k_hi + 4)  # the frames the ball's samples use, and the stencils' reach
+    est = float(np.abs(np.diff(u_arr[near], 3, axis=0)).max()) / (3 * u.dt)  # dt^2/3 |u_ttt|, a one-sided end's
 
     def sample(arrs, ts, pts):  # linear in time between frames, as Trajectory.values_at
         locs = [locate(t, u.t0, u.dt, len(u)) for t in ts]
@@ -435,7 +435,7 @@ def check_schauder_instance(
     res_max = float(np.abs(res).max())
     if res_max > STENCIL_MARGIN * est + 1e-10:
         raise OracleError(f"field does not solve the equation on the ball (residual {res_max:.3e}, est {est:.3e})")
-    if est > STENCIL_RESOLUTION * float(np.abs(dt_arr).max()):
+    if est > STENCIL_RESOLUTION * float(np.abs(dt_arr[near]).max()):
         raise OracleError(f"the step does not resolve the field in time (est {est:.3e}, residual {res_max:.3e})")
 
     sup_u = float(np.sqrt((u_out**2).sum(-1)).max())

@@ -273,6 +273,23 @@ def test_schauder_rejects_unresolved_trajectory(grid1d, random_field, dt, scales
         check_schauder_instance(traj, None, ParabolicBall(1.0, (0.0,), -1, 2.0), 0.5, "grad_sup")
 
 
+@pytest.mark.parametrize("rate, solves", [(1.0, True), (1.5, False)], ids=["heat_flow", "wrong_low_mode"])
+def test_schauder_stencil_error_is_read_on_the_ball(rate, solves):
+    # e^{-36 t} sin 6x is rough at t = 0 (third differences 0.237 dt) and gone on the ball [3/4, 1]; measured
+    # over every frame, that start would let the low mode's wrong decay rate (residual 0.078) through
+    g = GridSpec(1, 64, TWO_PI)
+    x = g.axis_coords()
+    dt = 1 / 256
+    frames = [[np.exp(-36 * k * dt) * np.sin(6 * x) + np.exp(-rate * k * dt) * np.sin(x)] for k in range(257)]
+    traj = Trajectory(g, 0.0, dt, np.stack(frames))
+    ball = ParabolicBall(1.0, (0.0,), -2, 2.0)
+    if solves:
+        assert check_schauder_instance(traj, None, ball, 0.5, "grad_sup").params["residual"] < 1e-6
+    else:
+        with pytest.raises(OracleError, match="does not solve"):
+            check_schauder_instance(traj, None, ball, 0.5, "grad_sup")
+
+
 def test_schauder_scale_stability_heat():
     g = GridSpec(1, 128, TWO_PI)
     x = g.axis_coords()
